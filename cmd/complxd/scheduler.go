@@ -513,6 +513,13 @@ func (s *scheduler) runJob(j *Job, ri *runtimeInfo) {
 	ri.mu.Lock()
 	ri.cancel = cancel
 	ri.mu.Unlock()
+	// A drain that began between dispatch and the line above found no
+	// cancel to call; honour it now so the job is re-queued, not run out.
+	select {
+	case <-s.done:
+		cancel(errShutdown)
+	default:
+	}
 	defer func() {
 		ri.mu.Lock()
 		ri.cancel = nil

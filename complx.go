@@ -491,8 +491,9 @@ type Result struct {
 	CGIterations   int
 	PrecondTime    time.Duration
 	DetailedRefine DetailedStats
-	// LegalViolations counts remaining legality violations (0 after a
-	// successful legalization).
+	// LegalViolations counts every legality violation remaining after
+	// legalization (0 after a successful one), however many there are;
+	// CheckLegal describes at most 100 of them.
 	LegalViolations int
 }
 
@@ -836,7 +837,7 @@ func PlaceContext(ctx context.Context, nl *Netlist, opt Options) (*Result, error
 		}
 		res.LegalTime = time.Since(lgStart)
 		res.Legalized = true
-		res.LegalViolations = len(legalize.Check(nl, 1e-6))
+		_, res.LegalViolations = legalize.CheckCount(nl, 1e-6)
 
 		if !opt.SkipDetailed {
 			dpStart := time.Now()
@@ -903,7 +904,8 @@ func ScaledHPWL(nl *Netlist, targetDensity float64) (scaled, penaltyPercent floa
 }
 
 // CheckLegal verifies row/site alignment and overlap-freedom; it returns a
-// human-readable description per violation (empty when legal).
+// human-readable description per violation (empty when legal), at most 100
+// of them. Result.LegalViolations carries the full count.
 func CheckLegal(nl *Netlist) []string {
 	var out []string
 	for _, v := range legalize.Check(nl, 1e-6) {

@@ -166,14 +166,14 @@ func TestPermutations(t *testing.T) {
 
 func TestMedianInterval(t *testing.T) {
 	// Single interval [2, 8]: cur clamped into it.
-	if got := medianInterval([]float64{2}, []float64{8}, 5); got != 5 {
+	if got := (&engine{}).medianInterval([]float64{2}, []float64{8}, 5); got != 5 {
 		t.Errorf("inside = %v", got)
 	}
-	if got := medianInterval([]float64{2}, []float64{8}, 0); got != 2 {
+	if got := (&engine{}).medianInterval([]float64{2}, []float64{8}, 0); got != 2 {
 		t.Errorf("below = %v", got)
 	}
 	// Two intervals [0,2] and [4,10]: median interval is [2,4].
-	if got := medianInterval([]float64{0, 4}, []float64{2, 10}, 9); got != 4 {
+	if got := (&engine{}).medianInterval([]float64{0, 4}, []float64{2, 10}, 9); got != 4 {
 		t.Errorf("two-interval = %v", got)
 	}
 }

@@ -7,9 +7,11 @@
 package legalize
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -365,85 +367,171 @@ type Violation struct {
 	Msg  string
 }
 
+// MaxViolations caps how many violations Check and CheckCount return.
+const MaxViolations = 100
+
 // Check verifies legality: movable std cells aligned to rows and sites, no
 // overlaps among movable cells or against fixed obstacles, everything in
-// core. Returns all violations found (capped at 100).
+// core. Returns the violations found, at most MaxViolations of them; see
+// CheckCount for the total.
 func Check(nl *netlist.Netlist, tol float64) []Violation {
+	v, _ := CheckCount(nl, tol)
+	return v
+}
+
+// CheckCount is Check plus the total number of violations, which counts
+// every violation even past the MaxViolations returned.
+//
+// Overlaps are found by one x-sweep per row band: the core is cut into
+// horizontal bands one (smallest) row height tall, every rect joins the
+// bands it spans, and each band's rects are swept in x order. A pair is
+// judged only in the first band both rects span, so it is reported once;
+// pairs of fixed cells are not judged at all.
+func CheckCount(nl *netlist.Netlist, tol float64) ([]Violation, int) {
 	var out []Violation
+	total := 0
 	add := func(kind, cell, msg string) {
-		if len(out) < 100 {
+		total++
+		if len(out) < MaxViolations {
 			out = append(out, Violation{kind, cell, msg})
 		}
 	}
-	rowAt := make(map[float64]netlist.Row, len(nl.Rows))
-	for _, r := range nl.Rows {
-		rowAt[r.Y] = r
-	}
-	var rects []geom.Rect
-	var names []string
+	rows := slices.Clone(nl.Rows)
+	slices.SortStableFunc(rows, func(a, b netlist.Row) int { return cmp.Compare(a.Y, b.Y) })
+	rects := make([]bandRect, 0, len(nl.Cells))
 	for i := range nl.Cells {
 		c := &nl.Cells[i]
+		rects = append(rects, bandRect{Rect: c.Rect(), cell: i, fixed: c.Fixed()})
 		if c.Fixed() {
 			continue
 		}
 		if c.Kind == netlist.Std {
-			matched := false
-			for y, r := range rowAt {
-				if math.Abs(c.Y-y) <= tol {
-					site := r.SiteWidth
-					if site <= 0 {
-						site = 1
-					}
-					k := (c.X - r.XMin) / site
-					if math.Abs(k-math.Round(k)) > tol {
-						add("site", c.Name, fmt.Sprintf("x=%g not site-aligned", c.X))
-					}
-					matched = true
-					break
+			if r, ok := rowNear(rows, c.Y, tol); ok {
+				site := r.SiteWidth
+				if site <= 0 {
+					site = 1
 				}
-			}
-			if !matched {
+				k := (c.X - r.XMin) / site
+				if math.Abs(k-math.Round(k)) > tol {
+					add("site", c.Name, fmt.Sprintf("x=%g not site-aligned", c.X))
+				}
+			} else {
 				add("row", c.Name, fmt.Sprintf("y=%g not on a row", c.Y))
 			}
 		}
 		if !nl.Core.Expand(tol).ContainsRect(c.Rect()) {
 			add("core", c.Name, "outside core")
 		}
-		rects = append(rects, c.Rect())
-		names = append(names, c.Name)
 	}
-	// Overlaps: sweep by x.
-	order := make([]int, len(rects))
-	for i := range order {
-		order[i] = i
+	bandOverlaps(nl.Core, rects, rows, tol, func(a, b *bandRect) {
+		switch {
+		case b.fixed:
+			add("fixed-overlap", nl.Cells[a.cell].Name, "overlaps fixed "+nl.Cells[b.cell].Name)
+		case a.fixed:
+			add("fixed-overlap", nl.Cells[b.cell].Name, "overlaps fixed "+nl.Cells[a.cell].Name)
+		default:
+			add("overlap", nl.Cells[a.cell].Name, "overlaps "+nl.Cells[b.cell].Name)
+		}
+	})
+	return out, total
+}
+
+// rowNear returns the row of the Y-sorted rows nearest y, if one lies
+// within tol. Of rows sharing a Y the last listed wins.
+func rowNear(rows []netlist.Row, y, tol float64) (netlist.Row, bool) {
+	k := sort.Search(len(rows), func(a int) bool { return rows[a].Y > y })
+	best, bestD := -1, math.Inf(1)
+	if k > 0 {
+		best, bestD = k-1, y-rows[k-1].Y
 	}
-	sort.Slice(order, func(a, b int) bool { return rects[order[a]].XMin < rects[order[b]].XMin })
-	for a := 0; a < len(order); a++ {
-		ra := rects[order[a]]
-		for b := a + 1; b < len(order); b++ {
-			rb := rects[order[b]]
-			if rb.XMin >= ra.XMax-tol {
-				break
-			}
-			if ra.Intersect(rb).Width() > tol && ra.Intersect(rb).Height() > tol {
-				add("overlap", names[order[a]], "overlaps "+names[order[b]])
+	if k < len(rows) {
+		// The last row sharing the Y just above y.
+		j := k + sort.Search(len(rows)-k, func(a int) bool { return rows[k+a].Y > rows[k].Y }) - 1
+		if d := rows[j].Y - y; d < bestD {
+			best, bestD = j, d
+		}
+	}
+	if best < 0 || bestD > tol {
+		return netlist.Row{}, false
+	}
+	return rows[best], true
+}
+
+// bandRect is a cell's rect tagged for the banded overlap sweep.
+type bandRect struct {
+	geom.Rect
+	cell   int
+	fixed  bool
+	b0, b1 int // first and last band spanned
+}
+
+// bandOverlaps calls fn once for every pair of rects, not both fixed, that
+// overlap by more than tol in both x and y. Within a pair a comes first in
+// its band's x order.
+func bandOverlaps(core geom.Rect, rects []bandRect, rows []netlist.Row, tol float64, fn func(a, b *bandRect)) {
+	if len(rects) == 0 {
+		return
+	}
+	y0, y1 := core.YMin, core.YMax
+	h := 0.0
+	for _, r := range rows {
+		if r.Height > 0 && (h == 0 || r.Height < h) {
+			h = r.Height
+		}
+	}
+	if h <= 0 || !(y1 > y0) {
+		h = math.Max(y1-y0, 1)
+	}
+	// Cap the band count (the top band absorbs the rest) so a tiny row
+	// height on a tall core cannot blow up the bucket array.
+	nb := int(math.Min(math.Ceil((y1-y0)/h), float64(4*len(rects))))
+	nb = max(nb, 1)
+	band := func(y float64) int {
+		b := math.Floor((y - y0) / h)
+		if !(b >= 0) { // below the core or NaN
+			return 0
+		}
+		return int(math.Min(b, float64(nb-1)))
+	}
+	// Bucket rect indices by band (counting sort), then x-sort each band.
+	start := make([]int, nb+1)
+	for k := range rects {
+		r := &rects[k]
+		r.b0, r.b1 = band(r.YMin), band(r.YMax)
+		for b := r.b0; b <= r.b1; b++ {
+			start[b+1]++
+		}
+	}
+	for b := 0; b < nb; b++ {
+		start[b+1] += start[b]
+	}
+	members := make([]int32, start[nb])
+	fill := slices.Clone(start[:nb])
+	for k := range rects {
+		for b := rects[k].b0; b <= rects[k].b1; b++ {
+			members[fill[b]] = int32(k)
+			fill[b]++
+		}
+	}
+	for b := 0; b < nb; b++ {
+		in := members[start[b]:start[b+1]]
+		slices.SortFunc(in, func(p, q int32) int { return cmp.Compare(rects[p].XMin, rects[q].XMin) })
+		for x, p := range in {
+			ra := &rects[p]
+			for _, q := range in[x+1:] {
+				rb := &rects[q]
+				if rb.XMin >= ra.XMax-tol {
+					break
+				}
+				if (ra.fixed && rb.fixed) || max(ra.b0, rb.b0) != b {
+					continue
+				}
+				if ov := ra.Intersect(rb.Rect); ov.Width() > tol && ov.Height() > tol {
+					fn(ra, rb)
+				}
 			}
 		}
 	}
-	// Movable vs fixed overlaps.
-	for i := range nl.Cells {
-		if !nl.Cells[i].Fixed() {
-			continue
-		}
-		fr := nl.Cells[i].Rect()
-		for k, r := range rects {
-			ov := fr.Intersect(r)
-			if ov.Width() > tol && ov.Height() > tol {
-				add("fixed-overlap", names[k], "overlaps fixed "+nl.Cells[i].Name)
-			}
-		}
-	}
-	return out
 }
 
 // TotalDisplacement returns the summed L1 center displacement between a
