@@ -20,6 +20,9 @@ const (
 	// rhsMergeGrain is the element chunk length for zeroing/merging the
 	// dense right-hand sides.
 	rhsMergeGrain = 16384
+	// pinCoordGrain is the pin chunk length for filling the pin coordinate
+	// table.
+	pinCoordGrain = 8192
 )
 
 // Model selects how multi-pin nets are decomposed into two-pin quadratic
@@ -71,16 +74,24 @@ type System struct {
 // a shared dense vector; merging the lists in shard order afterwards
 // reproduces the exact serial summation order.
 type rhsAcc struct {
-	idx []int32
-	val []float64
+	terms []rhsTerm
 }
 
-func (r *rhsAcc) add(i int, v float64) {
-	r.idx = append(r.idx, int32(i))
-	r.val = append(r.val, v)
+type rhsTerm struct {
+	i int32
+	v float64
 }
 
-func (r *rhsAcc) reset() { r.idx, r.val = r.idx[:0], r.val[:0] }
+func (r *rhsAcc) add(i int, v float64) { r.terms = append(r.terms, rhsTerm{int32(i), v}) }
+
+func (r *rhsAcc) reset() { r.terms = r.terms[:0] }
+
+// addTo adds the pairs into the dense vector f in emission order.
+func (r *rhsAcc) addTo(f []float64) {
+	for _, t := range r.terms {
+		f[t.i] += t.v
+	}
+}
 
 // Assembler builds per-dimension linear systems from a netlist at its
 // current placement (the linearization point).
@@ -104,6 +115,11 @@ type Assembler struct {
 	// net has no aux variable). Precomputed so shards can stamp any net
 	// range independently.
 	auxOf []int32
+	// pinX, pinY hold every pin's absolute coordinate at the linearization
+	// point (cell center plus pin offset), filled once per assembly so the
+	// stamps read each pin's coordinate instead of recomputing its cell
+	// center for every edge endpoint.
+	pinX, pinY []float64
 
 	// Reusable assembly state, created lazily on first AssembleInto.
 	chunk            []int32 // shard net-range boundaries, len = nchunks+1
@@ -183,6 +199,26 @@ const (
 	dimY
 )
 
+// fillPinCoords computes the pin coordinate table from the current cell
+// positions, in parallel over fixed pin chunks (each entry is written by
+// exactly one chunk, so the table is independent of the worker count).
+func (a *Assembler) fillPinCoords(lim *par.Limit) {
+	pins, cells := a.nl.Pins, a.nl.Cells
+	if cap(a.pinX) < len(pins) {
+		a.pinX = make([]float64, len(pins))
+		a.pinY = make([]float64, len(pins))
+	}
+	px, py := a.pinX[:len(pins)], a.pinY[:len(pins)]
+	par.ForIn(lim, len(pins), pinCoordGrain, func(lo, hi int) {
+		for p := lo; p < hi; p++ {
+			pin := &pins[p]
+			c := cells[pin.Cell].Center()
+			px[p] = c.X + pin.DX
+			py[p] = c.Y + pin.DY
+		}
+	})
+}
+
 // pinCoord returns the absolute pin coordinate and offset from cell center
 // along d.
 func (a *Assembler) pinCoord(p int, d dim) (abs, off float64, cell int) {
@@ -194,12 +230,22 @@ func (a *Assembler) pinCoord(p int, d dim) (abs, off float64, cell int) {
 	return c.Y + pin.DY, pin.DY, pin.Cell
 }
 
+// pinPos is pinCoord read from the pin coordinate table, which the stamps
+// use; the table must be current (see fillPinCoords).
+func (a *Assembler) pinPos(p int, d dim) (abs, off float64, cell int) {
+	pin := &a.nl.Pins[p]
+	if d == dimX {
+		return a.pinX[p], pin.DX, pin.Cell
+	}
+	return a.pinY[p], pin.DY, pin.Cell
+}
+
 // edge stamps the quadratic term w*(pos_i - pos_j)^2 for pins i and j into
 // builder/rhs, where pos = variable + offset for movable cells and the
 // absolute pin coordinate for fixed ones.
 func (a *Assembler) edge(b *sparse.Builder, rhs *rhsAcc, pi, pj int, d dim, w float64) {
-	absI, offI, ci := a.pinCoord(pi, d)
-	absJ, offJ, cj := a.pinCoord(pj, d)
+	absI, offI, ci := a.pinPos(pi, d)
+	absJ, offJ, cj := a.pinPos(pj, d)
 	vi, vj := a.varOf[ci], a.varOf[cj]
 	switch {
 	case vi >= 0 && vj >= 0:
@@ -221,7 +267,7 @@ func (a *Assembler) edge(b *sparse.Builder, rhs *rhsAcc, pi, pj int, d dim, w fl
 
 // starEdge stamps w*(pos_i - s)^2 where s is the aux variable with index sv.
 func (a *Assembler) starEdge(b *sparse.Builder, rhs *rhsAcc, pi, sv int, d dim, w float64) {
-	absI, offI, ci := a.pinCoord(pi, d)
+	absI, offI, ci := a.pinPos(pi, d)
 	vi := a.varOf[ci]
 	if vi >= 0 {
 		b.AddSym(vi, sv, w)
@@ -263,29 +309,6 @@ func (a *Assembler) stampNet(ni int, bx, by *sparse.Builder, rx, ry *rhsAcc) {
 		a.stampStar(bx, rx, ni, dimX, sv)
 		a.stampStar(by, ry, ni, dimY, sv)
 	}
-}
-
-// Builders returns fresh per-dimension builders and right-hand sides with
-// the net model stamped in, for callers that add anchor terms before
-// solving. Variables use the current placement as linearization point.
-//
-// This is the allocation-per-call path kept for compatibility and tests;
-// the placement hot loop uses AssembleInto, which reuses shard buffers.
-func (a *Assembler) Builders() (bx, by *sparse.Builder, fx, fy []float64) {
-	n := a.NumVars()
-	bx, by = sparse.NewBuilder(n), sparse.NewBuilder(n)
-	rx, ry := &rhsAcc{}, &rhsAcc{}
-	for ni := range a.nl.Nets {
-		a.stampNet(ni, bx, by, rx, ry)
-	}
-	fx, fy = make([]float64, n), make([]float64, n)
-	for k, i := range rx.idx {
-		fx[i] += rx.val[k]
-	}
-	for k, i := range ry.idx {
-		fy[i] += ry.val[k]
-	}
-	return bx, by, fx, fy
 }
 
 // Assemble builds the two per-dimension systems without extra terms. The
@@ -363,9 +386,12 @@ func (a *Assembler) ensureAssemblyState() {
 func (a *Assembler) AssembleInto(extra func(bx, by *sparse.Builder, fx, fy []float64)) (sx, sy System) {
 	a.ensureAssemblyState()
 	nShards := len(a.chunk) - 1
+	// One thread-budget lookup serves every launch of this assembly.
+	lim := par.Current()
+	a.fillPinCoords(lim)
 
 	// Parallel shard stamping: each shard owns its builders/accumulators.
-	par.Run(nShards, func(c int) {
+	par.RunIn(lim, nShards, func(c int) {
 		bx, by, rx, ry := a.shX[c], a.shY[c], a.rhX[c], a.rhY[c]
 		bx.Reset()
 		by.Reset()
@@ -380,24 +406,19 @@ func (a *Assembler) AssembleInto(extra func(bx, by *sparse.Builder, fx, fy []flo
 	// equal the serial emission order).
 	n := a.NumVars()
 	fx, fy := a.fx[:n], a.fy[:n]
-	par.For(n, rhsMergeGrain, func(lo, hi int) {
+	par.ForIn(lim, n, rhsMergeGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fx[i] = 0
 			fy[i] = 0
 		}
 	})
 	for c := 0; c < nShards; c++ {
-		rx, ry := a.rhX[c], a.rhY[c]
-		for k, i := range rx.idx {
-			fx[i] += rx.val[k]
-		}
-		for k, i := range ry.idx {
-			fy[i] += ry.val[k]
-		}
+		a.rhX[c].addTo(fx)
+		a.rhY[c].addTo(fy)
 	}
 
-	// Caller terms go into the trailing shard, after the net model — the
-	// same order the legacy Builders()+Build path produced.
+	// Caller terms go into the trailing shard, so they follow the net model
+	// in emission order.
 	a.extraX.Reset()
 	a.extraY.Reset()
 	if extra != nil {
@@ -411,7 +432,7 @@ func (a *Assembler) AssembleInto(extra func(bx, by *sparse.Builder, fx, fy []flo
 
 	// The two dimensions build concurrently; each build is itself parallel
 	// over row chunks.
-	par.Run(2, func(d int) {
+	par.RunIn(lim, 2, func(d int) {
 		if d == 0 {
 			a.mx = sparse.BuildMergedInto(a.mx, &a.bsX, n, a.shardsX...)
 		} else {
@@ -429,7 +450,7 @@ func (a *Assembler) stampB2B(b *sparse.Builder, rhs *rhsAcc, ni int, d dim) {
 	minP, maxP := net.Pins[0], net.Pins[0]
 	minV, maxV := math.Inf(1), math.Inf(-1)
 	for _, pin := range net.Pins {
-		v, _, _ := a.pinCoord(pin, d)
+		v, _, _ := a.pinPos(pin, d)
 		if v < minV {
 			minV, minP = v, pin
 		}
@@ -449,7 +470,7 @@ func (a *Assembler) stampB2B(b *sparse.Builder, rhs *rhsAcc, ni int, d dim) {
 		if pin == minP || pin == maxP {
 			continue
 		}
-		v, _, _ := a.pinCoord(pin, d)
+		v, _, _ := a.pinPos(pin, d)
 		a.edge(b, rhs, pin, minP, d, w(v, minV))
 		a.edge(b, rhs, pin, maxP, d, w(v, maxV))
 	}
@@ -460,9 +481,9 @@ func (a *Assembler) stampClique(b *sparse.Builder, rhs *rhsAcc, ni int, d dim) {
 	p := len(net.Pins)
 	wBase := net.Weight * 2 / float64(p)
 	for i := 0; i < p; i++ {
-		vi, _, _ := a.pinCoord(net.Pins[i], d)
+		vi, _, _ := a.pinPos(net.Pins[i], d)
 		for j := i + 1; j < p; j++ {
-			vj, _, _ := a.pinCoord(net.Pins[j], d)
+			vj, _, _ := a.pinPos(net.Pins[j], d)
 			w := wBase / (math.Abs(vi-vj) + a.eps)
 			a.edge(b, rhs, net.Pins[i], net.Pins[j], d, w)
 		}
@@ -475,13 +496,13 @@ func (a *Assembler) stampStar(b *sparse.Builder, rhs *rhsAcc, ni int, d dim, sv 
 	// Center estimate: mean pin coordinate at the linearization point.
 	var mean float64
 	for _, pin := range net.Pins {
-		v, _, _ := a.pinCoord(pin, d)
+		v, _, _ := a.pinPos(pin, d)
 		mean += v
 	}
 	mean /= float64(p)
 	wBase := net.Weight * 2 / float64(p)
 	for _, pin := range net.Pins {
-		v, _, _ := a.pinCoord(pin, d)
+		v, _, _ := a.pinPos(pin, d)
 		w := wBase / (math.Abs(v-mean) + a.eps)
 		a.starEdge(b, rhs, pin, sv, d, w)
 	}

@@ -71,9 +71,11 @@ func (l *Limit) releaseHelper() { l.helpers.Add(-1) }
 
 // Goroutine→Limit bindings. Go has no goroutine-local storage, so bindings
 // live in a map keyed by goroutine id (parsed from the runtime.Stack
-// header). The map is consulted once per Run invocation — never per chunk —
-// and only when at least one binding exists, so unbounded callers (the CLI,
-// every existing test) pay a single atomic load.
+// header). Run and For consult the map once per multi-chunk launch — never
+// per chunk — and only when at least one binding exists, so unbounded
+// callers (the CLI, every existing test) pay a single atomic load. Hot
+// callers that launch many kernels in a row resolve Current() once and use
+// RunIn/ForIn.
 var (
 	bindCount atomic.Int32
 	bindMu    sync.Mutex
@@ -81,9 +83,13 @@ var (
 )
 
 // goid returns the current goroutine's id. The runtime.Stack header is
-// formatted "goroutine N [status]:"; parsing it costs on the order of a
-// microsecond, which is noise next to a kernel launch but would not be next
-// to a chunk — hence bindings are resolved per Run, not per chunk.
+// formatted "goroutine N [status]:". Although only the header is kept,
+// runtime.Stack walks every frame of the stack to produce it, so the cost
+// grows with stack depth: a few microseconds on a shallow stack but tens of
+// microseconds at the depth of the placement engine's solver loop, as much
+// as a small kernel launch. Bindings are therefore resolved per launch,
+// never per chunk, and hot callers resolve the Limit once per solve and pass
+// it to RunIn/ForIn.
 func goid() uint64 {
 	var buf [40]byte
 	n := runtime.Stack(buf[:], false)
@@ -107,7 +113,13 @@ func With(l *Limit, fn func()) {
 		fn()
 		return
 	}
-	id := goid()
+	withID(goid(), l, fn)
+}
+
+// withID is With for the goroutine whose id the caller already knows; pool
+// workers look theirs up once at spawn, so binding one to a job for a
+// helper task costs no stack walk.
+func withID(id uint64, l *Limit, fn func()) {
 	bindMu.Lock()
 	prev, hadPrev := bindings[id]
 	bindings[id] = l

@@ -38,13 +38,14 @@ var (
 	// spawned counts live worker goroutines.
 	spawned int32
 	spawnMu sync.Mutex
-	// work delivers helper tasks to parked workers. Never closed.
-	work chan func()
+	// work delivers helper tasks to parked workers, which pass each task
+	// their goroutine id. Never closed.
+	work chan func(workerID uint64)
 )
 
 func ensureInit() {
 	initOnce.Do(func() {
-		work = make(chan func())
+		work = make(chan func(uint64))
 		n := runtime.GOMAXPROCS(0)
 		if n < 1 {
 			n = 1
@@ -65,8 +66,9 @@ func ensureWorkers(n int) {
 }
 
 func worker() {
+	id := goid()
 	for t := range work {
-		t()
+		t(id)
 	}
 }
 
@@ -109,13 +111,29 @@ func SetThreads(n int) {
 // returns when every chunk has completed. fn must not assume any particular
 // execution order or goroutine identity; chunks are claimed dynamically for
 // load balance.
+//
+// Run resolves the binding with Current() whenever it has more than one
+// chunk; callers that launch many kernels in a row should resolve it once
+// and use RunIn.
 func Run(nchunks int, fn func(chunk int)) {
+	var lim *Limit
+	if nchunks > 1 {
+		lim = Current()
+	}
+	RunIn(lim, nchunks, fn)
+}
+
+// RunIn is Run under an already-resolved Limit: lim takes the place of the
+// caller's Current() binding, and nil means unbound. A goroutine's binding
+// cannot change while it is inside a call, so a caller that passes its own
+// Current() — looked up once for a whole solve — gets exactly the budget
+// Run would apply, without a lookup per launch.
+func RunIn(lim *Limit, nchunks int, fn func(chunk int)) {
 	if nchunks <= 0 {
 		return
 	}
 	ensureInit()
 	t := int(threads.Load())
-	lim := Current()
 	if lim != nil {
 		if b := lim.Budget(); b > 0 && b < t {
 			t = b
@@ -151,17 +169,17 @@ func Run(nchunks int, fn func(chunk int)) {
 			break
 		}
 		wg.Add(1)
-		var task func()
+		var task func(uint64)
 		if lim != nil {
-			task = func() {
+			task = func(workerID uint64) {
 				defer wg.Done()
 				defer lim.releaseHelper()
 				// Bind the worker for the task's duration so kernels nested
 				// inside a chunk observe the same job budget.
-				With(lim, drain)
+				withID(workerID, lim, drain)
 			}
 		} else {
-			task = func() {
+			task = func(uint64) {
 				defer wg.Done()
 				drain()
 			}
@@ -190,9 +208,19 @@ func Run(nchunks int, fn func(chunk int)) {
 // bitwise-deterministic results at any parallelism level.
 //
 // When n fits in a single chunk the callback runs inline on the caller with
-// no scheduling overhead, so small problems (unit-test sized matrices) do
-// not regress.
+// no scheduling overhead and no Limit lookup, so small problems (unit-test
+// sized matrices) do not regress.
 func For(n, grain int, fn func(lo, hi int)) {
+	var lim *Limit
+	if Chunks(n, grain) > 1 {
+		lim = Current()
+	}
+	ForIn(lim, n, grain, fn)
+}
+
+// ForIn is For under an already-resolved Limit, with the same meaning of
+// lim as RunIn.
+func ForIn(lim *Limit, n, grain int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
@@ -204,7 +232,7 @@ func For(n, grain int, fn func(lo, hi int)) {
 		return
 	}
 	nchunks := (n + grain - 1) / grain
-	Run(nchunks, func(c int) {
+	RunIn(lim, nchunks, func(c int) {
 		lo := c * grain
 		hi := lo + grain
 		if hi > n {

@@ -15,6 +15,7 @@ import (
 	"complx/internal/gen"
 	"complx/internal/netlist"
 	"complx/internal/netmodel"
+	"complx/internal/par"
 	"complx/internal/sparse"
 )
 
@@ -117,22 +118,39 @@ func BenchmarkKernelsHPWL(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelsCG runs 30 PCG iterations per op, unbound and with the
+// caller bound to a par.Limit as a placement job is. The bound case pays
+// the thread-budget lookups the unbound one skips; its budget equals the
+// pool size, so both run at the same parallelism.
 func BenchmarkKernelsCG(b *testing.B) {
 	for _, n := range benchSizes {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			sys := benchSystem(b, n)
-			x := make([]float64, len(sys.B))
-			var ws sparse.CGWorkspace
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for j := range x {
-					x[j] = 0
-				}
-				if _, err := sparse.SolvePCGWS(sys.A, x, sys.B, sparse.CGOptions{MaxIter: 30}, &ws); err != nil {
-					b.Fatal(err)
-				}
+		for _, bound := range []bool{false, true} {
+			name := fmt.Sprintf("n=%d", n)
+			if bound {
+				name += "/limit"
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				sys := benchSystem(b, n)
+				x := make([]float64, len(sys.B))
+				var ws sparse.CGWorkspace
+				run := func() {
+					for i := 0; i < b.N; i++ {
+						for j := range x {
+							x[j] = 0
+						}
+						if _, err := sparse.SolvePCGWS(sys.A, x, sys.B, sparse.CGOptions{MaxIter: 30}, &ws); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				if bound {
+					par.With(par.NewLimit(par.Threads()), run)
+				} else {
+					run()
+				}
+			})
+		}
 	}
 }

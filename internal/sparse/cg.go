@@ -108,6 +108,10 @@ func SolvePCGCtx(ctx context.Context, a *CSR, x, b []float64, opt CGOptions, w *
 	}
 	w.ensure(n)
 	r, z, p, ap := w.r, w.z, w.p, w.ap
+	// Resolve the caller's thread budget once for the whole solve: a
+	// lookup costs tens of microseconds at the engine's stack depth, and
+	// each iteration launches several kernels.
+	lim := par.Current()
 
 	// Preconditioner: the caller's (already Setup for a), or the built-in
 	// Jacobi M = diag(A) rebuilt per solve — arithmetic-identical to the
@@ -124,14 +128,14 @@ func SolvePCGCtx(ctx context.Context, a *CSR, x, b []float64, opt CGOptions, w *
 	if isZero(x) {
 		copy(r, b)
 	} else {
-		a.MulVec(ap, x)
-		par.For(n, axpyGrain, func(lo, hi int) {
+		a.mulVecIn(lim, ap, x)
+		par.ForIn(lim, n, axpyGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				r[i] = b[i] - ap[i]
 			}
 		})
 	}
-	bNorm := math.Sqrt(Norm2Sq(b))
+	bNorm := math.Sqrt(norm2SqIn(lim, b))
 	if !isFinite(bNorm) {
 		return CGResult{}, ErrNotFinite
 	}
@@ -145,14 +149,14 @@ func SolvePCGCtx(ctx context.Context, a *CSR, x, b []float64, opt CGOptions, w *
 
 	precond.Apply(z, r)
 	copy(p, z)
-	rz := Dot(r, z)
+	rz := dotIn(lim, r, z)
 
 	res := CGResult{}
 	for k := 0; k < opt.MaxIter; k++ {
 		if err := ctx.Err(); err != nil {
 			return res, fmt.Errorf("sparse: CG cancelled after %d iterations: %w", res.Iterations, err)
 		}
-		rNorm := math.Sqrt(Norm2Sq(r))
+		rNorm := math.Sqrt(norm2SqIn(lim, r))
 		if fi := faultinject.Active(); fi != nil && fi.Fire(faultinject.CGResidual, "") != nil {
 			// Test-only fault injection: poison the recurrence exactly as a
 			// real numeric breakdown would, so the NaN propagates through the
@@ -167,8 +171,8 @@ func SolvePCGCtx(ctx context.Context, a *CSR, x, b []float64, opt CGOptions, w *
 			res.Converged = true
 			return res, nil
 		}
-		a.MulVec(ap, p)
-		pap := Dot(p, ap)
+		a.mulVecIn(lim, ap, p)
+		pap := dotIn(lim, p, ap)
 		// Order matters: NaN compares false with everything, so a plain
 		// "pap <= 0" guard lets a NaN system iterate to MaxIter. Detect
 		// non-finite curvature (NaN/Inf in A, b or the initial guess)
@@ -180,23 +184,23 @@ func SolvePCGCtx(ctx context.Context, a *CSR, x, b []float64, opt CGOptions, w *
 			return res, ErrNotSPD
 		}
 		alpha := rz / pap
-		Axpy(x, alpha, p)
-		Axpy(r, -alpha, ap)
+		axpyIn(lim, x, alpha, p)
+		axpyIn(lim, r, -alpha, ap)
 		precond.Apply(z, r)
-		rzNew := Dot(r, z)
+		rzNew := dotIn(lim, r, z)
 		if !isFinite(rzNew) {
 			return res, ErrNotFinite
 		}
 		beta := rzNew / rz
 		rz = rzNew
-		par.For(n, axpyGrain, func(lo, hi int) {
+		par.ForIn(lim, n, axpyGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				p[i] = z[i] + beta*p[i]
 			}
 		})
 		res.Iterations = k + 1
 	}
-	res.Residual = math.Sqrt(Norm2Sq(r)) / bNorm
+	res.Residual = math.Sqrt(norm2SqIn(lim, r)) / bNorm
 	res.Converged = res.Residual <= opt.Tol
 	return res, nil
 }

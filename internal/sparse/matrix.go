@@ -44,9 +44,14 @@ const (
 // for the same (row, col) are summed, which matches how net models stamp
 // element contributions.
 type Builder struct {
-	n          int
-	rows, cols []int32
-	vals       []float64
+	n    int
+	ents []entry
+}
+
+// entry is one accumulated (row, col, value) triplet.
+type entry struct {
+	r, c int32
+	v    float64
 }
 
 // NewBuilder returns a Builder for an n×n matrix.
@@ -58,14 +63,12 @@ func NewBuilder(n int) *Builder {
 func (b *Builder) N() int { return b.n }
 
 // Len returns the number of accumulated (unmerged) entries.
-func (b *Builder) Len() int { return len(b.vals) }
+func (b *Builder) Len() int { return len(b.ents) }
 
 // Reset drops all accumulated entries but keeps the allocated capacity, so
 // a Builder can be reused across assembly iterations without reallocating
-// its triplet arrays.
-func (b *Builder) Reset() {
-	b.rows, b.cols, b.vals = b.rows[:0], b.cols[:0], b.vals[:0]
-}
+// its triplet array.
+func (b *Builder) Reset() { b.ents = b.ents[:0] }
 
 // Add accumulates v into entry (i, j).
 //
@@ -75,25 +78,31 @@ func (b *Builder) Reset() {
 // variable-numbering invariant), never a data error. The library-facing
 // robustness contract is enforced one level up by netlist.Validate.
 func (b *Builder) Add(i, j int, v float64) {
-	if i < 0 || i >= b.n || j < 0 || j >= b.n {
-		panic(fmt.Sprintf("sparse: Add(%d, %d) out of range for n=%d", i, j, b.n))
-	}
+	b.check(i, j)
 	if v == 0 {
 		return
 	}
-	b.rows = append(b.rows, int32(i))
-	b.cols = append(b.cols, int32(j))
-	b.vals = append(b.vals, v)
+	b.ents = append(b.ents, entry{int32(i), int32(j), v})
+}
+
+func (b *Builder) check(i, j int) {
+	if i < 0 || i >= b.n || j < 0 || j >= b.n {
+		panic(fmt.Sprintf("sparse: Add(%d, %d) out of range for n=%d", i, j, b.n))
+	}
 }
 
 // AddSym accumulates the symmetric 2x2 stamp of a spring of weight w between
 // variables i and j: +w on both diagonals, -w on both off-diagonals. This is
-// the element contribution of the quadratic term w(x_i - x_j)^2.
+// the element contribution of the quadratic term w(x_i - x_j)^2. The four
+// entries are emitted in the order (i,i), (j,j), (i,j), (j,i), and a zero
+// weight emits none of them.
 func (b *Builder) AddSym(i, j int, w float64) {
-	b.Add(i, i, w)
-	b.Add(j, j, w)
-	b.Add(i, j, -w)
-	b.Add(j, i, -w)
+	b.check(i, j)
+	if w == 0 {
+		return
+	}
+	r, c := int32(i), int32(j)
+	b.ents = append(b.ents, entry{r, r, w}, entry{c, c, w}, entry{r, c, -w}, entry{c, r, -w})
 }
 
 // AddDiag accumulates w on the diagonal entry (i, i); the element
@@ -114,11 +123,13 @@ func (b *Builder) Build() *CSR {
 // Reusing one BuildScratch across iterations eliminates the per-Assemble
 // allocation of the scatter and counting arrays.
 type BuildScratch struct {
-	start  []int32   // per-row raw segment starts (n+1)
-	cur    []int32   // per-row scatter cursors (n)
-	rawCol []int32   // scattered, unmerged columns (nnz raw)
-	rawVal []float64 // scattered, unmerged values (nnz raw)
-	rowNNZ []int32   // merged entry count per row (n)
+	start   []int32   // per-row raw off-diagonal segment starts (n+1)
+	cur     []int32   // per-row scatter cursors (n)
+	rawCol  []int32   // scattered, unmerged off-diagonal columns
+	rawVal  []float64 // scattered, unmerged off-diagonal values
+	rowNNZ  []int32   // merged off-diagonal entry count per row (n)
+	diag    []float64 // per-row diagonal sums (n)
+	hasDiag []bool    // whether row r received any diagonal entry (n)
 }
 
 func growI32(s []int32, n int) []int32 {
@@ -139,14 +150,21 @@ func growF64(s []float64, n int) []float64 {
 // shards' triplet streams, taken in shard order. It replaces the sort-based
 // Build with a deterministic two-phase counting build:
 //
-//  1. count triplets per row and scatter them (sequentially, preserving the
-//     within-row triplet order) into contiguous row segments;
-//  2. per row — in parallel over fixed row chunks — stably sort the segment
-//     by column and sum duplicates in first-appearance order, then compact
-//     the merged segments into the final arrays.
+//  1. count off-diagonal triplets per row and scatter them (sequentially,
+//     preserving the within-row triplet order) into contiguous row
+//     segments, while summing each row's diagonal triplets, in the same
+//     sequential pass, into a dense per-row accumulator;
+//  2. per row — in parallel over fixed row chunks — stably sort the
+//     off-diagonal segment by column and sum duplicates in first-appearance
+//     order, then compact the merged segments into the final arrays,
+//     inserting the diagonal sum at its column.
 //
-// Because the duplicate-summation order equals the triplet emission order
-// (never the worker count), the numeric result is bitwise deterministic.
+// Both the diagonal sum and every off-diagonal duplicate sum are left folds
+// in triplet emission order (never an order that depends on the worker
+// count), so the numeric result is bitwise deterministic and equal to a
+// stable sort of all triplets followed by an in-order fold. Keeping the
+// diagonal — about half of a net model's triplets — out of the segments
+// halves the sorting work.
 //
 // m and ws may be nil (fresh allocations) or carry buffers from a previous
 // call, which are reused when large enough — the incremental-assembly path
@@ -162,53 +180,72 @@ func BuildMergedInto(m *CSR, ws *BuildScratch, n int, shards ...*Builder) *CSR {
 	if ws == nil {
 		ws = &BuildScratch{}
 	}
-	total := 0
 	for _, b := range shards {
 		if b.n != n {
 			panic(fmt.Sprintf("sparse: BuildMergedInto shard dimension %d != %d", b.n, n))
 		}
-		total += len(b.vals)
+	}
+	var lim *par.Limit
+	if par.Chunks(n, buildRowGrain) > 1 {
+		lim = par.Current()
 	}
 	m.N = n
 	m.RowPtr = growI32(m.RowPtr, n+1)
 
-	// Phase 1a: raw per-row counts over all shards in order.
+	// Phase 1a: raw per-row off-diagonal counts over all shards in order.
 	start := growI32(ws.start, n+1)
-	for i := range start {
-		start[i] = 0
-	}
+	clear(start)
 	for _, b := range shards {
-		for _, r := range b.rows {
-			start[r+1]++
+		for _, e := range b.ents {
+			if e.r != e.c {
+				start[e.r+1]++
+			}
 		}
 	}
 	for i := 0; i < n; i++ {
 		start[i+1] += start[i]
 	}
 
-	// Phase 1b: scatter triplets into row segments. Sequential on purpose:
-	// it preserves the emission order of duplicates within each row, which
-	// fixes the floating-point summation order.
+	// Phase 1b: scatter off-diagonal triplets into row segments and sum the
+	// diagonal. Sequential on purpose: it preserves the emission order of
+	// duplicates within each row, which fixes the floating-point summation
+	// order.
 	cur := growI32(ws.cur, n)
 	copy(cur, start[:n])
+	total := int(start[n])
 	rawCol := growI32(ws.rawCol, total)
 	rawVal := growF64(ws.rawVal, total)
+	diag := growF64(ws.diag, n)
+	if cap(ws.hasDiag) < n {
+		ws.hasDiag = make([]bool, n)
+	}
+	hasDiag := ws.hasDiag[:n]
+	clear(hasDiag)
 	for _, b := range shards {
-		for k, r := range b.rows {
-			p := cur[r]
-			cur[r] = p + 1
-			rawCol[p] = b.cols[k]
-			rawVal[p] = b.vals[k]
+		for _, e := range b.ents {
+			if e.r == e.c {
+				if hasDiag[e.r] {
+					diag[e.r] += e.v
+				} else {
+					diag[e.r] = e.v
+					hasDiag[e.r] = true
+				}
+				continue
+			}
+			p := cur[e.r]
+			cur[e.r] = p + 1
+			rawCol[p] = e.c
+			rawVal[p] = e.v
 		}
 	}
 
-	// Phase 2a: per-row stable sort by column + in-place duplicate merge.
+	// Phase 2a: per-row stable sort by column + in-place duplicate merge of
+	// the off-diagonal segments.
 	rowNNZ := growI32(ws.rowNNZ, n)
-	par.For(n, buildRowGrain, func(lo, hi int) {
+	par.ForIn(lim, n, buildRowGrain, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			s, e := int(start[r]), int(start[r+1])
-			seg := e - s
-			if seg == 0 {
+			if s == e {
 				rowNNZ[r] = 0
 				continue
 			}
@@ -228,27 +265,46 @@ func BuildMergedInto(m *CSR, ws *BuildScratch, n int, shards ...*Builder) *CSR {
 		}
 	})
 
-	// Phase 2b: prefix-sum the merged counts into the final row pointers.
+	// Phase 2b: prefix-sum the merged counts, plus the diagonal where
+	// present, into the final row pointers.
 	m.RowPtr[0] = 0
 	for r := 0; r < n; r++ {
-		m.RowPtr[r+1] = m.RowPtr[r] + rowNNZ[r]
+		cnt := rowNNZ[r]
+		if hasDiag[r] {
+			cnt++
+		}
+		m.RowPtr[r+1] = m.RowPtr[r] + cnt
 	}
 	nnz := int(m.RowPtr[n])
 	m.Col = growI32(m.Col, nnz)
 	m.Val = growF64(m.Val, nnz)
 
-	// Phase 2c: compact merged segments into the final arrays.
-	par.For(n, buildRowGrain, func(lo, hi int) {
+	// Phase 2c: compact merged segments into the final arrays, with the
+	// diagonal between the columns below and above it.
+	par.ForIn(lim, n, buildRowGrain, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			src := int(start[r])
-			dst := int(m.RowPtr[r])
 			cnt := int(rowNNZ[r])
-			copy(m.Col[dst:dst+cnt], rawCol[src:src+cnt])
-			copy(m.Val[dst:dst+cnt], rawVal[src:src+cnt])
+			cols, vals := rawCol[src:src+cnt], rawVal[src:src+cnt]
+			dst := int(m.RowPtr[r])
+			k := 0
+			if hasDiag[r] {
+				for k < cnt && int(cols[k]) < r {
+					k++
+				}
+				copy(m.Col[dst:], cols[:k])
+				copy(m.Val[dst:], vals[:k])
+				m.Col[dst+k] = int32(r)
+				m.Val[dst+k] = diag[r]
+				dst++
+			}
+			copy(m.Col[dst+k:], cols[k:])
+			copy(m.Val[dst+k:], vals[k:])
 		}
 	})
 
 	ws.start, ws.cur, ws.rawCol, ws.rawVal, ws.rowNNZ = start, cur, rawCol, rawVal, rowNNZ
+	ws.diag = diag
 	m.splits = m.computeSplits(m.splits[:0])
 	return m
 }
@@ -356,6 +412,16 @@ func (m *CSR) mulRows(dst, x []float64, lo, hi int32) {
 // kernel whose operand sizes are fixed by the caller-owned workspaces, never
 // by external input.
 func (m *CSR) MulVec(dst, x []float64) {
+	var lim *par.Limit
+	if len(m.Val) >= 2*mulChunkNNZ { // smaller products always run serially
+		lim = par.Current()
+	}
+	m.mulVecIn(lim, dst, x)
+}
+
+// mulVecIn is MulVec under the caller's already-resolved Limit (see
+// par.RunIn).
+func (m *CSR) mulVecIn(lim *par.Limit, dst, x []float64) {
 	if len(dst) != m.N || len(x) != m.N {
 		panic("sparse: MulVec dimension mismatch")
 	}
@@ -371,7 +437,7 @@ func (m *CSR) MulVec(dst, x []float64) {
 		m.mulRows(dst, x, 0, int32(m.N))
 		return
 	}
-	par.Run(len(sp)-1, func(c int) {
+	par.RunIn(lim, len(sp)-1, func(c int) {
 		m.mulRows(dst, x, sp[c], sp[c+1])
 	})
 }
@@ -421,13 +487,21 @@ func dotRange(a, b []float64, lo, hi int) float64 {
 // parallelism level (and identical to executing the same blocked reduction
 // serially).
 func Dot(a, b []float64) float64 {
+	if len(a) <= dotBlock {
+		return dotRange(a, b, 0, len(a))
+	}
+	return dotIn(par.Current(), a, b)
+}
+
+// dotIn is Dot under the caller's already-resolved Limit.
+func dotIn(lim *par.Limit, a, b []float64) float64 {
 	n := len(a)
 	if n <= dotBlock {
 		return dotRange(a, b, 0, n)
 	}
 	nb := par.Chunks(n, dotBlock)
 	partial := make([]float64, nb)
-	par.For(n, dotBlock, func(lo, hi int) {
+	par.ForIn(lim, n, dotBlock, func(lo, hi int) {
 		partial[lo/dotBlock] = dotRange(a, b, lo, hi)
 	})
 	var s float64
@@ -439,12 +513,22 @@ func Dot(a, b []float64) float64 {
 
 // Axpy computes dst[i] += alpha * x[i].
 func Axpy(dst []float64, alpha float64, x []float64) {
-	par.For(len(dst), axpyGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] += alpha * x[i]
-		}
-	})
+	par.For(len(dst), axpyGrain, func(lo, hi int) { axpyRange(dst, alpha, x, lo, hi) })
+}
+
+// axpyIn is Axpy under the caller's already-resolved Limit.
+func axpyIn(lim *par.Limit, dst []float64, alpha float64, x []float64) {
+	par.ForIn(lim, len(dst), axpyGrain, func(lo, hi int) { axpyRange(dst, alpha, x, lo, hi) })
+}
+
+func axpyRange(dst []float64, alpha float64, x []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		dst[i] += alpha * x[i]
+	}
 }
 
 // Norm2Sq returns the squared Euclidean norm of v.
 func Norm2Sq(v []float64) float64 { return Dot(v, v) }
+
+// norm2SqIn is Norm2Sq under the caller's already-resolved Limit.
+func norm2SqIn(lim *par.Limit, v []float64) float64 { return dotIn(lim, v, v) }

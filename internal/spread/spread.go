@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"complx/internal/density"
@@ -72,12 +73,49 @@ type Projector struct {
 	opt Options
 
 	// scratch, sized to the grid
-	usage   []float64
-	cluster []int32
+	usage    []float64
+	cluster  []int32
+	binStart []int32 // binItems[binStart[b]:binStart[b+1]] are bin b's items
 	// scratch, sized to the item set
-	pos     []geom.Point
-	binOf   []int32
-	claimed []bool
+	pos      []geom.Point
+	binOf    []int32
+	claimed  []bool
+	binItems []int32 // item indices bucketed by their bin at sweep start
+	// scratch, reused across sweeps and regions
+	clusters []clusterInfo
+	queue    []int
+	sel      []int
+	keyed    []keyedItem
+	prefix   []float64
+}
+
+// clusterInfo is one connected cluster of overfilled bins.
+type clusterInfo struct {
+	overflow float64
+	x0, y0   int
+	x1, y1   int // inclusive bin bbox
+}
+
+// keyedItem pairs an item index with its sort key (the coordinate along
+// the split axis), so the sorts compare plain floats.
+type keyedItem struct {
+	key float64
+	idx int
+}
+
+// cmpKey orders keyed items by ascending key. It is the three-way form of
+// the "key_a < key_b" less function: cmpKey(a, b) < 0 exactly when
+// a.key < b.key, so slices.SortFunc — generated from the same pdqsort
+// template as sort.Slice — performs the same comparisons and swaps and
+// leaves ties (and NaNs) in the same order.
+func cmpKey(a, b keyedItem) int {
+	switch {
+	case a.key < b.key:
+		return -1
+	case a.key > b.key:
+		return 1
+	}
+	return 0
 }
 
 // NewProjector returns a projector over the given grid.
@@ -85,10 +123,11 @@ func NewProjector(g *density.Grid, opt Options) *Projector {
 	opt.fill()
 	n := g.NX * g.NY
 	return &Projector{
-		g:       g,
-		opt:     opt,
-		usage:   make([]float64, n),
-		cluster: make([]int32, n),
+		g:        g,
+		opt:      opt,
+		usage:    make([]float64, n),
+		cluster:  make([]int32, n),
+		binStart: make([]int32, n+1),
 	}
 }
 
@@ -114,6 +153,7 @@ func (p *Projector) ProjectCtx(ctx context.Context, items []Item) ([]geom.Point,
 	if len(p.claimed) < len(items) {
 		p.binOf = make([]int32, len(items))
 		p.claimed = make([]bool, len(items))
+		p.binItems = make([]int32, len(items))
 	}
 	p.pos = out
 	var err error
@@ -147,21 +187,17 @@ func (p *Projector) sweep(ctx context.Context, items []Item) (bool, error) {
 		p.claimed[i] = false
 	}
 
+	p.bucketItems(len(items))
+
 	// Identify overfilled bins and cluster them with 4-neighbor BFS.
-	type clusterInfo struct {
-		id       int32
-		overflow float64
-		x0, y0   int
-		x1, y1   int // inclusive bin bbox
-	}
-	var clusters []clusterInfo
-	queue := make([]int, 0, 64)
+	clusters := p.clusters[:0]
+	queue := p.queue
 	for start := 0; start < nBins; start++ {
 		if p.cluster[start] >= 0 || !p.overfilledBin(start) {
 			continue
 		}
 		id := int32(len(clusters))
-		ci := clusterInfo{id: id, x0: g.NX, y0: g.NY, x1: -1, y1: -1}
+		ci := clusterInfo{x0: g.NX, y0: g.NY, x1: -1, y1: -1}
 		queue = append(queue[:0], start)
 		p.cluster[start] = id
 		for len(queue) > 0 {
@@ -181,7 +217,8 @@ func (p *Projector) sweep(ctx context.Context, items []Item) (bool, error) {
 			if by > ci.y1 {
 				ci.y1 = by
 			}
-			for _, nb := range p.neighbors(bx, by) {
+			nbs, nn := p.neighbors(bx, by)
+			for _, nb := range nbs[:nn] {
 				if p.cluster[nb] < 0 && p.overfilledBin(nb) {
 					p.cluster[nb] = id
 					queue = append(queue, nb)
@@ -190,10 +227,21 @@ func (p *Projector) sweep(ctx context.Context, items []Item) (bool, error) {
 		}
 		clusters = append(clusters, ci)
 	}
+	p.clusters, p.queue = clusters, queue
 	if len(clusters) == 0 {
 		return false, nil
 	}
-	sort.Slice(clusters, func(a, b int) bool { return clusters[a].overflow > clusters[b].overflow })
+	// Largest overflow first; same pdqsort template and comparisons as
+	// sort.Slice with "a.overflow > b.overflow", so ties keep their order.
+	slices.SortFunc(clusters, func(a, b clusterInfo) int {
+		switch {
+		case a.overflow > b.overflow:
+			return -1
+		case a.overflow < b.overflow:
+			return 1
+		}
+		return 0
+	})
 	p.opt.Obs.AddCount(obs.MetricSpreadSweeps, 1)
 	p.opt.Obs.AddCount(obs.MetricSpreadRegions, float64(len(clusters)))
 
@@ -202,7 +250,7 @@ func (p *Projector) sweep(ctx context.Context, items []Item) (bool, error) {
 			return true, fmt.Errorf("spread: projection cancelled: %w", err)
 		}
 		region := p.expandRegion(ci.x0, ci.y0, ci.x1+1, ci.y1+1)
-		sel := p.itemsIn(items, region)
+		sel := p.itemsIn(region)
 		if len(sel) == 0 {
 			continue
 		}
@@ -224,6 +272,27 @@ func (p *Projector) sweep(ctx context.Context, items []Item) (bool, error) {
 	return true, nil
 }
 
+// bucketItems counting-sorts the first n items by their current bin into
+// binStart/binItems, each bin's items in ascending index order.
+func (p *Projector) bucketItems(n int) {
+	start := p.binStart
+	clear(start)
+	for _, b := range p.binOf[:n] {
+		start[b]++
+	}
+	// Running sums leave start[b] at the end of bin b's run; filling from
+	// the back moves it down to the run's first slot and keeps each run in
+	// ascending item order.
+	for b := 1; b < len(start); b++ {
+		start[b] += start[b-1]
+	}
+	for i := n - 1; i >= 0; i-- {
+		b := p.binOf[i]
+		start[b]--
+		p.binItems[start[b]] = int32(i)
+	}
+}
+
 func (p *Projector) capOf(bin int) float64 {
 	return p.g.Capacity(bin%p.g.NX, bin/p.g.NX)
 }
@@ -232,9 +301,9 @@ func (p *Projector) overfilledBin(bin int) bool {
 	return p.usage[bin] > p.capOf(bin)*(1+1e-9)+1e-12
 }
 
-func (p *Projector) neighbors(bx, by int) []int {
-	var out [4]int
-	n := 0
+// neighbors returns the up to four 4-neighbors of bin (bx, by) in out[:n].
+// The array is returned by value so the BFS does not allocate per bin.
+func (p *Projector) neighbors(bx, by int) (out [4]int, n int) {
 	if bx > 0 {
 		out[n] = by*p.g.NX + bx - 1
 		n++
@@ -251,7 +320,7 @@ func (p *Projector) neighbors(bx, by int) []int {
 		out[n] = (by+1)*p.g.NX + bx
 		n++
 	}
-	return out[:n]
+	return out, n
 }
 
 // binRegion is a half-open bin-index rectangle.
@@ -292,19 +361,23 @@ func (p *Projector) regionArea(r binRegion) float64 {
 	return s
 }
 
-// itemsIn returns the unclaimed items whose current bin lies in the region.
-func (p *Projector) itemsIn(items []Item, r binRegion) []int {
-	var sel []int
-	for i := range items {
-		if p.claimed[i] {
-			continue
-		}
-		b := int(p.binOf[i])
-		bx, by := b%p.g.NX, b/p.g.NX
-		if bx >= r.x0 && bx < r.x1 && by >= r.y0 && by < r.y1 {
-			sel = append(sel, i)
+// itemsIn returns the unclaimed items whose bin at sweep start lies in the
+// region, in ascending index order. Items keep their sweep-start bin until
+// they are claimed, so the buckets of the region's bins hold exactly the
+// candidates. The result aliases the projector's selection buffer.
+func (p *Projector) itemsIn(r binRegion) []int {
+	sel := p.sel[:0]
+	for by := r.y0; by < r.y1; by++ {
+		for b := by*p.g.NX + r.x0; b < by*p.g.NX+r.x1; b++ {
+			for _, i := range p.binItems[p.binStart[b]:p.binStart[b+1]] {
+				if !p.claimed[i] {
+					sel = append(sel, int(i))
+				}
+			}
 		}
 	}
+	slices.Sort(sel)
+	p.sel = sel
 	return sel
 }
 
@@ -383,15 +456,13 @@ func (p *Projector) spreadRegion(items []Item, r binRegion, sel []int, depth int
 		horiz = true
 	}
 
-	coord := func(i int) float64 {
-		if horiz {
-			return p.pos[i].X
-		}
-		return p.pos[i].Y
-	}
-	sort.Slice(sel, func(a, b int) bool { return coord(sel[a]) < coord(sel[b]) })
+	p.sortAlong(sel, horiz)
 	var total float64
-	prefix := make([]float64, len(sel)+1)
+	// prefix is free for reuse once the cut is chosen: the recursion below
+	// only starts after its last read.
+	p.prefix = growF64(p.prefix, len(sel)+1)
+	prefix := p.prefix
+	prefix[0] = 0
 	for k, i := range sel {
 		total += items[i].Area()
 		prefix[k+1] = total
@@ -458,6 +529,52 @@ func (p *Projector) spreadRegion(items []Item, r binRegion, sel []int, depth int
 	p.spreadRegion(items, right, sel[k:], depth+1)
 }
 
+// axis returns item i's current coordinate along the split axis (x when
+// horiz).
+func (p *Projector) axis(i int, horiz bool) float64 {
+	if horiz {
+		return p.pos[i].X
+	}
+	return p.pos[i].Y
+}
+
+// sortAlong sorts sel by the items' current coordinate along the split
+// axis (x when horiz). It permutes sel exactly as sort.Slice with the less
+// function "coord(sel[a]) < coord(sel[b])" would (see cmpKey).
+//
+// A selection that is already in non-decreasing order, with no NaN key, is
+// left as it is without sorting: on such input pdqsort makes no swap (its
+// pivot sampling counts no inversion, and the partial insertion sort that
+// follows finds none), so skipping it gives the same permutation. This is
+// common, since scaleInto preserves order and a child region often splits
+// along its parent's axis.
+func (p *Projector) sortAlong(sel []int, horiz bool) {
+	keyed := p.keyed[:0]
+	sorted := true
+	for _, i := range sel {
+		k := p.axis(i, horiz)
+		if n := len(keyed); n > 0 && !(keyed[n-1].key <= k) {
+			sorted = false
+		}
+		keyed = append(keyed, keyedItem{key: k, idx: i})
+	}
+	p.keyed = keyed
+	if sorted {
+		return
+	}
+	slices.SortFunc(keyed, cmpKey)
+	for k := range keyed {
+		sel[k] = keyed[k].idx
+	}
+}
+
+func growF64(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
+}
+
 // scaleInto linearly maps the split coordinate of the selected items from
 // their current sub-interval of the source region into the destination
 // region, preserving order (SimPL's 1-D nonlinear scaling step).
@@ -514,13 +631,7 @@ func (p *Projector) distribute(items []Item, r binRegion, sel []int) {
 	}
 	rect := p.rect(r)
 	horiz := rect.Width() >= rect.Height()
-	coord := func(i int) float64 {
-		if horiz {
-			return p.pos[i].X
-		}
-		return p.pos[i].Y
-	}
-	sort.Slice(sel, func(a, b int) bool { return coord(sel[a]) < coord(sel[b]) })
+	p.sortAlong(sel, horiz)
 	var total float64
 	for _, i := range sel {
 		total += items[i].Area()
@@ -545,7 +656,7 @@ func (p *Projector) distribute(items []Item, r binRegion, sel []int) {
 			if w > span {
 				w = span
 			}
-			desired[k] = coord(i) - w/2 // lower edge in axis direction
+			desired[k] = p.keyed[k].key - w/2 // lower edge in axis direction
 			pitch[k] = w
 		}
 		xs := pav1D(desired, pitch, lo, hi)

@@ -301,22 +301,46 @@ func TestSelfConsistencyFormula11(t *testing.T) {
 	}
 }
 
-func BenchmarkProject(b *testing.B) {
-	g, err := density.NewGrid(geom.Rect{XMax: 200, YMax: 200}, 48, 48, 0.9)
+// projectField returns a grid and n small items scattered over the middle
+// of its core. The core side and the bin count grow with √n, so every size
+// has the density of the 10K-item field.
+func projectField(tb testing.TB, n int) (*density.Grid, []Item) {
+	s := math.Sqrt(float64(n) / 10000)
+	g, err := density.NewGrid(geom.Rect{XMax: 200 * s, YMax: 200 * s}, int(48*s), int(48*s), 0.9)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	var items []Item
-	for i := 0; i < 10000; i++ {
+	items := make([]Item, 0, n)
+	for i := 0; i < n; i++ {
 		items = append(items, Item{
-			Pos: geom.Point{X: 60 + 80*rng.Float64(), Y: 60 + 80*rng.Float64()},
+			Pos: geom.Point{X: s * (60 + 80*rng.Float64()), Y: s * (60 + 80*rng.Float64())},
 			W:   1.5, H: 1.5,
 		})
 	}
+	return g, items
+}
+
+func BenchmarkProject(b *testing.B) {
+	g, items := projectField(b, 10000)
 	p := NewProjector(g, Options{})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p.Project(items)
+	}
+}
+
+// TestProjectAllocs gates the projection's allocations: once a Projector
+// has seen an item set, Project allocates only its result, at any item
+// count. Sweep, region and BFS scratch lives on the Projector.
+func TestProjectAllocs(t *testing.T) {
+	const maxAllocs = 1
+	for _, n := range []int{10000, 20000} {
+		g, items := projectField(t, n)
+		p := NewProjector(g, Options{})
+		if a := testing.AllocsPerRun(3, func() { p.Project(items) }); a > maxAllocs {
+			t.Errorf("%d items: warm Project made %v allocations, want <= %d", n, a, maxAllocs)
+		}
 	}
 }
