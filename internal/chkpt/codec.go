@@ -65,42 +65,17 @@ func Encode(st *State) []byte {
 		p.i64(h.GridNX)
 	}
 	p.blob(st.RNG)
-
-	out := make([]byte, 0, len(magic)+4+8+len(p.b)+sha256.Size)
-	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint32(out, Version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(p.b)))
-	out = append(out, p.b...)
-	sum := sha256.Sum256(out)
-	return append(out, sum[:]...)
+	return seal(magic, Version, p.b)
 }
 
 // Decode parses and verifies a checkpoint file image. It returns typed
 // sentinel errors (ErrBadMagic, ErrBadVersion, ErrCorrupt) on malformed
 // input; fingerprint validation is the caller's job (Manager.Load).
 func Decode(data []byte) (*State, error) {
-	head := len(magic) + 4 + 8
-	if len(data) < head+sha256.Size {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the fixed header", ErrCorrupt, len(data))
+	r, err := open(data, magic, Version)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:len(magic)]) != magic {
-		return nil, ErrBadMagic
-	}
-	ver := binary.LittleEndian.Uint32(data[len(magic):])
-	if ver != Version {
-		return nil, fmt.Errorf("%w: file version %d, supported %d", ErrBadVersion, ver, Version)
-	}
-	plen := binary.LittleEndian.Uint64(data[len(magic)+4:])
-	if uint64(len(data)) != uint64(head)+plen+sha256.Size {
-		return nil, fmt.Errorf("%w: payload length %d does not match file size %d", ErrCorrupt, plen, len(data))
-	}
-	body := data[:head+int(plen)]
-	sum := sha256.Sum256(body)
-	if subtle.ConstantTimeCompare(sum[:], data[len(body):]) != 1 {
-		return nil, fmt.Errorf("%w: SHA-256 mismatch", ErrCorrupt)
-	}
-
-	r := &reader{b: data[head : head+int(plen)]}
 	st := &State{}
 	st.Design = r.str()
 	st.Algorithm = r.str()
@@ -144,13 +119,51 @@ func Decode(data []byte) (*State, error) {
 		}
 	}
 	st.RNG = r.blob()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, r.remaining())
+	if err := r.done(); err != nil {
+		return nil, err
 	}
 	return st, nil
+}
+
+// seal frames a payload as one checkpoint file image: magic, version
+// (uint32 LE), payload length (uint64 LE), the payload, and a SHA-256 over
+// everything before it.
+func seal(magic string, version uint32, payload []byte) []byte {
+	out := make([]byte, 0, len(magic)+4+8+len(payload)+sha256.Size)
+	out = append(out, magic...)
+	out = binary.LittleEndian.AppendUint32(out, version)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+	out = append(out, payload...)
+	sum := sha256.Sum256(out)
+	return append(out, sum[:]...)
+}
+
+// open verifies a seal image against magic and version and returns a
+// reader over its payload. It fails with ErrCorrupt on truncation, a
+// length mismatch or a checksum mismatch, ErrBadMagic on a foreign file and
+// ErrBadVersion on another format version.
+func open(data []byte, magic string, version uint32) (*reader, error) {
+	head := len(magic) + 4 + 8
+	if len(data) < head+sha256.Size {
+		return nil, fmt.Errorf("%w: %d bytes is shorter than the fixed header", ErrCorrupt, len(data))
+	}
+	if string(data[:len(magic)]) != magic {
+		return nil, ErrBadMagic
+	}
+	ver := binary.LittleEndian.Uint32(data[len(magic):])
+	if ver != version {
+		return nil, fmt.Errorf("%w: file version %d, supported %d", ErrBadVersion, ver, version)
+	}
+	plen := binary.LittleEndian.Uint64(data[len(magic)+4:])
+	if uint64(len(data)) != uint64(head)+plen+sha256.Size {
+		return nil, fmt.Errorf("%w: payload length %d does not match file size %d", ErrCorrupt, plen, len(data))
+	}
+	body := data[:head+int(plen)]
+	sum := sha256.Sum256(body)
+	if subtle.ConstantTimeCompare(sum[:], data[len(body):]) != 1 {
+		return nil, fmt.Errorf("%w: SHA-256 mismatch", ErrCorrupt)
+	}
+	return &reader{b: body[head:]}, nil
 }
 
 // payload accumulates the deterministic little-endian field encoding.
@@ -193,6 +206,18 @@ type reader struct {
 }
 
 func (r *reader) remaining() int { return len(r.b) }
+
+// done reports the first decode error, or ErrCorrupt when payload bytes
+// are left over.
+func (r *reader) done() error {
+	if r.err != nil {
+		return r.err
+	}
+	if r.remaining() != 0 {
+		return fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, r.remaining())
+	}
+	return nil
+}
 
 func (r *reader) take(n int) []byte {
 	if r.err != nil {

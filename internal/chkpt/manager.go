@@ -55,38 +55,8 @@ func (m *Manager) Path() string { return filepath.Join(m.Dir, FileName) }
 // checkpoint, so a crash at any instant leaves the old snapshot readable.
 // Save implements the engine.CheckpointSink seam.
 func (m *Manager) Save(st *State) error {
-	span := m.Obs.StartSpan("checkpoint")
-	defer span.End()
 	st.Fingerprint = m.Fingerprint
-	err := m.save(st)
-	if err != nil {
-		m.Obs.AddCount(obs.MetricCheckpointErrors, 1)
-		return perr.Wrap(perr.StageCheckpoint, err)
-	}
-	m.Obs.AddCount(obs.MetricCheckpointSaves, 1)
-	m.Obs.SetGauge(obs.MetricCheckpointIter, float64(st.Iter))
-	return nil
-}
-
-func (m *Manager) save(st *State) error {
-	if m.Dir == "" {
-		return fmt.Errorf("chkpt: Manager.Dir is empty")
-	}
-	if err := faultinject.FireErr(faultinject.CheckpointSave, m.Path()); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(m.Dir, 0o755); err != nil {
-		return err
-	}
-	data := Encode(st)
-	if err := fsatomic.WriteFile(m.Path(), 0o644, func(w io.Writer) error {
-		_, werr := w.Write(data)
-		return werr
-	}); err != nil {
-		return err
-	}
-	m.Obs.SetGauge(obs.MetricCheckpointBytes, float64(len(data)))
-	return nil
+	return m.write("checkpoint", m.Path(), st.Iter, func() []byte { return Encode(st) })
 }
 
 // Load reads, decodes and validates the directory's checkpoint. Corruption,
@@ -94,19 +64,74 @@ func (m *Manager) save(st *State) error {
 // "checkpoint") wrapping the typed sentinel, so callers can errors.Is
 // against ErrCorrupt / ErrBadVersion / ErrFingerprint.
 func (m *Manager) Load() (*State, error) {
-	data, err := os.ReadFile(m.Path())
+	var st *State
+	err := m.read(m.Path(), "checkpoint", func(data []byte) (fp [32]byte, desc string, err error) {
+		if st, err = Decode(data); err != nil {
+			return fp, "", err
+		}
+		return st.Fingerprint, fmt.Sprintf("design %q, algorithm %q", st.Design, st.Algorithm), nil
+	})
 	if err != nil {
-		return nil, perr.Wrap(perr.StageCheckpoint, fmt.Errorf("chkpt: read checkpoint: %w", err))
-	}
-	st, err := Decode(data)
-	if err != nil {
-		return nil, perr.WithFile(perr.Wrap(perr.StageCheckpoint, err), m.Path())
-	}
-	if st.Fingerprint != m.Fingerprint {
-		return nil, perr.WithFile(perr.Wrap(perr.StageCheckpoint,
-			fmt.Errorf("%w (checkpoint design %q, algorithm %q)", ErrFingerprint, st.Design, st.Algorithm)), m.Path())
+		return nil, err
 	}
 	return st, nil
+}
+
+// write persists the image that encode returns to path atomically, under a
+// span of the given name, and records the save (or its failure) and the
+// snapshot's iteration on m.Obs. Failures are *perr.Error at the
+// checkpoint stage.
+func (m *Manager) write(span, path string, iter int, encode func() []byte) error {
+	sp := m.Obs.StartSpan(span)
+	defer sp.End()
+	err := func() error {
+		if m.Dir == "" {
+			return fmt.Errorf("chkpt: Manager.Dir is empty")
+		}
+		if err := faultinject.FireErr(faultinject.CheckpointSave, path); err != nil {
+			return err
+		}
+		if err := os.MkdirAll(m.Dir, 0o755); err != nil {
+			return err
+		}
+		data := encode()
+		if err := fsatomic.WriteFile(path, 0o644, func(w io.Writer) error {
+			_, werr := w.Write(data)
+			return werr
+		}); err != nil {
+			return err
+		}
+		m.Obs.SetGauge(obs.MetricCheckpointBytes, float64(len(data)))
+		return nil
+	}()
+	if err != nil {
+		m.Obs.AddCount(obs.MetricCheckpointErrors, 1)
+		return perr.Wrap(perr.StageCheckpoint, err)
+	}
+	m.Obs.AddCount(obs.MetricCheckpointSaves, 1)
+	m.Obs.SetGauge(obs.MetricCheckpointIter, float64(iter))
+	return nil
+}
+
+// read loads the file at path and decodes it; decode returns the decoded
+// fingerprint and a description of the file's owner for the mismatch
+// message. what names the file in errors. Read, decode and fingerprint
+// failures are *perr.Error at the checkpoint stage; the last two carry
+// path.
+func (m *Manager) read(path, what string, decode func([]byte) (fp [32]byte, desc string, err error)) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return perr.Wrap(perr.StageCheckpoint, fmt.Errorf("chkpt: read %s: %w", what, err))
+	}
+	fp, desc, err := decode(data)
+	if err != nil {
+		return perr.WithFile(perr.Wrap(perr.StageCheckpoint, err), path)
+	}
+	if fp != m.Fingerprint {
+		return perr.WithFile(perr.Wrap(perr.StageCheckpoint,
+			fmt.Errorf("%w (%s %s)", ErrFingerprint, what, desc)), path)
+	}
+	return nil
 }
 
 // Exists reports whether the directory holds a checkpoint file (readable or

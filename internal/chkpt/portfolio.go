@@ -1,19 +1,10 @@
 package chkpt
 
 import (
-	"crypto/sha256"
-	"crypto/subtle"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"os"
 	"path/filepath"
-
-	"complx/internal/faultinject"
-	"complx/internal/fsatomic"
-	"complx/internal/obs"
-	"complx/internal/perr"
 )
 
 // PortfolioVersion is the portfolio checkpoint format version; decoding
@@ -121,14 +112,7 @@ func EncodePortfolio(ps *PortfolioState) []byte {
 			p.blob(m.Snapshot)
 		}
 	}
-
-	out := make([]byte, 0, len(pfMagic)+4+8+len(p.b)+sha256.Size)
-	out = append(out, pfMagic...)
-	out = binary.LittleEndian.AppendUint32(out, PortfolioVersion)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(p.b)))
-	out = append(out, p.b...)
-	sum := sha256.Sum256(out)
-	return append(out, sum[:]...)
+	return seal(pfMagic, PortfolioVersion, p.b)
 }
 
 // DecodePortfolio parses and verifies a portfolio checkpoint image. Nested
@@ -137,28 +121,10 @@ func EncodePortfolio(ps *PortfolioState) []byte {
 // the whole portfolio. Fingerprint validation is the caller's job
 // (Manager.LoadPortfolio).
 func DecodePortfolio(data []byte) (*PortfolioState, error) {
-	head := len(pfMagic) + 4 + 8
-	if len(data) < head+sha256.Size {
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the fixed header", ErrCorrupt, len(data))
+	r, err := open(data, pfMagic, PortfolioVersion)
+	if err != nil {
+		return nil, err
 	}
-	if string(data[:len(pfMagic)]) != pfMagic {
-		return nil, ErrBadMagic
-	}
-	ver := binary.LittleEndian.Uint32(data[len(pfMagic):])
-	if ver != PortfolioVersion {
-		return nil, fmt.Errorf("%w: file version %d, supported %d", ErrBadVersion, ver, PortfolioVersion)
-	}
-	plen := binary.LittleEndian.Uint64(data[len(pfMagic)+4:])
-	if uint64(len(data)) != uint64(head)+plen+sha256.Size {
-		return nil, fmt.Errorf("%w: payload length %d does not match file size %d", ErrCorrupt, plen, len(data))
-	}
-	body := data[:head+int(plen)]
-	sum := sha256.Sum256(body)
-	if subtle.ConstantTimeCompare(sum[:], data[len(body):]) != 1 {
-		return nil, fmt.Errorf("%w: SHA-256 mismatch", ErrCorrupt)
-	}
-
-	r := &reader{b: data[head : head+int(plen)]}
 	ps := &PortfolioState{}
 	ps.Design = r.str()
 	copy(ps.Fingerprint[:], r.take(32))
@@ -195,11 +161,8 @@ func DecodePortfolio(data []byte) (*PortfolioState, error) {
 			}
 		}
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, r.remaining())
+	if err := r.done(); err != nil {
+		return nil, err
 	}
 	return ps, nil
 }
@@ -211,54 +174,23 @@ func (m *Manager) PortfolioPath() string { return filepath.Join(m.Dir, Portfolio
 // atomicity contract as Save: fingerprint stamped, temp file + fsync +
 // rename, so a crash at any instant leaves the previous round readable.
 func (m *Manager) SavePortfolio(ps *PortfolioState) error {
-	span := m.Obs.StartSpan("checkpoint_portfolio")
-	defer span.End()
 	ps.Fingerprint = m.Fingerprint
-	err := m.savePortfolio(ps)
-	if err != nil {
-		m.Obs.AddCount(obs.MetricCheckpointErrors, 1)
-		return perr.Wrap(perr.StageCheckpoint, err)
-	}
-	m.Obs.AddCount(obs.MetricCheckpointSaves, 1)
-	m.Obs.SetGauge(obs.MetricCheckpointIter, float64(ps.Round))
-	return nil
-}
-
-func (m *Manager) savePortfolio(ps *PortfolioState) error {
-	if m.Dir == "" {
-		return fmt.Errorf("chkpt: Manager.Dir is empty")
-	}
-	if err := faultinject.FireErr(faultinject.CheckpointSave, m.PortfolioPath()); err != nil {
-		return err
-	}
-	if err := os.MkdirAll(m.Dir, 0o755); err != nil {
-		return err
-	}
-	data := EncodePortfolio(ps)
-	if err := fsatomic.WriteFile(m.PortfolioPath(), 0o644, func(w io.Writer) error {
-		_, werr := w.Write(data)
-		return werr
-	}); err != nil {
-		return err
-	}
-	m.Obs.SetGauge(obs.MetricCheckpointBytes, float64(len(data)))
-	return nil
+	return m.write("checkpoint_portfolio", m.PortfolioPath(), ps.Round,
+		func() []byte { return EncodePortfolio(ps) })
 }
 
 // LoadPortfolio reads, decodes and validates the directory's portfolio
 // checkpoint, with the same error contract as Load.
 func (m *Manager) LoadPortfolio() (*PortfolioState, error) {
-	data, err := os.ReadFile(m.PortfolioPath())
+	var ps *PortfolioState
+	err := m.read(m.PortfolioPath(), "portfolio checkpoint", func(data []byte) (fp [32]byte, desc string, err error) {
+		if ps, err = DecodePortfolio(data); err != nil {
+			return fp, "", err
+		}
+		return ps.Fingerprint, fmt.Sprintf("design %q", ps.Design), nil
+	})
 	if err != nil {
-		return nil, perr.Wrap(perr.StageCheckpoint, fmt.Errorf("chkpt: read portfolio checkpoint: %w", err))
-	}
-	ps, err := DecodePortfolio(data)
-	if err != nil {
-		return nil, perr.WithFile(perr.Wrap(perr.StageCheckpoint, err), m.PortfolioPath())
-	}
-	if ps.Fingerprint != m.Fingerprint {
-		return nil, perr.WithFile(perr.Wrap(perr.StageCheckpoint,
-			fmt.Errorf("%w (portfolio checkpoint design %q)", ErrFingerprint, ps.Design)), m.PortfolioPath())
+		return nil, err
 	}
 	return ps, nil
 }
