@@ -49,7 +49,7 @@ func main() {
 		bench     = flag.String("bench", "", "named synthetic benchmark (e.g. adaptec1, newblue7)")
 		scale     = flag.Float64("scale", 1.0, "cell-count scale factor for -bench")
 		algo      = flag.String("algo", "complx", "placer: complx, simpl, fastplace-cs, nlp")
-		precond   = flag.String("precond", "auto", "CG preconditioner: auto, jacobi, ssor, ic0, mg")
+		precond   = flag.String("precond", "auto", "CG preconditioner: auto, jacobi, ssor, ic0")
 		target    = flag.Float64("target", 0, "target density gamma in (0,1]; 0 uses the benchmark default")
 		finest    = flag.Bool("finest", false, "use the finest projection grid on all iterations")
 		projDP    = flag.Bool("projection-dp", false, "post-process every projection with legalization+DP (Table 1 ablation)")

@@ -123,13 +123,9 @@ type Options struct {
 	// CG configures the linear solver.
 	CG sparse.CGOptions
 	// Precond selects the CG preconditioner: one of sparse.PrecondKinds
-	// ("jacobi", "ssor", "ic0", "mg"), or ""/"auto" for the size heuristic
+	// ("jacobi", "ssor", "ic0"), or ""/"auto" for the size heuristic
 	// (Jacobi below qp.AutoPrecondMinVars variables, IC(0) above).
 	Precond string
-	// PrecondRefresh is the solve cadence at which factor-holding
-	// preconditioners fully rebuild rather than diagonal-refresh
-	// (0 → qp.DefaultPrecondRefresh); ignored for "jacobi".
-	PrecondRefresh int
 	// OnIteration, when set, observes per-iteration statistics.
 	OnIteration func(IterStats)
 	// Obs, when non-nil, instruments the run (spans, metrics, iteration
@@ -502,7 +498,7 @@ func placeSingle(ctx context.Context, nl *netlist.Netlist, opt Options, level in
 	default:
 		primal = engine.NewQuadraticPrimal(nl, qp.Options{
 			Model: opt.Model, Eps: opt.Eps, CG: opt.CG, Obs: opt.Obs,
-			Precond: opt.Precond, PrecondRefresh: opt.PrecondRefresh,
+			Precond: opt.Precond,
 		})
 	}
 

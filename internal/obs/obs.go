@@ -157,7 +157,7 @@ type FinalStats struct {
 	LegalViolations int     `json:"legal_violations"`
 	TotalSeconds    float64 `json:"total_seconds"`
 	// Precond is the resolved CG preconditioner of the run ("jacobi",
-	// "ssor", "ic0", "mg"; empty for flows without a quadratic solver) and
+	// "ssor", "ic0"; empty for flows without a quadratic solver) and
 	// CGIters the total CG inner iterations spent, both dimensions.
 	Precond string `json:"precond,omitempty"`
 	CGIters int    `json:"cg_iters,omitempty"`

@@ -8,14 +8,15 @@
 // (with its incremental shard buffers and CSR arrays), the warm-start
 // vectors and the per-dimension CG workspaces alive across the outer-loop
 // iterations, so repeated solves neither reassemble symbolic state from
-// scratch nor reallocate work vectors. The package-level Solve function
-// remains as a convenience for one-shot solves.
+// scratch nor reallocate work vectors.
 package qp
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -52,26 +53,14 @@ type Options struct {
 	Eps float64
 	// CG configures the linear solver.
 	CG sparse.CGOptions
-	// ClampToCore keeps solved centers inside the core (default on via
-	// Solve; set Raw to skip).
-	Raw bool
 	// Obs, when non-nil, records assembly/CG spans, per-solve CG statistics
 	// and live per-iteration CG progress. Instrumentation is read-only; a
 	// nil observer costs one branch per solve.
 	Obs *obs.Observer
-	// Precond selects the CG preconditioner: "jacobi", "ssor", "ic0", "mg",
-	// or ""/"auto" (pick by system size, see ResolvePrecond). Non-Jacobi
-	// kinds also enable the extrapolated warm start (see Solver).
+	// Precond selects the CG preconditioner: "jacobi", "ssor", "ic0", or
+	// ""/"auto" (pick by system size, see ResolvePrecond). Non-Jacobi kinds
+	// also enable the extrapolated warm start (see Solver).
 	Precond string
-	// PrecondRefresh is the number of solves between full preconditioner
-	// Setups; in between, only the factor diagonal is refreshed (the
-	// λ-continuation rank-limited update — valid when successive systems
-	// differ mainly in the pseudonet anchor weights, which stamp only the
-	// diagonal). 0 picks DefaultPrecondRefresh. Jacobi ignores this: its
-	// refresh is a full Setup. Cadences above 1 carry factor state across
-	// solves that checkpoints do not capture, so engine resume is bitwise
-	// identical only at cadence 1.
-	PrecondRefresh int
 }
 
 // AutoPrecondMinVars is the system size at which ""/"auto" switches from
@@ -90,16 +79,16 @@ const AutoPrecondMinVars = 8192
 // (size heuristic), or one of sparse.PrecondKinds verbatim. Callers that
 // only need validation may pass n = 0 (auto then resolves to "jacobi").
 func ResolvePrecond(kind string, n int) (string, error) {
-	switch kind {
-	case "", "auto":
+	switch {
+	case kind == "" || kind == "auto":
 		if n >= AutoPrecondMinVars {
 			return "ic0", nil
 		}
 		return "jacobi", nil
-	case "jacobi", "ssor", "ic0", "mg":
+	case slices.Contains(sparse.PrecondKinds, kind):
 		return kind, nil
 	}
-	return "", fmt.Errorf("qp: unknown preconditioner %q (want auto, jacobi, ssor, ic0 or mg)", kind)
+	return "", fmt.Errorf("qp: unknown preconditioner %q (want auto, %s)", kind, strings.Join(sparse.PrecondKinds, ", "))
 }
 
 // Result reports solver statistics.
@@ -115,8 +104,8 @@ type Metrics struct {
 	// CG is time spent in the preconditioned CG solves (both dimensions,
 	// measured as the wall-clock of the concurrent pair).
 	CG time.Duration
-	// PrecondSetup is time spent building or refreshing the two
-	// preconditioners (outside the CG wall-clock above).
+	// PrecondSetup is time spent building the two preconditioners (outside
+	// the CG wall-clock above).
 	PrecondSetup time.Duration
 	// Solves counts Solve invocations; CGIters the total CG inner
 	// iterations across both dimensions of every solve.
@@ -147,11 +136,9 @@ type Solver struct {
 	xs, ys   []float64
 	cgX, cgY sparse.CGWorkspace
 	// Preconditioner state: one instance per dimension (the x/y systems are
-	// solved concurrently), the resolved kind, and the count of solves
-	// since the last full Setup (λ-continuation refresh cadence).
-	px, py     sparse.Preconditioner
-	kind       string
-	sinceSetup int
+	// solved concurrently) and the resolved kind.
+	px, py sparse.Preconditioner
+	kind   string
 	// Extrapolated warm start (non-Jacobi kinds): the raw, unclamped
 	// solutions of the previous two solves. x₀ = 2·x₋₁ − x₋₂ continues the
 	// λ-trajectory instead of restarting from the clamped positions.
@@ -174,8 +161,8 @@ func NewSolver(nl *netlist.Netlist, opt Options) *Solver {
 // Eps returns the linearization floor of the underlying assembler.
 func (s *Solver) Eps() float64 { return s.asm.Eps() }
 
-// Precond returns the resolved preconditioner name ("jacobi", "ssor",
-// "ic0" or "mg"). Before the first solve, the auto heuristic is resolved
+// Precond returns the resolved preconditioner name ("jacobi", "ssor" or
+// "ic0"). Before the first solve, the auto heuristic is resolved
 // against the current system size.
 func (s *Solver) Precond() string {
 	if s.kind != "" {
@@ -188,23 +175,10 @@ func (s *Solver) Precond() string {
 	return kind
 }
 
-// DefaultPrecondRefresh is the default number of solves between full
-// preconditioner Setups (Options.PrecondRefresh = 0). The default is 1 —
-// a full Setup every solve — for two reasons: the B2B model re-linearizes
-// its off-diagonals at every placement iteration, so the "only the
-// pseudonet diagonal changed" premise of the rank-limited refresh rarely
-// holds in the outer loop (a stale factor costs more CG iterations than
-// the O(nnz) factorization saves); and a cadence of 1 keeps each solve's
-// preconditioner a pure function of the current system, which the
-// checkpoint/resume bitwise-identity contract depends on. Flows that
-// re-solve at a fixed linearization (λ-only sweeps) can raise the cadence
-// via Options.PrecondRefresh.
-const DefaultPrecondRefresh = 1
-
-// preparePreconds resolves the preconditioner kind on first use and brings
-// both per-dimension instances up to date: a full Setup every
-// PrecondRefresh-th solve (or when a refresh fails), a diagonal-only
-// RefreshDiag otherwise — the λ-continuation rank-limited update.
+// preparePreconds resolves the preconditioner kind on first use and runs a
+// full Setup of both per-dimension instances on the current systems, so
+// each solve's preconditioner is a pure function of its own system (the
+// checkpoint/resume bitwise contract depends on this).
 func (s *Solver) preparePreconds(ax, ay *sparse.CSR) error {
 	if s.px == nil {
 		kind, err := ResolvePrecond(s.opt.Precond, s.asm.NumVars())
@@ -217,28 +191,11 @@ func (s *Solver) preparePreconds(ax, ay *sparse.CSR) error {
 		}
 		py, _ := sparse.NewPreconditioner(kind)
 		s.kind, s.px, s.py = kind, px, py
-		s.sinceSetup = 0
-	}
-	refresh := s.opt.PrecondRefresh
-	if refresh <= 0 {
-		refresh = DefaultPrecondRefresh
-	}
-	if s.sinceSetup > 0 && s.sinceSetup < refresh && s.kind != "jacobi" {
-		rx, okx := s.px.(sparse.DiagRefresher)
-		ry, oky := s.py.(sparse.DiagRefresher)
-		if okx && oky && rx.RefreshDiag(ax) == nil && ry.RefreshDiag(ay) == nil {
-			s.sinceSetup++
-			return nil
-		}
 	}
 	if err := s.px.Setup(ax); err != nil {
 		return err
 	}
-	if err := s.py.Setup(ay); err != nil {
-		return err
-	}
-	s.sinceSetup = 1
-	return nil
+	return s.py.Setup(ay)
 }
 
 // warmStart fills the CG initial guesses: the extrapolation
@@ -433,7 +390,7 @@ func (s *Solver) SolveCtx(ctx context.Context, anchors *Anchors) (Result, error)
 	asmSpan.End()
 	opt.Obs.AddSeconds(obs.MetricAssemblySeconds, asmDur)
 
-	// Preconditioners: full Setup or λ-continuation diagonal refresh.
+	// Preconditioners: a full Setup on this solve's systems.
 	tPre := time.Now()
 	if err := s.preparePreconds(sx.A, sy.A); err != nil {
 		return Result{}, fmt.Errorf("qp: preconditioner: %w", err)
@@ -495,9 +452,8 @@ func (s *Solver) SolveCtx(ctx context.Context, anchors *Anchors) (Result, error)
 	cgSpan.End()
 	if errX != nil || errY != nil {
 		// A failed solve may leave poisoned iterates; drop the extrapolation
-		// history and force a full preconditioner rebuild on the next call.
+		// history.
 		s.histCount = 0
-		s.sinceSetup = 0
 		if errX != nil {
 			return res, fmt.Errorf("qp: x solve: %w", errX)
 		}
@@ -505,150 +461,22 @@ func (s *Solver) SolveCtx(ctx context.Context, anchors *Anchors) (Result, error)
 	}
 	s.recordSolution(xs, ys)
 
+	// Clamp the solved centers so every cell stays inside the core.
 	for k, i := range mov {
-		p := geom.Point{X: xs[k], Y: ys[k]}
-		if !opt.Raw {
-			c := &nl.Cells[i]
-			hw, hh := c.W/2, c.H/2
-			if 2*hw > nl.Core.Width() {
-				hw = nl.Core.Width() / 2
-			}
-			if 2*hh > nl.Core.Height() {
-				hh = nl.Core.Height() / 2
-			}
-			p.X = geom.Clamp(p.X, nl.Core.XMin+hw, nl.Core.XMax-hw)
-			p.Y = geom.Clamp(p.Y, nl.Core.YMin+hh, nl.Core.YMax-hh)
+		c := &nl.Cells[i]
+		hw, hh := c.W/2, c.H/2
+		if 2*hw > nl.Core.Width() {
+			hw = nl.Core.Width() / 2
 		}
-		nl.Cells[i].SetCenter(p)
+		if 2*hh > nl.Core.Height() {
+			hh = nl.Core.Height() / 2
+		}
+		c.SetCenter(geom.Point{
+			X: geom.Clamp(xs[k], nl.Core.XMin+hw, nl.Core.XMax-hw),
+			Y: geom.Clamp(ys[k], nl.Core.YMin+hh, nl.Core.YMax-hh),
+		})
 	}
 	return res, nil
-}
-
-// SolverCacheSize bounds the number of idle facade solvers retained by
-// Solve. The cache is keyed per netlist, so concurrent one-shot streams on
-// up to this many distinct netlists each keep their incremental assembly
-// shards, CG workspaces and warm-start history between calls; a stream
-// rotating through more netlists evicts in least-recently-released order
-// and pays the historical per-call build, never an unbounded pile of
-// retained Solver allocations.
-const SolverCacheSize = 4
-
-// solverEntry is one idle cached solver with the identity it was built for:
-// the netlist pointer plus the structural counts and assembly-relevant
-// options (Model, Eps). The counts guard against a freed netlist's address
-// being reused and against structural edits that change the sizes; edits
-// that rewire connectivity at identical counts are — as for a long-lived
-// Solver — the caller's responsibility to avoid (the netlist structure must
-// not change between Solve calls, only positions).
-type solverEntry struct {
-	nl                *netlist.Netlist
-	model             netmodel.Model
-	eps               float64
-	cells, nets, pins int
-	s                 *Solver
-}
-
-// solverCache holds idle facade solvers in most-recently-released order.
-// Entries are removed while in use, so concurrent Solve calls never share a
-// Solver instance: a second concurrent solve on the same netlist simply
-// builds a fresh one, and on release only one instance per netlist is
-// retained (the loser is dropped, not leaked into a growing cache).
-var solverCache struct {
-	mu      sync.Mutex
-	entries []solverEntry
-}
-
-// acquireSolver returns a cached solver for (nl, opt) when one matches,
-// else a fresh one. A matching solver is removed from the cache while in
-// use so concurrent Solve calls never share an instance.
-func acquireSolver(nl *netlist.Netlist, opt Options) *Solver {
-	c := &solverCache
-	c.mu.Lock()
-	for i, e := range c.entries {
-		if e.nl == nl && e.model == opt.Model && e.eps == opt.Eps &&
-			e.cells == nl.NumCells() && e.nets == nl.NumNets() && e.pins == nl.NumPins() {
-			c.entries = append(c.entries[:i], c.entries[i+1:]...)
-			c.mu.Unlock()
-			s := e.s
-			if s.opt.Precond != opt.Precond {
-				// A different preconditioner request invalidates the resolved
-				// kind, the factor state and the extrapolation history.
-				s.px, s.py, s.kind = nil, nil, ""
-				s.histCount = 0
-			}
-			// Everything the assembler depends on (Model, Eps) matched; the
-			// remaining options only steer the solve itself.
-			s.opt = opt
-			// One-shot callers may have moved cells arbitrarily since the
-			// solver was cached, so a carried preconditioner factor can be
-			// stale for the system about to be assembled. Forcing the
-			// since-Setup count to zero makes the next preparePreconds do a
-			// full Setup even under a PrecondRefresh cadence > 1 — the
-			// λ-continuation diagonal refresh is only sound inside one
-			// owner's solve loop, which the facade cannot see.
-			s.sinceSetup = 0
-			return s
-		}
-	}
-	c.mu.Unlock()
-	return NewSolver(nl, opt)
-}
-
-// releaseSolver stores the solver back for the next one-shot call on the
-// same netlist, retaining at most one instance per netlist and at most
-// SolverCacheSize entries overall (least-recently-released eviction).
-func releaseSolver(nl *netlist.Netlist, opt Options, s *Solver) {
-	e := solverEntry{
-		nl: nl, model: opt.Model, eps: opt.Eps,
-		cells: nl.NumCells(), nets: nl.NumNets(), pins: nl.NumPins(),
-		s: s,
-	}
-	c := &solverCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for i := range c.entries {
-		if c.entries[i].nl == nl {
-			// A concurrent solve on the same netlist released first; keep the
-			// newest instance and drop the older one instead of accumulating.
-			copy(c.entries[i:], c.entries[i+1:])
-			c.entries = c.entries[:len(c.entries)-1]
-			break
-		}
-	}
-	c.entries = append(c.entries, e)
-	if len(c.entries) > SolverCacheSize {
-		c.entries = append(c.entries[:0], c.entries[len(c.entries)-SolverCacheSize:]...)
-	}
-}
-
-// CachedSolvers reports the number of idle solvers currently retained by
-// the Solve facade cache (bounded by SolverCacheSize); exported for tests.
-func CachedSolvers() int {
-	solverCache.mu.Lock()
-	defer solverCache.mu.Unlock()
-	return len(solverCache.entries)
-}
-
-// ResetSolverCache drops every idle cached solver (test isolation helper).
-func ResetSolverCache() {
-	solverCache.mu.Lock()
-	defer solverCache.mu.Unlock()
-	solverCache.entries = nil
-}
-
-// Solve runs one anchored quadratic placement step and updates the movable
-// cell positions of nl in place. anchors may be nil for the initial
-// unconstrained solve (λ = 0). Hot loops should construct a Solver once and
-// reuse it; this convenience keeps a small per-netlist cache of solvers
-// behind the package facade (see SolverCacheSize), so repeated one-shot
-// calls on the same netlist get incremental assembly too — including
-// concurrent streams on distinct netlists, which each get their own cached
-// instance instead of thrashing a single slot.
-func Solve(nl *netlist.Netlist, anchors *Anchors, opt Options) (Result, error) {
-	s := acquireSolver(nl, opt)
-	res, err := s.Solve(anchors)
-	releaseSolver(nl, opt, s)
-	return res, err
 }
 
 func abs(v float64) float64 {

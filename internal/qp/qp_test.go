@@ -1,8 +1,10 @@
 package qp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"complx/internal/gen"
@@ -39,14 +41,15 @@ func TestSolveChainSymmetric(t *testing.T) {
 	// From a symmetric start, the chain solves to evenly-spaced cells
 	// between the pads (25, 50, 75) because the linearized weights from the
 	// coincident start are all equal.
-	if _, err := Solve(nl, nil, Options{Eps: 1}); err != nil {
+	s := NewSolver(nl, Options{Eps: 1})
+	if _, err := s.Solve(nil); err != nil {
 		t.Fatal(err)
 	}
 	// Weights: edges to pads have |d|=50, inner edges |d|=0. After one
 	// iteration positions move; iterate a few times to reach the fixed
 	// point of the linearization (which reproduces min-linear-WL spacing).
 	for i := 0; i < 30; i++ {
-		if _, err := Solve(nl, nil, Options{Eps: 1}); err != nil {
+		if _, err := s.Solve(nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,8 +91,9 @@ func TestSolveLowersHPWL(t *testing.T) {
 		nl.Cells[i].SetCenter(geom.Point{X: 100 * rng.Float64(), Y: 100 * rng.Float64()})
 	}
 	before := netmodel.HPWL(nl)
+	s := NewSolver(nl, Options{})
 	for i := 0; i < 5; i++ {
-		if _, err := Solve(nl, nil, Options{}); err != nil {
+		if _, err := s.Solve(nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -105,8 +109,9 @@ func name(p string, i int) string {
 
 func TestAnchorsPullCells(t *testing.T) {
 	nl := chainDesign(t)
+	s := NewSolver(nl, Options{Eps: 1})
 	for i := 0; i < 10; i++ {
-		if _, err := Solve(nl, nil, Options{Eps: 1}); err != nil {
+		if _, err := s.Solve(nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -116,7 +121,7 @@ func TestAnchorsPullCells(t *testing.T) {
 		Pos:    []geom.Point{{X: free[0].X, Y: free[0].Y}, {X: 50, Y: 90}, {X: free[2].X, Y: free[2].Y}},
 		Lambda: []float64{0, 100, 0},
 	}
-	if _, err := Solve(nl, anchors, Options{Eps: 1}); err != nil {
+	if _, err := s.Solve(anchors); err != nil {
 		t.Fatal(err)
 	}
 	got := nl.Positions()
@@ -131,7 +136,7 @@ func TestAnchorsPullCells(t *testing.T) {
 
 func TestAnchorSizeMismatch(t *testing.T) {
 	nl := chainDesign(t)
-	_, err := Solve(nl, &Anchors{Pos: make([]geom.Point, 1), Lambda: make([]float64, 1)}, Options{})
+	_, err := NewSolver(nl, Options{}).Solve(&Anchors{Pos: make([]geom.Point, 1), Lambda: make([]float64, 1)})
 	if err == nil {
 		t.Error("expected error for mismatched anchors")
 	}
@@ -151,7 +156,7 @@ func TestDisconnectedCellStaysInCore(t *testing.T) {
 		t.Fatal(err)
 	}
 	nl.Cells[d].SetCenter(geom.Point{X: 5, Y: 5})
-	if _, err := Solve(nl, nil, Options{}); err != nil {
+	if _, err := NewSolver(nl, Options{}).Solve(nil); err != nil {
 		t.Fatal(err)
 	}
 	got := nl.Cells[d].Center()
@@ -172,22 +177,15 @@ func TestClampKeepsCellsInside(t *testing.T) {
 		t.Fatal(err)
 	}
 	nl.Cells[c].SetCenter(geom.Point{X: 50, Y: 50})
+	s := NewSolver(nl, Options{})
 	for i := 0; i < 5; i++ {
-		if _, err := Solve(nl, nil, Options{}); err != nil {
+		if _, err := s.Solve(nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 	got := nl.Cells[c].Center()
 	if got.X < 12 || got.Y < 12 {
 		t.Errorf("cell center %v violates core clamp", got)
-	}
-	// Raw mode skips the clamp.
-	if _, err := Solve(nl, nil, Options{Raw: true}); err != nil {
-		t.Fatal(err)
-	}
-	raw := nl.Cells[c].Center()
-	if raw.X > got.X {
-		t.Errorf("raw solve should move further out: %v vs %v", raw, got)
 	}
 }
 
@@ -200,9 +198,10 @@ func BenchmarkSolve(b *testing.B) {
 	for i := range anchors.Lambda {
 		anchors.Lambda[i] = 0.5
 	}
+	s := NewSolver(nl, Options{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Solve(nl, anchors, Options{}); err != nil {
+		if _, err := s.Solve(anchors); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -220,7 +219,7 @@ func TestDenormalEpsCoincidentAnchor(t *testing.T) {
 		Lambda: []float64{1e6, 1e6, 1e6},
 	}
 	// 5e-324 is the smallest positive denormal: |d| + ε == 0 + 5e-324.
-	if _, err := Solve(nl, anchors, Options{Eps: 5e-324}); err != nil {
+	if _, err := NewSolver(nl, Options{Eps: 5e-324}).Solve(anchors); err != nil {
 		t.Fatalf("denormal-eps solve failed: %v", err)
 	}
 	for _, p := range nl.Positions() {
@@ -251,8 +250,63 @@ func TestAnchorValidation(t *testing.T) {
 		nl := chainDesign(t)
 		a := mk()
 		tc.mut(a)
-		if _, err := Solve(nl, a, Options{}); err == nil {
+		if _, err := NewSolver(nl, Options{}).Solve(a); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+}
+
+// TestSolveConcurrentStreams runs several Solver streams on distinct
+// netlists concurrently (the multi-tenant daemon shape) and requires each
+// stream's trajectory to be bitwise identical to a serial reference: solvers
+// share no state, and the shared worker pool does not perturb results. Run
+// under -race this is also the solvers' data-race proof.
+func TestSolveConcurrentStreams(t *testing.T) {
+	const streams = 6
+	const rounds = 8
+	run := func(s int) ([]geom.Point, error) {
+		nl, err := gen.Generate(gen.Spec{Name: fmt.Sprintf("stream-%d", s), NumCells: 200, Seed: int64(1000 + s)})
+		if err != nil {
+			return nil, err
+		}
+		solver := NewSolver(nl, Options{Eps: 1})
+		for r := 0; r < rounds; r++ {
+			if _, err := solver.Solve(nil); err != nil {
+				return nil, fmt.Errorf("stream %d round %d: %w", s, r, err)
+			}
+		}
+		return nl.Positions(), nil
+	}
+
+	refs := make([][]geom.Point, streams)
+	for s := range refs {
+		var err error
+		if refs[s], err = run(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([][]geom.Point, streams)
+	errs := make([]error, streams)
+	var wg sync.WaitGroup
+	for s := range got {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			got[s], errs[s] = run(s)
+		}(s)
+	}
+	wg.Wait()
+	for s := range refs {
+		if errs[s] != nil {
+			t.Fatal(errs[s])
+		}
+		if len(got[s]) != len(refs[s]) {
+			t.Fatalf("stream %d: %d positions, want %d", s, len(got[s]), len(refs[s]))
+		}
+		for k := range refs[s] {
+			if got[s][k] != refs[s][k] {
+				t.Fatalf("stream %d movable %d: concurrent %v != serial %v", s, k, got[s][k], refs[s][k])
+			}
 		}
 	}
 }

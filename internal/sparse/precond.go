@@ -31,25 +31,14 @@ type Preconditioner interface {
 	Name() string
 }
 
-// DiagRefresher is optionally implemented by preconditioners that can
-// absorb a diagonal-dominated matrix update without a full Setup. The
-// placement outer loop exploits this for λ-continuation: successive systems
-// differ mainly in the pseudonet anchor weights, which stamp only the
-// diagonal, so refreshing the diagonal of the stored factor/sweep state is
-// a rank-limited update that keeps the (slightly stale) off-diagonal state
-// as a valid SPD preconditioner.
-type DiagRefresher interface {
-	RefreshDiag(a *CSR) error
-}
-
 // PrecondKinds lists the concrete preconditioner names accepted by
 // NewPreconditioner, in documentation order.
-var PrecondKinds = []string{"jacobi", "ssor", "ic0", "mg"}
+var PrecondKinds = []string{"jacobi", "ssor", "ic0"}
 
 // NewPreconditioner constructs a preconditioner by name: "jacobi"
 // (diagonal scaling, the historical default), "ssor" (symmetric
-// Gauss-Seidel forward/backward sweeps), "ic0" (zero-fill incomplete
-// Cholesky) or "mg" (aggregation-based multigrid-lite V-cycle).
+// Gauss-Seidel forward/backward sweeps) or "ic0" (zero-fill incomplete
+// Cholesky).
 func NewPreconditioner(kind string) (Preconditioner, error) {
 	switch kind {
 	case "jacobi":
@@ -58,8 +47,6 @@ func NewPreconditioner(kind string) (Preconditioner, error) {
 		return &SSOR{}, nil
 	case "ic0":
 		return &IC0{}, nil
-	case "mg":
-		return &MGLite{}, nil
 	}
 	return nil, fmt.Errorf("sparse: unknown preconditioner %q (have %v)", kind, PrecondKinds)
 }
@@ -102,9 +89,6 @@ func (j *Jacobi) Setup(a *CSR) error {
 	})
 	return nil
 }
-
-// RefreshDiag is a full Setup: the diagonal is the whole state.
-func (j *Jacobi) RefreshDiag(a *CSR) error { return j.Setup(a) }
 
 // Apply computes z = diag(A)⁻¹ r.
 func (j *Jacobi) Apply(z, r []float64) {
@@ -149,11 +133,6 @@ func (s *SSOR) Setup(a *CSR) error {
 	})
 	return nil
 }
-
-// RefreshDiag re-reads the diagonal from the (possibly updated) matrix; the
-// sweep structure always follows the live matrix, so this is all the state
-// there is to refresh.
-func (s *SSOR) RefreshDiag(a *CSR) error { return s.Setup(a) }
 
 // Apply solves (D+L) u = r, then (D+U) z = D u.
 func (s *SSOR) Apply(z, r []float64) {
@@ -288,36 +267,6 @@ func (f *IC0) Setup(a *CSR) error {
 		if !isFinite(f.d[i]) {
 			return fmt.Errorf("sparse: IC(0) row %d: %w", i, ErrNotFinite)
 		}
-	}
-	return nil
-}
-
-// RefreshDiag recomputes only the factor diagonal from the matrix's current
-// diagonal, keeping the off-diagonal factor entries: d_i = √(a_ii − Σ l_ik²)
-// with the same pivot guard as Setup. This is the λ-continuation rank-limited
-// update — pseudonet weight changes stamp only diag(A), so the stale L still
-// matches the off-diagonal structure and M = L̂ L̂ᵀ stays SPD.
-func (f *IC0) RefreshDiag(a *CSR) error {
-	if a.N != f.n {
-		return f.Setup(a)
-	}
-	a.Diag(f.aDiag)
-	n := f.n
-	var bad bool
-	par.For(n, buildRowGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s := f.aDiag[i]
-			for kk := f.rowPtr[i]; kk < f.rowPtr[i+1]; kk++ {
-				s -= f.val[kk] * f.val[kk]
-			}
-			f.d[i] = pivot(s, f.aDiag[i])
-			if !isFinite(f.d[i]) {
-				bad = true
-			}
-		}
-	})
-	if bad {
-		return fmt.Errorf("sparse: IC(0) diagonal refresh: %w", ErrNotFinite)
 	}
 	return nil
 }

@@ -29,7 +29,6 @@ var engineInternalCoreOptions = map[string]string{
 	"Resume":               "loaded by the facade from the checkpoint directory when Options.Checkpoint.Resume is set",
 	"PortfolioResume":      "loaded by the facade from the checkpoint directory (portfolio.ckpt) when Options.Checkpoint.Resume is set",
 	"RecoveryPolicy":       "engine-internal recovery-ladder tuning; the facade always uses the default policy",
-	"PrecondRefresh":       "factor-refresh cadence stays internal; qp.DefaultPrecondRefresh is the measured sweet spot",
 }
 
 // TestCoreOptionsForwarding is the contract test for the single
