@@ -499,12 +499,15 @@ func (s *scheduler) runJob(j *Job, ri *runtimeInfo) {
 		s.dobs.AddCount(obs.MetricWatchdogCancels, 1)
 		cancel(watchdogErr)
 	})
+	releaseWatchdog := func() {}
 	if wd != nil {
 		g := s.dobs.Gauge(obs.MetricWatchdogActive)
 		g.Set(g.Value() + 1)
-		defer func() { g.Set(g.Value() - 1) }()
+		releaseWatchdog = func() {
+			wd.Stop()
+			g.Set(g.Value() - 1)
+		}
 	}
-	defer wd.Stop()
 	onIter := func(st complx.IterStats) {
 		wd.Touch()
 		ri.appendSample(st)
@@ -530,6 +533,9 @@ func (s *scheduler) runJob(j *Job, ri *runtimeInfo) {
 	s.hub.Register(j.ID, observer)
 
 	res, err := s.safePlacement(ctx, j, observer, onIter)
+	// Release the watchdog before the job's next state is published, so a
+	// client that sees the job finished also sees it unwatched.
+	releaseWatchdog()
 	cause := context.Cause(ctx)
 
 	if errors.Is(cause, errShutdown) && err == nil && (res == nil || res.Cancelled) {
