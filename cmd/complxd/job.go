@@ -111,6 +111,9 @@ func (s *JobSpec) Validate() error {
 			return err
 		}
 	}
+	if _, err := complx.ParsePrecond(s.Precond); err != nil {
+		return err
+	}
 	if s.Threads < 0 {
 		return fmt.Errorf("threads must be >= 0")
 	}

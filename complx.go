@@ -43,6 +43,7 @@ import (
 	"complx/internal/par"
 	"complx/internal/perr"
 	"complx/internal/portfolio"
+	"complx/internal/qp"
 	"complx/internal/sparse"
 	"complx/internal/timing"
 	"complx/internal/viz"
@@ -270,6 +271,16 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	return 0, fmt.Errorf("complx: unknown algorithm %q", s)
 }
 
+// ParsePrecond checks a CG preconditioner name for Options.Precond: "" or
+// "auto" (the size heuristic), "jacobi", "ssor" or "ic0". It returns the
+// name unchanged.
+func ParsePrecond(s string) (string, error) {
+	if _, err := qp.ResolvePrecond(s, 0); err != nil {
+		return "", err
+	}
+	return s, nil
+}
+
 // Options configures a full placement run (global placement, legalization,
 // detailed placement).
 type Options struct {
@@ -294,7 +305,7 @@ type Options struct {
 	// (default ModelB2B).
 	Model NetModel
 	// Precond selects the CG preconditioner for the quadratic primal step:
-	// "jacobi", "ssor", "ic0", "mg", or ""/"auto" for the size heuristic
+	// "jacobi", "ssor", "ic0", or ""/"auto" for the size heuristic
 	// (Jacobi on small designs, IC(0) at scale). Jacobi reproduces the
 	// historical solver bit for bit; the others trade a cheap setup for
 	// fewer CG iterations per solve.

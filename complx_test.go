@@ -108,6 +108,19 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 }
 
+func TestParsePrecond(t *testing.T) {
+	for _, in := range []string{"", "auto", "jacobi", "ssor", "ic0"} {
+		if got, err := ParsePrecond(in); err != nil || got != in {
+			t.Errorf("ParsePrecond(%q) = %q, %v", in, got, err)
+		}
+	}
+	for _, in := range []string{"bogus", "mg", "Jacobi"} {
+		if _, err := ParsePrecond(in); err == nil {
+			t.Errorf("ParsePrecond(%q): expected an error", in)
+		}
+	}
+}
+
 func TestSuitesExposed(t *testing.T) {
 	if len(Benchmarks2005()) != 8 || len(Benchmarks2006()) != 8 {
 		t.Error("suite sizes wrong")
