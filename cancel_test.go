@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"complx"
+	"complx/internal/baseline"
+	"complx/internal/core"
 )
 
 func placeOpt() complx.Options {
@@ -221,9 +223,28 @@ func TestPlaceContextPortfolioCancelMidSearch(t *testing.T) {
 }
 
 // TestPlaceContextCancelledBaselines checks every baseline algorithm honors
-// a pre-cancelled context with the same best-so-far contract.
+// a pre-cancelled context with the same best-so-far contract, both through
+// the facade and at the baseline package's own entry points, whose results
+// must report the cancellation too.
 func TestPlaceContextCancelledBaselines(t *testing.T) {
-	for _, alg := range []complx.Algorithm{complx.AlgSimPL, complx.AlgFastPlaceCS, complx.AlgNLP, complx.AlgRQL} {
+	for _, tc := range []struct {
+		alg    complx.Algorithm
+		direct func(ctx context.Context, nl *complx.Netlist) (*core.Result, error)
+	}{
+		{complx.AlgSimPL, func(ctx context.Context, nl *complx.Netlist) (*core.Result, error) {
+			return baseline.SimPLContext(ctx, nl, core.Options{})
+		}},
+		{complx.AlgFastPlaceCS, func(ctx context.Context, nl *complx.Netlist) (*core.Result, error) {
+			return baseline.FastPlaceCSContext(ctx, nl, baseline.FPOptions{})
+		}},
+		{complx.AlgNLP, func(ctx context.Context, nl *complx.Netlist) (*core.Result, error) {
+			return baseline.NLPContext(ctx, nl, baseline.NLPOptions{})
+		}},
+		{complx.AlgRQL, func(ctx context.Context, nl *complx.Netlist) (*core.Result, error) {
+			return baseline.RQLContext(ctx, nl, baseline.RQLOptions{})
+		}},
+	} {
+		alg := tc.alg
 		t.Run(alg.String(), func(t *testing.T) {
 			nl := genOrDie(t, "cb-"+alg.String(), 250, 9)
 			ctx, cancel := context.WithCancel(context.Background())
@@ -240,6 +261,14 @@ func TestPlaceContextCancelledBaselines(t *testing.T) {
 			}
 			if !res.Legalized || res.LegalViolations != 0 {
 				t.Errorf("not finished legally: legalized=%v violations=%d", res.Legalized, res.LegalViolations)
+			}
+
+			r, err := tc.direct(ctx, genOrDie(t, "cb-"+alg.String(), 250, 9))
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("package entry point: error %v does not wrap context.Canceled", err)
+			}
+			if r == nil || !r.Cancelled {
+				t.Errorf("package entry point: want a Cancelled result, got %+v", r)
 			}
 		})
 	}

@@ -151,9 +151,9 @@ func calibrate() (float64, error) {
 }
 
 // measure places one (placer, design, scale, precond) combination and
-// returns its entry. The observer supplies the CG iteration total for the
-// placers whose results do not carry it (instrumentation is read-only, so
-// observed runs place bitwise identically).
+// returns its entry. Every placer reports its CG iteration total through
+// Result.CGIterations, summed over every V-cycle level and portfolio
+// member.
 func measure(placer, design string, scale float64, precond string) (Entry, error) {
 	spec, ok := complx.BenchmarkByName(design)
 	if !ok {
@@ -217,29 +217,11 @@ func measure(placer, design string, scale float64, precond string) (Entry, error
 	if err != nil {
 		return Entry{}, fmt.Errorf("%s/%s: %w", placer, design, err)
 	}
-	e := Entry{
+	return Entry{
 		Placer: placer, Design: design, Scale: scale,
 		Precond: precond, Cells: nl.NumCells(),
 		HPWL: res.HPWL, CGIters: res.CGIterations, WallSeconds: wall,
-	}
-	if e.CGIters == 0 {
-		// Overflow-loop baselines do not expose CG totals through Result;
-		// re-run observed and read the metric. The rerun replaces the wall
-		// measurement too, so both numbers describe the same run.
-		nl2, err := complx.Generate(spec)
-		if err != nil {
-			return Entry{}, err
-		}
-		obsOpt := opt
-		obsOpt.Observer = complx.NewObserver()
-		start := time.Now()
-		if _, err := complx.Place(nl2, obsOpt); err != nil {
-			return Entry{}, fmt.Errorf("%s/%s (observed): %w", placer, design, err)
-		}
-		e.WallSeconds = time.Since(start).Seconds()
-		e.CGIters = int(obsOpt.Observer.Metrics().Snapshot()["complx_cg_iterations_total"])
-	}
-	return e, nil
+	}, nil
 }
 
 func run(w io.Writer, cfg config) error {

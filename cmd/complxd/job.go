@@ -157,6 +157,9 @@ func (s *JobSpec) portfolioOptions() complx.PortfolioOptions {
 }
 
 // JobResult is the subset of complx.Result persisted with the job.
+// global_iterations and cg_iterations are run totals: they count every
+// V-cycle level and every portfolio member round once, not only the
+// segment that produced the final placement.
 type JobResult struct {
 	HPWL             float64 `json:"hpwl"`
 	ScaledHPWL       float64 `json:"scaled_hpwl"`

@@ -69,7 +69,7 @@ func TestNLPSpreads(t *testing.T) {
 	if !res.Converged && res.Overflow > 0.35 {
 		t.Errorf("NLP did not spread: overflow %v after %d iters", res.Overflow, res.Iterations)
 	}
-	if res.FinalMu <= 0 {
+	if res.FinalLambda <= 0 {
 		t.Error("mu never initialized")
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"complx/internal/netmodel"
 	"complx/internal/obs"
 	"complx/internal/qp"
-	"complx/internal/resilience"
 )
 
 // RQLOptions tunes the RQL-style baseline.
@@ -61,18 +60,6 @@ func (o *RQLOptions) fill() {
 	if o.GridMax <= 0 {
 		o.GridMax = 128
 	}
-}
-
-// RQLResult reports an RQL run.
-type RQLResult struct {
-	Iterations int
-	Converged  bool
-	HPWL       float64
-	Overflow   float64
-	// Resumed reports that the run was primed from a checkpoint.
-	Resumed bool
-	// Recovery logs checkpoint-save failures; never nil.
-	Recovery *resilience.Log
 }
 
 // rqlStepper is the RQL dual step: diffusion-based local spreading of
@@ -129,13 +116,13 @@ func (s *rqlStepper) Step(ctx context.Context, iter int, _ *density.Grid) (engin
 // overfilled bins, and hold anchors whose strongest forces are relaxed
 // (capped) rather than applied in full — the "ad hoc thresholding" force
 // modulation the ComPLx paper contrasts itself against.
-func RQL(nl *netlist.Netlist, opt RQLOptions) (*RQLResult, error) {
+func RQL(nl *netlist.Netlist, opt RQLOptions) (*engine.Result, error) {
 	return RQLContext(context.Background(), nl, opt)
 }
 
 // RQLContext is RQL with cooperative cancellation. On cancellation the
 // result so far is returned together with the wrapped context error.
-func RQLContext(ctx context.Context, nl *netlist.Netlist, opt RQLOptions) (*RQLResult, error) {
+func RQLContext(ctx context.Context, nl *netlist.Netlist, opt RQLOptions) (*engine.Result, error) {
 	opt.fill()
 	mov := nl.Movables()
 	nx, ny := density.AutoResolution(len(mov), 4, opt.GridMax)
@@ -161,11 +148,7 @@ func RQLContext(ctx context.Context, nl *netlist.Netlist, opt RQLOptions) (*RQLR
 		Checkpoint:    opt.Checkpoint,
 		Resume:        opt.Resume,
 	}
-	r, err := loop.Run(ctx)
-	if r == nil {
-		return nil, err
-	}
-	return &RQLResult{Iterations: r.Iterations, Converged: r.Converged, HPWL: r.HPWL, Overflow: r.Overflow, Resumed: r.Resumed, Recovery: r.Recovery}, err
+	return loop.Run(ctx)
 }
 
 // relaxedLambdas assigns the hold weight per cell but scales down the cells

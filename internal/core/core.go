@@ -261,7 +261,7 @@ func PlaceContext(ctx context.Context, nl *netlist.Netlist, opt Options) (*Resul
 	if opt.Multilevel.Enabled {
 		return placeMultilevel(ctx, nl, opt)
 	}
-	return placeSingle(ctx, nl, opt, 0, false, 0, 1, 0)
+	return placeSingle(ctx, nl, opt, segment{})
 }
 
 // warmDamp scales the multiplier schedule's initial (λ₁, h) at warm-started
@@ -333,6 +333,7 @@ func placeMultilevel(ctx context.Context, nl *netlist.Netlist, opt Options) (*Re
 	if err := nl.Validate(); err != nil {
 		return nil, perr.Wrap(perr.StageValidate, err)
 	}
+	opt.fill()
 	refine := opt.Multilevel.RefineIters
 	if refine <= 0 {
 		refine = multilevel.DefaultRefineIters
@@ -356,8 +357,7 @@ func placeMultilevel(ctx context.Context, nl *netlist.Netlist, opt Options) (*Re
 				// per-cell criticalities apply at the finest level only.
 				lopt.CellPenalty = nil
 			}
-			warm := false
-			firstScale := 1.0
+			seg := segment{level: lv.Level}
 			if lv.Coarsest {
 				// λ₁ = Φ/(100·Π) is calibrated for the fine design: the
 				// anchor force is λ per cell while the interconnect pull on
@@ -367,10 +367,8 @@ func placeMultilevel(ctx context.Context, nl *netlist.Netlist, opt Options) (*Re
 				// coarsening ratio so the coarse dual starts at an
 				// equivalent per-cell price.
 				if cn := lv.Netlist.NumMovable(); cn > 0 {
-					firstScale = float64(nl.NumMovable()) / float64(cn)
+					seg.firstScale = float64(nl.NumMovable()) / float64(cn)
 				}
-			}
-			if lv.Coarsest {
 				// The coarse solve only has to get the global structure
 				// right — refinement repairs detail — and the cluster
 				// netlist holds a wide duality gap far past the overflow
@@ -384,21 +382,8 @@ func placeMultilevel(ctx context.Context, nl *netlist.Netlist, opt Options) (*Re
 				// the flat schedule itself hands off to legalization:
 				// Π/Π₁ ≈ 0.06 on the synthetic suites, 3× the default
 				// PiTol.
-				gap := opt.GapTol
-				if gap <= 0 {
-					gap = 0.08
-				}
-				lopt.GapTol = 2 * gap
-				if lopt.GapTol < coarseHandoffGap {
-					lopt.GapTol = coarseHandoffGap
-				}
-				pit := opt.PiTol
-				if pit <= 0 {
-					pit = 0.02
-				}
-				if 3*pit > lopt.PiTol {
-					lopt.PiTol = 3 * pit
-				}
+				lopt.GapTol = math.Max(2*opt.GapTol, coarseHandoffGap)
+				lopt.PiTol = 3 * opt.PiTol
 			} else {
 				// Intermediate levels only bridge to the next interpolation,
 				// so their budget halves per level above the finest; the
@@ -412,14 +397,11 @@ func placeMultilevel(ctx context.Context, nl *netlist.Netlist, opt Options) (*Re
 					budget = 3
 				}
 				lopt.MaxIterations = budget
-				minIt := opt.MinIterations
-				if minIt <= 0 {
-					minIt = 8
-				}
-				if budget < minIt {
+				if budget < opt.MinIterations {
 					lopt.MinIterations = budget
 				}
-				warm = lv.Resume == nil
+				seg.warm = lv.Resume == nil
+				seg.startLambda = lv.StartLambda
 				// Refinement solves are re-anchored by the next projection
 				// anyway, so converging CG to the flat 1e-6 residual is
 				// wasted work - the warm levels run a looser tolerance
@@ -430,21 +412,34 @@ func placeMultilevel(ctx context.Context, nl *netlist.Netlist, opt Options) (*Re
 					lopt.CG.Tol = refineCGTol
 				}
 			}
-			return placeSingle(ctx, lv.Netlist, lopt, lv.Level, warm, lv.StartLambda, firstScale, 0)
+			return placeSingle(ctx, lv.Netlist, lopt, seg)
 		},
 	}
 	return multilevel.Run(ctx, nl, cfg)
 }
 
-// placeSingle runs one flat primal-dual placement over nl — the whole run
-// when multilevel is off (level 0, cold start), one V-cycle level or one
-// portfolio member segment otherwise. warm skips the initial interconnect
-// solves so the loop starts from nl's current (interpolated) placement;
-// startLambda, when positive, continues the coarser level's multiplier
-// trajectory instead of re-deriving λ₁ from the warm state; member is the
-// portfolio member index stamped into the iteration statistics (0 outside
-// a portfolio).
-func placeSingle(ctx context.Context, nl *netlist.Netlist, opt Options, level int, warm bool, startLambda, firstScale float64, member int) (*Result, error) {
+// segment is the driver state one placeSingle run starts from: the whole
+// run when multilevel and portfolio are off (the zero value: level 0, cold
+// start), one V-cycle level or one portfolio member segment otherwise.
+type segment struct {
+	// level is the V-cycle level and member the portfolio member index,
+	// both stamped into the iteration statistics (0 for flat runs).
+	level, member int
+	// warm skips the initial interconnect solves so the loop starts from
+	// nl's current (interpolated) placement.
+	warm bool
+	// startLambda, when positive, continues the coarser level's multiplier
+	// trajectory at a warm level instead of re-deriving λ₁ from the warm
+	// state.
+	startLambda float64
+	// firstScale scales a cold schedule's initial (λ₁, h); values <= 0 and
+	// 1 leave it unscaled.
+	firstScale float64
+}
+
+// placeSingle runs one flat primal-dual placement over nl as the driver
+// segment seg describes.
+func placeSingle(ctx context.Context, nl *netlist.Netlist, opt Options, seg segment) (*Result, error) {
 	opt.fill()
 	if err := nl.Validate(); err != nil {
 		return nil, perr.Wrap(perr.StageValidate, err)
@@ -520,12 +515,12 @@ func placeSingle(ctx context.Context, nl *netlist.Netlist, opt Options, level in
 	if opt.Schedule == ScheduleSimPL {
 		sched = engine.SimPLSchedule{}
 	}
-	if !warm && firstScale > 0 && firstScale != 1 {
-		sched = dampedSchedule{Schedule: sched, factor: firstScale}
+	if !seg.warm && seg.firstScale > 0 && seg.firstScale != 1 {
+		sched = dampedSchedule{Schedule: sched, factor: seg.firstScale}
 	}
-	if warm {
-		if startLambda > 0 {
-			l1 := warmChainDamp * startLambda
+	if seg.warm {
+		if seg.startLambda > 0 {
+			l1 := warmChainDamp * seg.startLambda
 			sched = continuedSchedule{Schedule: sched, lambda: l1, h: 100 * l1}
 		} else {
 			sched = dampedSchedule{Schedule: sched, factor: warmDamp}
@@ -551,9 +546,9 @@ func placeSingle(ctx context.Context, nl *netlist.Netlist, opt Options, level in
 		LambdaScale:    scale,
 		Design:         nl.Name,
 		Algorithm:      opt.Schedule.String(),
-		Level:          level,
-		Member:         member,
-		WarmStart:      warm,
+		Level:          seg.level,
+		Member:         seg.member,
+		WarmStart:      seg.warm,
 		Checkpoint:     opt.Checkpoint,
 		Resume:         opt.Resume,
 		RecoveryPolicy: opt.RecoveryPolicy,

@@ -92,9 +92,5 @@ func placeMember(ctx context.Context, run portfolio.MemberRun, opt Options) (*Re
 	if v.FinestGrid {
 		lopt.FinestGrid = true
 	}
-	firstScale := 1.0
-	if v.LambdaScale > 0 {
-		firstScale = v.LambdaScale
-	}
-	return placeSingle(ctx, run.Netlist, lopt, 0, false, 0, firstScale, run.Member)
+	return placeSingle(ctx, run.Netlist, lopt, segment{member: run.Member, firstScale: v.LambdaScale})
 }

@@ -81,11 +81,6 @@ func historyRecords(hist []IterStats) []chkpt.IterRecord {
 	return out
 }
 
-// HistoryStats converts checkpointed history records back into run history
-// (timings zero). Exported for drivers that rebuild a Result from an
-// encoded snapshot, e.g. the portfolio's resume materialization.
-func HistoryStats(recs []chkpt.IterRecord) []IterStats { return historyStats(recs) }
-
 // historyStats is the inverse of historyRecords (timings zero).
 func historyStats(recs []chkpt.IterRecord) []IterStats {
 	if recs == nil {
@@ -155,31 +150,13 @@ func (l *Loop) primeResume(res *Result, s *loopState) error {
 	s.bestUpper, s.bestFine = st.BestUpper, st.BestFine
 	s.bestFineAnchors = st.BestFineAnchors
 	s.prevPos, s.prevAnchors = st.PrevPos, st.PrevAnchors
-	res.SelfCons = SelfConsistency{
-		Total:         st.SelfCons[0],
-		Consistent:    st.SelfCons[1],
-		Inconsistent:  st.SelfCons[2],
-		PremiseFailed: st.SelfCons[3],
-	}
-	res.History = historyStats(st.History)
-	res.Resumed = true
-	if st.Iter > 0 && len(res.History) > 0 {
-		// Re-derive the last iteration's summary scalars bitwise from the
-		// final history record, so a resume that immediately stops (e.g.
-		// Iter == MaxIterations) still reports them.
-		last := res.History[len(res.History)-1]
-		res.Iterations = st.Iter
-		res.FinalLambda = last.Lambda
-		if last.PhiUpper > 0 {
-			res.GapFinal = (last.PhiUpper - last.Phi) / last.PhiUpper
-		}
-	}
+	res.Restore(st)
 	// Re-apply the recovery ladder's numeric relaxations so the solver
 	// configuration matches the checkpointed run. (Ladder budgets are NOT
 	// restored: a resumed run earns a fresh recovery budget.)
-	if r, ok := l.Primal.(Relaxer); ok {
+	if pp, ok := l.Primal.(primalProbe); ok {
 		for i := 0; i < st.RelaxCount; i++ {
-			r.Relax()
+			pp.Relax()
 		}
 	}
 	l.relaxCount = st.RelaxCount

@@ -59,13 +59,6 @@ type PrimalSolver interface {
 	Solve(ctx context.Context, anchors []geom.Point, lambdas []float64) error
 }
 
-// Relaxer is optionally implemented by primal solvers that can retry with
-// relaxed numerics after a non-finite failure (see Loop's graceful
-// degradation). Relax reconfigures the solver for the retry.
-type Relaxer interface {
-	Relax()
-}
-
 // kernelTotals is a primal solver's cumulative kernel record since
 // construction: system-assembly, linear-solve and preconditioner-setup
 // wall-clock, CG inner iterations, and the resolved preconditioner name.
@@ -75,10 +68,22 @@ type kernelTotals struct {
 	precond                       string
 }
 
-// kernelProbe is optionally implemented by primal solvers that track their
-// kernels (QuadraticPrimal does; the nonlinear solvers do not).
-type kernelProbe interface {
+// primalProbe is the one optional interface a primal solver implements
+// beyond PrimalSolver (QuadraticPrimal does; the nonlinear solvers do not):
+// kernelTotals reads its cumulative kernel record, and Relax reconfigures
+// it with relaxed numerics for the retry after a non-finite failure (see
+// Loop's graceful degradation).
+type primalProbe interface {
 	kernelTotals() kernelTotals
+	Relax()
+}
+
+// primalTotals reads p's cumulative kernel record, when it keeps one.
+func primalTotals(p PrimalSolver) kernelTotals {
+	if pp, ok := p.(primalProbe); ok {
+		return pp.kernelTotals()
+	}
+	return kernelTotals{}
 }
 
 // Projection is the result of one dual step: the C-feasible anchor
@@ -157,12 +162,12 @@ type IterStats struct {
 	// previous iteration's stats emission (so iteration k reports the
 	// primal solve that ended iteration k−1; iteration 1 reports the
 	// initial interconnect-only solves). Zero when the primal solver does
-	// not implement kernelProbe.
+	// not implement primalProbe.
 	AssemblyTime, SolveTime time.Duration
 	// CGIters and PrecondTime are the CG inner iterations and preconditioner
 	// setup/refresh wall-clock spent since the previous stats emission, on
 	// the same delta schedule as AssemblyTime/SolveTime. Zero when the primal
-	// solver does not implement kernelProbe.
+	// solver does not implement primalProbe.
 	CGIters     int
 	PrecondTime time.Duration
 }
@@ -187,27 +192,44 @@ func (s SelfConsistency) ConsistentFrac() float64 {
 	return float64(s.Consistent) / float64(s.Total)
 }
 
-// Result summarizes a placement run.
+// Result summarizes a placement run. It is the one result contract of
+// every global placer: the primal-dual Loop, the OverflowLoop baselines
+// and, through Merge, the multi-segment drivers (V-cycle, portfolio,
+// two-level clustered placement).
 type Result struct {
-	Iterations  int
-	Converged   bool
+	// Iterations is the number of global iterations run. A single resumed
+	// segment reports the restored iteration number plus what it ran; a
+	// merged total counts every iteration once.
+	Iterations int
+	Converged  bool
+	// FinalLambda is the last multiplier: λ of the primal-dual loop, μ of
+	// the NLP penalty method (zero for the other overflow loops).
 	FinalLambda float64
 	// HPWL is the unweighted HPWL of the final placement; WHPWL the
-	// net-weighted value.
+	// net-weighted value (zero for the overflow loops).
 	HPWL, WHPWL float64
+	// Overflow is the final measured density overflow ratio of the
+	// overflow loops; zero for the primal-dual loop, whose History carries
+	// the per-iteration overflow.
+	Overflow float64
 	// GapFinal is the last relative duality gap; BestUpper the lowest
 	// anchor-placement Φ seen during the run.
 	GapFinal, BestUpper float64
-	History             []IterStats
-	SelfCons            SelfConsistency
+	// History is the per-iteration trajectory that produced the final
+	// placement: every V-cycle level, coarsest first, or the portfolio
+	// winner's lineage. Empty for the overflow loops.
+	History  []IterStats
+	SelfCons SelfConsistency
 	// Kernel timing breakdown: system assembly, CG solves, and feasibility
 	// projection (grid build + spreading + interpolation). Zero for the
-	// LSE/PNorm primal steps, which do not use the quadratic solver.
+	// LSE/PNorm primal steps, which do not use the quadratic solver, and
+	// ProjectionTime zero for the overflow loops.
 	AssemblyTime, SolveTime, ProjectionTime time.Duration
 	// CGIters is the total CG inner iterations, PrecondTime the total
 	// preconditioner setup wall-clock, and Precond the resolved
-	// preconditioner name ("jacobi", "ssor", "ic0"). Zero/empty when the
-	// primal solver does not implement kernelProbe.
+	// preconditioner name ("jacobi", "ssor", "ic0") of the segment that
+	// produced the final placement. Zero/empty when the primal solver does
+	// not implement primalProbe.
 	CGIters     int
 	PrecondTime time.Duration
 	Precond     string
@@ -225,6 +247,11 @@ type Result struct {
 	// Portfolio summarizes the portfolio search that produced this result;
 	// nil for flat (single-member) runs. Filled by internal/portfolio.
 	Portfolio *PortfolioStats
+
+	// restoredIters and restoredSelfCons are the counts a resumed segment
+	// inherited from its snapshot; Merge does not count them again.
+	restoredIters    int
+	restoredSelfCons SelfConsistency
 }
 
 // setKernelTotals copies a primal solver's cumulative kernel record into
@@ -232,6 +259,81 @@ type Result struct {
 func (r *Result) setKernelTotals(kt kernelTotals) {
 	r.AssemblyTime, r.SolveTime = kt.assembly, kt.solve
 	r.CGIters, r.PrecondTime, r.Precond = kt.cgIters, kt.precondSetup, kt.precond
+}
+
+// Restore primes r with the run state snapshot st recorded at its last
+// completed iteration: iteration count, multiplier, duality gap, best
+// upper bound, self-consistency tally and history. The restored counts are
+// inherited, not run: Merge does not add them to a run total again. The
+// placement fields (HPWL, WHPWL) are left to the caller.
+func (r *Result) Restore(st *chkpt.State) {
+	r.Resumed = true
+	r.Iterations = st.Iter
+	r.BestUpper = st.BestUpper
+	r.SelfCons = SelfConsistency{
+		Total:         st.SelfCons[0],
+		Consistent:    st.SelfCons[1],
+		Inconsistent:  st.SelfCons[2],
+		PremiseFailed: st.SelfCons[3],
+	}
+	r.History = historyStats(st.History)
+	if n := len(r.History); n > 0 {
+		// Re-derive the last iteration's summary scalars bitwise from the
+		// final history record, so a resume that immediately stops (e.g.
+		// Iter == MaxIterations) still reports them.
+		last := r.History[n-1]
+		r.FinalLambda = last.Lambda
+		if last.PhiUpper > 0 {
+			r.GapFinal = (last.PhiUpper - last.Phi) / last.PhiUpper
+		}
+	}
+	r.restoredIters, r.restoredSelfCons = r.Iterations, r.SelfCons
+}
+
+// Merge folds one engine segment into the run total r. It is the one rule
+// by which the multi-segment drivers — V-cycle levels, portfolio member
+// rounds, the two-level clustered pass — build their Result:
+//
+//   - Counts and kernel times (Iterations, CGIters, SelfCons and the four
+//     kernel durations) are summed, each segment contributing only what it
+//     ran: a segment resumed from a snapshot does not count the iterations
+//     and self-consistency checks it restored.
+//   - Recovery events are concatenated; Resumed and Cancelled are set when
+//     any segment set them.
+//   - final marks seg as the producer of the run's placement so far: its
+//     final-state fields (HPWL, WHPWL, Overflow, Converged, FinalLambda,
+//     GapFinal, BestUpper, Precond) replace r's and its History extends
+//     r's. A resumed segment's History already carries its lineage.
+//
+// Merging a segment that did not resume into a zero total with final set
+// reproduces the segment's fields.
+func (r *Result) Merge(seg *Result, final bool) {
+	r.Iterations += seg.Iterations - seg.restoredIters
+	r.CGIters += seg.CGIters
+	r.AssemblyTime += seg.AssemblyTime
+	r.SolveTime += seg.SolveTime
+	r.ProjectionTime += seg.ProjectionTime
+	r.PrecondTime += seg.PrecondTime
+	sc, base := seg.SelfCons, seg.restoredSelfCons
+	r.SelfCons.Total += sc.Total - base.Total
+	r.SelfCons.Consistent += sc.Consistent - base.Consistent
+	r.SelfCons.Inconsistent += sc.Inconsistent - base.Inconsistent
+	r.SelfCons.PremiseFailed += sc.PremiseFailed - base.PremiseFailed
+	if r.Recovery == nil {
+		r.Recovery = &resilience.Log{}
+	}
+	if seg.Recovery != nil {
+		r.Recovery.Events = append(r.Recovery.Events, seg.Recovery.Events...)
+	}
+	r.Resumed = r.Resumed || seg.Resumed
+	r.Cancelled = r.Cancelled || seg.Cancelled
+	if final {
+		r.HPWL, r.WHPWL, r.Overflow = seg.HPWL, seg.WHPWL, seg.Overflow
+		r.Converged, r.FinalLambda = seg.Converged, seg.FinalLambda
+		r.GapFinal, r.BestUpper = seg.GapFinal, seg.BestUpper
+		r.Precond = seg.Precond
+		r.History = append(r.History, seg.History...)
+	}
 }
 
 // PortfolioStats summarizes a portfolio/restart search: how many members
@@ -336,15 +438,6 @@ func (l *Loop) fill() {
 	}
 }
 
-// kernelTotals reads the primal solver's cumulative kernel record, when it
-// keeps one.
-func (l *Loop) kernelTotals() kernelTotals {
-	if kp, ok := l.Primal.(kernelProbe); ok {
-		return kp.kernelTotals()
-	}
-	return kernelTotals{}
-}
-
 // solveStep runs one primal solve under the solver fallback ladder: when
 // the solve reports (or produces) non-finite values, the escalator walks
 // the declarative recovery policy — restore the last finite snapshot, relax
@@ -400,8 +493,8 @@ func (l *Loop) applyRecovery(a resilience.Action, anchors []geom.Point, lambdas 
 		}
 	}
 	if a.Relax {
-		if r, ok := l.Primal.(Relaxer); ok {
-			r.Relax()
+		if pp, ok := l.Primal.(primalProbe); ok {
+			pp.Relax()
 			l.relaxCount++
 		}
 	}
@@ -464,7 +557,7 @@ func (l *Loop) Run(ctx context.Context) (*Result, error) {
 			final = nl.Positions()
 		}
 		res.BestUpper = s.bestUpper
-		res.setKernelTotals(l.kernelTotals())
+		res.setKernelTotals(primalTotals(l.Primal))
 		return finalize(nl, res, final)
 	}
 	// cancelExit saves the last complete-iteration snapshot (best effort),
@@ -549,7 +642,7 @@ func (l *Loop) Run(ctx context.Context) (*Result, error) {
 				// Already feasible: done before any penalized solve.
 				res.Converged = true
 				res.Iterations = 0
-				res.setKernelTotals(l.kernelTotals())
+				res.setKernelTotals(primalTotals(l.Primal))
 				if err := finalize(nl, res, anchors); err != nil {
 					return nil, err
 				}
@@ -576,7 +669,7 @@ func (l *Loop) Run(ctx context.Context) (*Result, error) {
 		}
 		s.prevPos, s.prevAnchors = curPos, anchors
 
-		kt := l.kernelTotals()
+		kt := primalTotals(l.Primal)
 		st := IterStats{
 			Iter: k, Lambda: s.lambda,
 			Phi: phi, PhiUpper: phiUpper,

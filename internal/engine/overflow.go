@@ -32,22 +32,6 @@ type DualStepper interface {
 	Step(ctx context.Context, iter int, grid *density.Grid) (DualStep, error)
 }
 
-// OverflowResult reports an overflow-driven run.
-type OverflowResult struct {
-	Iterations int
-	Converged  bool
-	HPWL       float64
-	Overflow   float64
-	// Cancelled reports that the run was stopped by context cancellation;
-	// the placement holds the last completed iterate.
-	Cancelled bool
-	// Resumed reports that the run was primed from a checkpoint.
-	Resumed bool
-	// Recovery logs checkpoint-save failures (the overflow loops have no
-	// solver fallback ladder). Never nil; empty when nothing failed.
-	Recovery *resilience.Log
-}
-
 // OverflowLoop is the iteration skeleton shared by the quadratic +
 // local-spreading placer family (FastPlace-CS, RQL) and the nonlinear
 // penalty method (NLP): per iteration, measure the density overflow on a
@@ -106,7 +90,7 @@ func (l *OverflowLoop) captureState(iter int) *chkpt.State {
 
 // primeResume restores the loop from l.Resume so the next iteration to run
 // is Resume.Iter+1, bitwise identical to the uninterrupted run.
-func (l *OverflowLoop) primeResume(res *OverflowResult) error {
+func (l *OverflowLoop) primeResume(res *Result) error {
 	st := l.Resume
 	if st.Kind != chkpt.KindOverflow {
 		return perr.New(perr.StageCheckpoint,
@@ -118,8 +102,7 @@ func (l *OverflowLoop) primeResume(res *OverflowResult) error {
 	if err := restoreCodec(l.Dual, st.DualState); err != nil {
 		return perr.Wrap(perr.StageCheckpoint, err)
 	}
-	res.Resumed = true
-	res.Iterations = st.Iter
+	res.Restore(st)
 	l.Obs.AddCount(obs.MetricResumes, 1)
 	return nil
 }
@@ -127,14 +110,21 @@ func (l *OverflowLoop) primeResume(res *OverflowResult) error {
 // Run executes the overflow-driven loop. On ordinary errors it returns
 // (nil, err); on cancellation it returns the result so far — with HPWL
 // measured and Cancelled set — together with the wrapped context error.
-func (l *OverflowLoop) Run(ctx context.Context) (*OverflowResult, error) {
+// The result carries the final overflow ratio in Overflow and the primal
+// solver's kernel totals; its Recovery logs checkpoint-save failures only
+// (the overflow loops have no solver fallback ladder).
+func (l *OverflowLoop) Run(ctx context.Context) (*Result, error) {
 	nl := l.Netlist
-	res := &OverflowResult{Recovery: &resilience.Log{}}
+	res := &Result{Recovery: &resilience.Log{}}
 	ckpt := newCheckpointer(l.Checkpoint, res.Recovery)
-	cancelExit := func(iter int, cause error) (*OverflowResult, error) {
+	finish := func() {
+		res.HPWL = netmodel.HPWL(nl)
+		res.setKernelTotals(primalTotals(l.Primal))
+	}
+	cancelExit := func(iter int, cause error) (*Result, error) {
 		res.Cancelled = true
 		ckpt.flush()
-		res.HPWL = netmodel.HPWL(nl)
+		finish()
 		return res, perr.WrapIter(perr.StageCancel, iter, cause)
 	}
 	startIter := 1
@@ -205,6 +195,6 @@ func (l *OverflowLoop) Run(ctx context.Context) (*OverflowResult, error) {
 			ckpt.set(k, l.captureState(k))
 		}
 	}
-	res.HPWL = netmodel.HPWL(nl)
+	finish()
 	return res, nil
 }

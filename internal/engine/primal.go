@@ -14,10 +14,10 @@ import (
 // B2B (or clique/star) linearized system per dimension, solved by
 // preconditioned CG with the L1 anchor penalty stamped as pseudonets. It
 // owns a reusable qp.Solver — incremental assembly and CG workspaces
-// persist across iterations — and implements Relaxer by rebuilding the
-// solver with a relaxed linearization floor and CG tolerance (the engine's
-// graceful degradation after a non-finite solve), and kernelProbe by
-// accumulating the solver's metrics including those of retired
+// persist across iterations — and implements primalProbe: Relax rebuilds
+// the solver with a relaxed linearization floor and CG tolerance (the
+// engine's graceful degradation after a non-finite solve), and
+// kernelTotals accumulates the solver's metrics including those of retired
 // (pre-relaxation) solvers.
 type QuadraticPrimal struct {
 	nl      *netlist.Netlist

@@ -46,41 +46,27 @@ func runFlow(nl *netlist.Netlist, opt flowOptions) (flowResult, error) {
 			return nil
 		}
 	}
+	var (
+		r   *core.Result
+		err error
+	)
 	switch opt.algorithm {
 	case "", "complx":
-		r, err := core.Place(nl, coreOpt)
-		if err != nil {
-			return fr, err
-		}
-		fr.Iterations = r.Iterations
-		fr.FinalLambda = r.FinalLambda
-		fr.SelfCons = r.SelfCons
+		r, err = core.Place(nl, coreOpt)
 	case "simpl":
-		r, err := baseline.SimPL(nl, coreOpt)
-		if err != nil {
-			return fr, err
-		}
-		fr.Iterations = r.Iterations
-		fr.FinalLambda = r.FinalLambda
-		fr.SelfCons = r.SelfCons
+		r, err = baseline.SimPL(nl, coreOpt)
 	case "fastplace-cs":
-		r, err := baseline.FastPlaceCS(nl, baseline.FPOptions{TargetDensity: opt.targetDensity})
-		if err != nil {
-			return fr, err
-		}
-		fr.Iterations = r.Iterations
+		r, err = baseline.FastPlaceCS(nl, baseline.FPOptions{TargetDensity: opt.targetDensity})
 	case "nlp":
-		r, err := baseline.NLP(nl, baseline.NLPOptions{TargetDensity: opt.targetDensity})
-		if err != nil {
-			return fr, err
-		}
-		fr.Iterations = r.Iterations
+		r, err = baseline.NLP(nl, baseline.NLPOptions{TargetDensity: opt.targetDensity})
 	case "rql":
-		r, err := baseline.RQL(nl, baseline.RQLOptions{TargetDensity: opt.targetDensity})
-		if err != nil {
-			return fr, err
-		}
-		fr.Iterations = r.Iterations
+		r, err = baseline.RQL(nl, baseline.RQLOptions{TargetDensity: opt.targetDensity})
+	}
+	if err != nil {
+		return fr, err
+	}
+	if r != nil {
+		fr.Iterations, fr.FinalLambda, fr.SelfCons = r.Iterations, r.FinalLambda, r.SelfCons
 	}
 	if !opt.skipLegal && len(nl.Rows) > 0 {
 		if err := legalize.Legalize(nl, legalize.Options{}); err != nil {

@@ -146,8 +146,11 @@ func (s warmLevelSink) Save(st *chkpt.State) error {
 }
 
 // Run executes the V-cycle over nl and leaves nl at the final fine
-// placement. The returned Result is the finest level's engine result. On
-// context cancellation the remaining levels still interpolate (and
+// placement. The returned Result merges every level's engine result
+// (engine.Result.Merge): counts and kernel times are totals over all
+// levels, History runs coarsest level first, and the final-state fields
+// (HPWL, convergence, multiplier, preconditioner) are the finest level's.
+// On context cancellation the remaining levels still interpolate (and
 // fast-exit their solves), so the netlist always holds a complete fine
 // placement; the result carries Cancelled and the cancellation error is
 // returned alongside it, matching the engine's contract.
@@ -173,7 +176,7 @@ func Run(ctx context.Context, nl *netlist.Netlist, cfg Config) (*engine.Result, 
 	cfg.Obs.SetGauge(obs.MetricLevels, float64(top+1))
 
 	var (
-		finest     *engine.Result
+		total      engine.Result
 		cancelErr  error
 		prevLambda float64 // λ·N of the last solved level (see Level.StartLambda)
 	)
@@ -224,24 +227,16 @@ func Run(ctx context.Context, nl *netlist.Netlist, cfg Config) (*engine.Result, 
 			// level's cell count.
 			prevLambda = res.FinalLambda * float64(lvNl.NumMovable())
 		}
-		if k == 0 {
-			finest = res
-		} else {
+		total.Merge(res, true)
+		if k > 0 {
 			// Interpolate: write this level's placement onto level k−1.
 			stack[k-1].Expand()
 		}
 		span.End()
 	}
-	if cfg.Resume != nil {
-		// The snapshot primed a coarse level, but the V-cycle as a whole
-		// was resumed; surface that on the result the caller sees.
-		finest.Resumed = true
-	}
-	if cancelErr != nil {
-		finest.Cancelled = true
-		return finest, cancelErr
-	}
-	return finest, nil
+	// A resumed level and a cancelled one set Resumed and Cancelled on the
+	// total through the merge.
+	return &total, cancelErr
 }
 
 // Levels returns how many V-cycle levels Run would use for nl under opt

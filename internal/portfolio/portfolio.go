@@ -185,10 +185,12 @@ type member struct {
 }
 
 // Run executes the portfolio search over nl and leaves nl at the winning
-// member's placement. The returned Result is the winner's engine result
-// with Result.Portfolio filled. On context cancellation the best member so
-// far is still selected and applied, and the wrapped cancellation error is
-// returned alongside it, matching the engine's contract.
+// member's placement. The returned Result merges every member segment that
+// ran (engine.Result.Merge): its counts and kernel times are totals over
+// all members and rounds, its final state and History are the winner's,
+// and Result.Portfolio is filled. On context cancellation the best member
+// so far is still selected and applied, and the wrapped cancellation error
+// is returned alongside it, matching the engine's contract.
 func Run(ctx context.Context, nl *netlist.Netlist, cfg Config) (*engine.Result, error) {
 	cfg.Options.Fill()
 	if err := cfg.Options.Validate(); err != nil {
@@ -239,6 +241,9 @@ func Run(ctx context.Context, nl *netlist.Netlist, cfg Config) (*engine.Result, 
 
 	culls, reseeds := 0, 0
 	startRound := 0
+	// segs holds every member segment's result in (round, member) order;
+	// the run total is merged from them once the winner is known.
+	var segs []*engine.Result
 	if cfg.Resume != nil {
 		ps := cfg.Resume
 		if len(ps.Members) != K || len(ps.RNG) != K {
@@ -273,6 +278,8 @@ func Run(ctx context.Context, nl *netlist.Netlist, cfg Config) (*engine.Result, 
 					if rerr := m.nl.RestorePositions(m.orig); rerr != nil {
 						return nil, perr.Wrap(perr.StageCheckpoint, rerr)
 					}
+				} else {
+					segs = append(segs, m.res)
 				}
 			}
 		}
@@ -293,7 +300,9 @@ func Run(ctx context.Context, nl *netlist.Netlist, cfg Config) (*engine.Result, 
 		if boundary < 1 {
 			boundary = 1
 		}
-		if err := runRound(ctx, cfg, members, r, boundary); err != nil {
+		ran, err := runRound(ctx, cfg, members, r, boundary)
+		segs = append(segs, ran...)
+		if err != nil {
 			if ctx.Err() == nil {
 				roundSpan.End()
 				return nil, err
@@ -340,7 +349,14 @@ func Run(ctx context.Context, nl *netlist.Netlist, cfg Config) (*engine.Result, 
 	if err := nl.RestorePositions(win.nl.SnapshotPositions()); err != nil {
 		return nil, perr.Wrap(perr.StageSolve, err)
 	}
-	res := win.res
+	// Every segment counts once toward the totals; the winner's last
+	// segment supplies the final state and, through its resumed snapshots,
+	// the History lineage. Round segments resume member snapshots
+	// internally, so Resumed reports only a resume from cfg.Resume.
+	res := &engine.Result{}
+	for _, seg := range segs {
+		res.Merge(seg, seg == win.res)
+	}
 	res.Resumed = cfg.Resume != nil
 	scores := make([]float64, K)
 	for i, m := range members {
@@ -362,9 +378,10 @@ func Run(ctx context.Context, nl *netlist.Netlist, cfg Config) (*engine.Result, 
 
 // runRound runs one synchronization round: every unfinished member executes
 // its engine segment concurrently (under its own par budget), then scores
-// are refreshed at the barrier. Member errors surface after all segments
+// are refreshed at the barrier. It returns the results of the segments
+// that ran, in member order. Member errors surface after all segments
 // join; cancellation errors are merged into one.
-func runRound(ctx context.Context, cfg Config, members []*member, round, boundary int) error {
+func runRound(ctx context.Context, cfg Config, members []*member, round, boundary int) ([]*engine.Result, error) {
 	type outcome struct {
 		res  *engine.Result
 		last *chkpt.State
@@ -423,7 +440,10 @@ func runRound(ctx context.Context, cfg Config, members []*member, round, boundar
 		<-done
 	}
 
-	var firstErr error
+	var (
+		ran      []*engine.Result
+		firstErr error
+	)
 	for i, m := range members {
 		o := outs[i]
 		if !o.ran {
@@ -436,6 +456,7 @@ func runRound(ctx context.Context, cfg Config, members []*member, round, boundar
 			continue
 		}
 		m.res = o.res
+		ran = append(ran, o.res)
 		m.finished = o.res.Converged || o.res.Cancelled
 		if o.last != nil {
 			o.last.Design = cfg.Design
@@ -451,7 +472,7 @@ func runRound(ctx context.Context, cfg Config, members []*member, round, boundar
 			firstErr = o.err // cancellation, after state capture
 		}
 	}
-	return firstErr
+	return ran, firstErr
 }
 
 // cullAndReseed sorts members by score, culls the floor(CullFraction·K)
@@ -563,7 +584,8 @@ func savePortfolio(cfg Config, members []*member, round, culls, reseeds int) {
 // else the checkpointed positions — so the placement is bitwise the one the
 // engine's finish produced before the crash. Wall-clock result fields are
 // not reconstructed; everything winner selection and the facade read back
-// (positions, history, convergence metrics) is.
+// (positions, history, convergence metrics) is. The rebuilt result ran
+// nothing in this process, so it adds no work to the run total.
 func materialize(m *member, cfg Config) error {
 	st, err := chkpt.Fork(m.snapshot, cfg.Fingerprint)
 	if err != nil {
@@ -582,15 +604,11 @@ func materialize(m *member, cfg Config) error {
 	}
 	region.SnapPlacement(m.nl)
 	m.res = &engine.Result{
-		Iterations:  st.Iter,
-		Converged:   m.finished,
-		Resumed:     true,
-		FinalLambda: st.Lambda,
-		BestUpper:   st.BestUpper,
-		History:     engine.HistoryStats(st.History),
-		HPWL:        netmodel.HPWL(m.nl),
-		WHPWL:       netmodel.WeightedHPWL(m.nl),
+		Converged: m.finished,
+		HPWL:      netmodel.HPWL(m.nl),
+		WHPWL:     netmodel.WeightedHPWL(m.nl),
 	}
+	m.res.Restore(st)
 	return nil
 }
 

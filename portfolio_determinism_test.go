@@ -17,14 +17,16 @@ type pfTraceRow struct {
 }
 
 // pfRun is everything a portfolio run must reproduce exactly: the winner,
-// the per-member final scores, every member's iteration trajectory and the
-// final cell positions.
+// the per-member final scores, the iteration and CG-iteration totals over
+// all members, every member's iteration trajectory and the final cell
+// positions.
 type pfRun struct {
-	winner    int
-	variant   string
-	scores    []uint64
-	trace     []pfTraceRow
-	positions [][2]uint64
+	winner         int
+	variant        string
+	scores         []uint64
+	iters, cgIters int
+	trace          []pfTraceRow
+	positions      [][2]uint64
 }
 
 // portfolioRun places a fixed design with a portfolio search at the given
@@ -53,6 +55,8 @@ func portfolioRun(t *testing.T, threads int) pfRun {
 	run := pfRun{
 		winner:    res.Portfolio.Winner,
 		variant:   res.Portfolio.WinnerVariant,
+		iters:     res.GlobalIterations,
+		cgIters:   res.CGIterations,
 		positions: snapshotPositions(nl),
 	}
 	for _, s := range res.Portfolio.Scores {
@@ -82,9 +86,10 @@ func portfolioRun(t *testing.T, threads int) pfRun {
 // TestPortfolioDeterminism pins the portfolio search's determinism contract:
 // for a fixed seed, runs at 1, 2 and 8 worker threads produce bitwise
 // identical member trajectories, final member scores, the same winner and
-// bitwise identical final positions. Thread budgets change scheduling only,
-// never results; under -race this also proves the member fan-out, the
-// shared observer and the cull/reseed bookkeeping are data-race free.
+// bitwise identical final positions, and the same iteration and CG
+// iteration totals. Thread budgets change scheduling only, never results;
+// under -race this also proves the member fan-out, the shared observer and
+// the cull/reseed bookkeeping are data-race free.
 func TestPortfolioDeterminism(t *testing.T) {
 	ref := portfolioRun(t, 1)
 	if len(ref.trace) == 0 {
@@ -98,6 +103,10 @@ func TestPortfolioDeterminism(t *testing.T) {
 		if run.winner != ref.winner || run.variant != ref.variant {
 			t.Errorf("threads=%d: winner %d (%s), want %d (%s)",
 				threads, run.winner, run.variant, ref.winner, ref.variant)
+		}
+		if run.iters != ref.iters || run.cgIters != ref.cgIters {
+			t.Errorf("threads=%d: totals %d iterations / %d CG iterations, want %d / %d",
+				threads, run.iters, run.cgIters, ref.iters, ref.cgIters)
 		}
 		if len(run.scores) != len(ref.scores) {
 			t.Fatalf("threads=%d: %d member scores, want %d", threads, len(run.scores), len(ref.scores))
