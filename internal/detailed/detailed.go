@@ -168,7 +168,7 @@ func (e *engine) index() error {
 		if c.Kind != netlist.Std {
 			continue
 		}
-		ri := e.rowAt(c.Y)
+		ri := e.rowAt(c.X, c.X+c.W, c.Y)
 		if ri < 0 {
 			return fmt.Errorf("detailed: cell %q at y=%g is not on a row", c.Name, c.Y)
 		}
@@ -251,13 +251,15 @@ func (e *engine) growRows() {
 	}
 }
 
-// rowAt returns the row a standard cell at y sits on: the last row whose Y
-// equals y exactly, else the nearer neighbour within 1e-6, else -1.
-func (e *engine) rowAt(y float64) int {
+// rowAt returns the row a standard cell spanning [x0, x1] at y sits on:
+// by Y, the last row whose Y equals y exactly, else the nearer neighbour
+// within 1e-6, else -1; of subrows sharing that Y, the one whose x-span
+// holds the cell (netlist.Subrow).
+func (e *engine) rowAt(x0, x1, y float64) int {
 	rows := e.rows
 	k := sort.Search(len(rows), func(a int) bool { return rows[a].Y > y })
 	if k > 0 && rows[k-1].Y == y {
-		return k - 1
+		return netlist.Subrow(rows, k-1, x0, x1, 1e-6)
 	}
 	best, bestD := -1, 1e-6
 	for _, ri := range [2]int{k - 1, k} {
@@ -267,7 +269,10 @@ func (e *engine) rowAt(y float64) int {
 			}
 		}
 	}
-	return best
+	if best < 0 {
+		return -1
+	}
+	return netlist.Subrow(rows, best, x0, x1, 1e-6)
 }
 
 // forEachObstacle calls fn for every (row, rect) pair where a non-standard

@@ -213,3 +213,30 @@ func minInt(a, b int) int {
 	}
 	return b
 }
+
+// TestRowAtSubrows: rows sharing a Y are subrows, and a cell belongs to the
+// one whose x-span holds it, whichever is listed last. A cell no subrow
+// holds keeps the Y-only rule (the last subrow listed).
+func TestRowAtSubrows(t *testing.T) {
+	e := &engine{rows: []netlist.Row{
+		{Y: 0, Height: 1, XMin: 50.5, XMax: 100, SiteWidth: 1},
+		{Y: 0, Height: 1, XMin: 0, XMax: 50, SiteWidth: 1},
+		{Y: 1, Height: 1, XMin: 0, XMax: 100, SiteWidth: 1},
+	}}
+	for _, tc := range []struct {
+		x0, x1, y float64
+		want      int
+	}{
+		{10, 12, 0, 1},
+		{60.5, 62.5, 0, 0},
+		{60.5, 62.5, 1e-7, 0},
+		{48, 50, 0, 1},
+		{49, 52, 0, 1}, // straddles the gap: no subrow holds it
+		{60.5, 62.5, 1, 2},
+		{10, 12, 0.5, -1},
+	} {
+		if got := e.rowAt(tc.x0, tc.x1, tc.y); got != tc.want {
+			t.Errorf("rowAt(%g, %g, %g) = %d, want %d", tc.x0, tc.x1, tc.y, got, tc.want)
+		}
+	}
+}

@@ -21,8 +21,9 @@ import (
 // snapping. The grid follows a coarse-to-fine schedule (1/8 of the finest
 // resolution, doubling every six iterations) unless pinned to the finest
 // grid. A SpreadProjector holds per-run state (the shredder and the
-// routing-capacity calibration) and must not be shared between concurrent
-// runs; build one per run with NewSpreadProjector.
+// routing-capacity calibration, the grid and the spreader's scratch) and
+// must not be shared between concurrent runs; build one per run with
+// NewSpreadProjector and set its fields before the first Project.
 type SpreadProjector struct {
 	// TargetDensity is the utilization limit γ in (0, 1].
 	TargetDensity float64
@@ -44,6 +45,11 @@ type SpreadProjector struct {
 	nl       *netlist.Netlist
 	shredder *shred.Shredder
 	finestNX int
+	// grid is the projection grid of the last iteration and proj the
+	// projector over it; both are kept until the schedule changes nx, so
+	// the projector's scratch lives for the whole run.
+	grid *density.Grid
+	proj *spread.Projector
 }
 
 // NewSpreadProjector builds the projector for nl: movable macros are
@@ -94,18 +100,26 @@ func (p *SpreadProjector) RestoreState(state []float64) error {
 func (p *SpreadProjector) Project(ctx context.Context, iter int) (*Projection, error) {
 	nl := p.nl
 	nx := gridDim(iter, p.finestNX, p.FinestGrid)
-	grid, err := density.NewGridForNetlist(nl, nx, nx, p.TargetDensity)
-	if err != nil {
-		return nil, err
+	if p.grid == nil || p.grid.NX != nx {
+		grid, err := density.NewGridForNetlist(nl, nx, nx, p.TargetDensity)
+		if err != nil {
+			return nil, err
+		}
+		p.grid = grid
+		if p.proj == nil {
+			p.proj = spread.NewProjector(grid, spread.Options{OptimalLeaf: p.OptimalLeaf, Obs: p.Obs})
+		} else {
+			p.proj.Rebind(grid)
+		}
 	}
-	proj := spread.NewProjector(grid, spread.Options{OptimalLeaf: p.OptimalLeaf, Obs: p.Obs})
+	grid := p.grid
 	items := p.shredder.Items()
 	if p.Routability {
 		if err := p.inflateItems(items, nx); err != nil {
 			return nil, err
 		}
 	}
-	pts, err := proj.ProjectCtx(ctx, items)
+	pts, err := p.proj.ProjectCtx(ctx, items)
 	if err != nil {
 		return nil, err
 	}

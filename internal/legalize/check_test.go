@@ -23,10 +23,17 @@ func bruteCheck(nl *netlist.Netlist, tol float64) []string {
 			continue
 		}
 		if c.Kind == netlist.Std {
+			// The last row within tol of y that holds the cell's x-span,
+			// else the last row within tol of y.
 			var row *netlist.Row
+			held := false
 			for k := range nl.Rows {
-				if math.Abs(c.Y-nl.Rows[k].Y) <= tol {
-					row = &nl.Rows[k]
+				r := &nl.Rows[k]
+				if math.Abs(c.Y-r.Y) > tol {
+					continue
+				}
+				if h := r.XMin-tol <= c.X && c.X+c.W <= r.XMax+tol; h || !held {
+					row, held = r, h
 				}
 			}
 			if row == nil {
@@ -176,6 +183,33 @@ func TestCheckMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCheckSubrows: a row split in two at one Y (Bookshelf subrows, here
+// with different site origins) judges each cell against the subrow that
+// holds it, not against the last one listed.
+func TestCheckSubrows(t *testing.T) {
+	b := netlist.NewBuilder("subrows")
+	b.SetCore(geom.Rect{XMax: 100, YMax: 2})
+	right := b.AddCell("right", 2, 1)
+	left := b.AddCell("left", 2, 1)
+	b.AddRow(netlist.Row{Y: 0, Height: 1, XMin: 50.5, XMax: 100, SiteWidth: 1})
+	b.AddRow(netlist.Row{Y: 0, Height: 1, XMin: 0, XMax: 50, SiteWidth: 1})
+	b.AddRow(netlist.Row{Y: 1, Height: 1, XMin: 0, XMax: 100, SiteWidth: 1})
+	nl, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl.Cells[right].X, nl.Cells[right].Y = 60.5, 0
+	nl.Cells[left].X, nl.Cells[left].Y = 10, 0
+	if v := Check(nl, 1e-6); len(v) != 0 {
+		t.Fatalf("legal subrow placement reported %v", v)
+	}
+	// Off the right subrow's site grid, though on the left one's.
+	nl.Cells[right].X = 61
+	if v := Check(nl, 1e-6); len(v) != 1 || v[0].Kind != "site" || v[0].Cell != "right" {
+		t.Fatalf("off-site cell in the right subrow: got %v, want one site violation", v)
 	}
 }
 

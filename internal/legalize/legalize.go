@@ -406,7 +406,7 @@ func CheckCount(nl *netlist.Netlist, tol float64) ([]Violation, int) {
 			continue
 		}
 		if c.Kind == netlist.Std {
-			if r, ok := rowNear(rows, c.Y, tol); ok {
+			if r, ok := rowNear(rows, c.X, c.X+c.W, c.Y, tol); ok {
 				site := r.SiteWidth
 				if site <= 0 {
 					site = 1
@@ -437,8 +437,10 @@ func CheckCount(nl *netlist.Netlist, tol float64) ([]Violation, int) {
 }
 
 // rowNear returns the row of the Y-sorted rows nearest y, if one lies
-// within tol. Of rows sharing a Y the last listed wins.
-func rowNear(rows []netlist.Row, y, tol float64) (netlist.Row, bool) {
+// within tol, for a cell spanning [x0, x1]. Of subrows sharing that Y, the
+// one whose x-span holds the cell wins (netlist.Subrow), else the last
+// listed.
+func rowNear(rows []netlist.Row, x0, x1, y, tol float64) (netlist.Row, bool) {
 	k := sort.Search(len(rows), func(a int) bool { return rows[a].Y > y })
 	best, bestD := -1, math.Inf(1)
 	if k > 0 {
@@ -454,7 +456,7 @@ func rowNear(rows []netlist.Row, y, tol float64) (netlist.Row, bool) {
 	if best < 0 || bestD > tol {
 		return netlist.Row{}, false
 	}
-	return rows[best], true
+	return rows[netlist.Subrow(rows, best, x0, x1, tol)], true
 }
 
 // bandRect is a cell's rect tagged for the banded overlap sweep.

@@ -107,6 +107,27 @@ type Row struct {
 	SiteWidth float64
 }
 
+// Subrow picks a cell's row among subrows: rows that share a Y, as
+// Bookshelf splits a row around blockages. rows is sorted by Y and ri
+// indexes the row chosen by Y alone. Of the rows sharing rows[ri].Y, Subrow
+// returns the last whose x-span holds [x0, x1] within tol, or ri when none
+// does.
+func Subrow(rows []Row, ri int, x0, x1, tol float64) int {
+	lo, hi := ri, ri+1
+	for lo > 0 && rows[lo-1].Y == rows[ri].Y {
+		lo--
+	}
+	for hi < len(rows) && rows[hi].Y == rows[ri].Y {
+		hi++
+	}
+	for k := hi - 1; k >= lo; k-- {
+		if rows[k].XMin-tol <= x0 && x1 <= rows[k].XMax+tol {
+			return k
+		}
+	}
+	return ri
+}
+
 // Region is a named rectangular placement constraint: every cell whose
 // Region field names it must be placed inside Rect.
 type Region struct {

@@ -130,6 +130,7 @@ type Assembler struct {
 	mx, my           *sparse.CSR
 	bsX, bsY         sparse.BuildScratch
 	shardsX, shardsY []*sparse.Builder // scratch: shX/shY + extra
+	buildPair        *par.Pair         // runs buildDim for x and y
 }
 
 // MinEps is the hard floor for the linearization denominator ε. Callers may
@@ -339,6 +340,7 @@ func (a *Assembler) ensureAssemblyState() {
 	if nc < 1 {
 		nc = 1
 	}
+	a.buildPair = par.NewPair(a.buildDim)
 	a.chunk = append(a.chunk, 0)
 	if nc > 1 {
 		acc, next := 0, 1
@@ -432,15 +434,18 @@ func (a *Assembler) AssembleInto(extra func(bx, by *sparse.Builder, fx, fy []flo
 
 	// The two dimensions build concurrently; each build is itself parallel
 	// over row chunks.
-	par.RunIn(lim, 2, func(d int) {
-		if d == 0 {
-			a.mx = sparse.BuildMergedInto(a.mx, &a.bsX, n, a.shardsX...)
-		} else {
-			a.my = sparse.BuildMergedInto(a.my, &a.bsY, n, a.shardsY...)
-		}
-	})
+	a.buildPair.Run(lim)
 	return System{A: a.mx, B: fx, NumMovable: a.nMov},
 		System{A: a.my, B: fy, NumMovable: a.nMov}
+}
+
+// buildDim builds dimension d's system (0: x, 1: y) from its shards.
+func (a *Assembler) buildDim(d int) {
+	if d == 0 {
+		a.mx = sparse.BuildMergedInto(a.mx, &a.bsX, a.NumVars(), a.shardsX...)
+	} else {
+		a.my = sparse.BuildMergedInto(a.my, &a.bsY, a.NumVars(), a.shardsY...)
+	}
 }
 
 func (a *Assembler) stampB2B(b *sparse.Builder, rhs *rhsAcc, ni int, d dim) {

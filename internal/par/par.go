@@ -1,6 +1,7 @@
 // Package par provides the shared worker pool that parallelizes the primal
-// hot path: sparse matrix-vector products, vector reductions, system
-// assembly, HPWL evaluation and density binning.
+// hot path — sparse matrix-vector products, vector reductions, system
+// assembly, HPWL evaluation and density binning — and the dual step's
+// feasibility projection, whose region recursion forks two ways (Pair).
 //
 // # Determinism contract
 //
@@ -132,13 +133,7 @@ func RunIn(lim *Limit, nchunks int, fn func(chunk int)) {
 	if nchunks <= 0 {
 		return
 	}
-	ensureInit()
-	t := int(threads.Load())
-	if lim != nil {
-		if b := lim.Budget(); b > 0 && b < t {
-			t = b
-		}
-	}
+	t := width(lim)
 	if t <= 1 || nchunks == 1 {
 		for c := 0; c < nchunks; c++ {
 			fn(c)
@@ -198,6 +193,88 @@ func RunIn(lim *Limit, nchunks int, fn func(chunk int)) {
 	}
 	drain()
 	wg.Wait()
+}
+
+// width returns how many goroutines one launch under lim may use: the
+// global cap, lowered to lim's budget when that is smaller.
+func width(lim *Limit) int {
+	ensureInit()
+	t := int(threads.Load())
+	if lim != nil {
+		if b := lim.Budget(); b > 0 && b < t {
+			t = b
+		}
+	}
+	return t
+}
+
+// Pair is a reusable two-chunk launch. Run does what RunIn(lim, 2, fn)
+// does — fn(0) and fn(1) on the caller and at most one pool helper, drawn
+// from lim's budget exactly as RunIn draws it — but fn is bound once by
+// NewPair, so no launch after the first allocates. A Pair serves one launch
+// at a time: nested or concurrent two-way forks each need their own.
+type Pair struct {
+	fn   func(chunk int)
+	lim  *Limit
+	next atomic.Int32
+	wg   sync.WaitGroup
+	// help and drainFn are p.helper and p.drain, bound once so a launch
+	// hands the pool a func value without allocating one.
+	help    func(workerID uint64)
+	drainFn func()
+}
+
+// NewPair returns a Pair whose launches call fn.
+func NewPair(fn func(chunk int)) *Pair {
+	p := &Pair{fn: fn}
+	p.help, p.drainFn = p.helper, p.drain
+	return p
+}
+
+// Run calls fn(0) and fn(1), concurrently when the budget allows and a
+// pool worker is free, and returns when both have completed. lim has
+// RunIn's meaning.
+func (p *Pair) Run(lim *Limit) {
+	if width(lim) <= 1 {
+		p.fn(0)
+		p.fn(1)
+		return
+	}
+	p.next.Store(0)
+	if lim == nil || lim.tryAcquireHelper() {
+		p.lim = lim
+		p.wg.Add(1)
+		select {
+		case work <- p.help:
+		default:
+			if lim != nil {
+				lim.releaseHelper()
+			}
+			p.wg.Done()
+		}
+	}
+	p.drain()
+	p.wg.Wait()
+}
+
+func (p *Pair) helper(workerID uint64) {
+	defer p.wg.Done()
+	if lim := p.lim; lim != nil {
+		defer lim.releaseHelper()
+		withID(workerID, lim, p.drainFn)
+		return
+	}
+	p.drain()
+}
+
+func (p *Pair) drain() {
+	for {
+		c := int(p.next.Add(1) - 1)
+		if c >= 2 {
+			return
+		}
+		p.fn(c)
+	}
 }
 
 // For splits the index range [0, n) into contiguous chunks of length grain

@@ -12,6 +12,7 @@
 package qp
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -101,11 +102,12 @@ type Metrics struct {
 	// Assembly is time spent building the two linear systems (net model
 	// stamping, anchor terms, CSR construction).
 	Assembly time.Duration
-	// CG is time spent in the preconditioned CG solves (both dimensions,
-	// measured as the wall-clock of the concurrent pair).
+	// CG is time spent in the preconditioned CG solves: the wall-clock of
+	// the concurrent x/y pair less PrecondSetup.
 	CG time.Duration
-	// PrecondSetup is time spent building the two preconditioners (outside
-	// the CG wall-clock above).
+	// PrecondSetup is time spent building the preconditioners. Each axis
+	// builds its own inside its solve task, so this is the longer of the
+	// two setups.
 	PrecondSetup time.Duration
 	// Solves counts Solve invocations; CGIters the total CG inner
 	// iterations across both dimensions of every solve.
@@ -175,11 +177,12 @@ func (s *Solver) Precond() string {
 	return kind
 }
 
-// preparePreconds resolves the preconditioner kind on first use and runs a
-// full Setup of both per-dimension instances on the current systems, so
-// each solve's preconditioner is a pure function of its own system (the
-// checkpoint/resume bitwise contract depends on this).
-func (s *Solver) preparePreconds(ax, ay *sparse.CSR) error {
+// preparePreconds resolves the preconditioner kind and constructs both
+// per-dimension instances on first use. Each solve task then runs a full
+// Setup of its instance on its own system, so each solve's preconditioner
+// is a pure function of that system (the checkpoint/resume bitwise
+// contract depends on this).
+func (s *Solver) preparePreconds() error {
 	if s.px == nil {
 		kind, err := ResolvePrecond(s.opt.Precond, s.asm.NumVars())
 		if err != nil {
@@ -192,10 +195,28 @@ func (s *Solver) preparePreconds(ax, ay *sparse.CSR) error {
 		py, _ := sparse.NewPreconditioner(kind)
 		s.kind, s.px, s.py = kind, px, py
 	}
-	if err := s.px.Setup(ax); err != nil {
-		return err
+	return nil
+}
+
+// axisSolve is one dimension's share of a solve: a full preconditioner
+// Setup on its system, then PCG from the warm start in v, which the solve
+// overwrites.
+type axisSolve struct {
+	setup    time.Duration
+	setupErr error
+	res      sparse.CGResult
+	err      error
+}
+
+func (a *axisSolve) run(ctx context.Context, sys netmodel.System, v []float64, pc sparse.Preconditioner, opt sparse.CGOptions, ws *sparse.CGWorkspace) {
+	t := time.Now()
+	a.setupErr = pc.Setup(sys.A)
+	a.setup = time.Since(t)
+	if a.setupErr != nil {
+		return
 	}
-	return s.py.Setup(ay)
+	opt.Precond = pc
+	a.res, a.err = sparse.SolvePCGCtx(ctx, sys.A, v, sys.B, opt, ws)
 }
 
 // warmStart fills the CG initial guesses: the extrapolation
@@ -390,14 +411,9 @@ func (s *Solver) SolveCtx(ctx context.Context, anchors *Anchors) (Result, error)
 	asmSpan.End()
 	opt.Obs.AddSeconds(obs.MetricAssemblySeconds, asmDur)
 
-	// Preconditioners: a full Setup on this solve's systems.
-	tPre := time.Now()
-	if err := s.preparePreconds(sx.A, sy.A); err != nil {
+	if err := s.preparePreconds(); err != nil {
 		return Result{}, fmt.Errorf("qp: preconditioner: %w", err)
 	}
-	preDur := time.Since(tPre)
-	s.Metrics.PrecondSetup += preDur
-	opt.Obs.AddSeconds(obs.MetricPrecondSeconds, preDur)
 
 	// Warm-start: extrapolate the previous two solutions, else start at the
 	// current placement.
@@ -409,8 +425,9 @@ func (s *Solver) SolveCtx(ctx context.Context, anchors *Anchors) (Result, error)
 	xs, ys := s.xs[:n], s.ys[:n]
 	s.warmStart(xs, ys, mov)
 
-	// The two dimensions are separable (paper §3): solve them concurrently.
-	// Each solve issues parallel kernels against the shared worker pool.
+	// The two dimensions are separable (paper §3): set up and solve them
+	// concurrently. Each solve issues parallel kernels against the shared
+	// worker pool.
 	tCG := time.Now()
 	cgSpan := opt.Obs.StartSpan("cg")
 	cgOpt := opt.CG
@@ -419,8 +436,7 @@ func (s *Solver) SolveCtx(ctx context.Context, anchors *Anchors) (Result, error)
 		// the concurrent x/y solves is safe.
 		cgOpt.Progress = cb
 	}
-	var res Result
-	var errX, errY error
+	var ax, ay axisSolve
 	var wg sync.WaitGroup
 	wg.Add(1)
 	// Per-job thread budgets bind to goroutines, so the y-solve goroutine
@@ -428,24 +444,30 @@ func (s *Solver) SolveCtx(ctx context.Context, anchors *Anchors) (Result, error)
 	lim := par.Current()
 	go func() {
 		defer wg.Done()
-		par.With(lim, func() {
-			cgOptY := cgOpt
-			cgOptY.Precond = s.py
-			res.Y, errY = sparse.SolvePCGCtx(ctx, sy.A, ys, sy.B, cgOptY, &s.cgY)
-		})
+		par.With(lim, func() { ay.run(ctx, sy, ys, s.py, cgOpt, &s.cgY) })
 	}()
-	cgOptX := cgOpt
-	cgOptX.Precond = s.px
-	res.X, errX = sparse.SolvePCGCtx(ctx, sx.A, xs, sx.B, cgOptX, &s.cgX)
+	ax.run(ctx, sx, xs, s.px, cgOpt, &s.cgX)
 	wg.Wait()
-	cgDur := time.Since(tCG)
+	// Setup is attributed as the longer of the two axes' setups and CG as
+	// the rest of the pair's wall-clock, so the two still add up to it.
+	forkDur := time.Since(tCG)
+	preDur := max(ax.setup, ay.setup)
+	cgDur := forkDur - preDur
+	s.Metrics.PrecondSetup += preDur
 	s.Metrics.CG += cgDur
+	opt.Obs.AddSeconds(obs.MetricPrecondSeconds, preDur)
+	opt.Obs.AddSeconds(obs.MetricCGSeconds, cgDur)
+	if err := cmp.Or(ax.setupErr, ay.setupErr); err != nil {
+		cgSpan.End()
+		return Result{}, fmt.Errorf("qp: preconditioner: %w", err)
+	}
+	res := Result{X: ax.res, Y: ay.res}
+	errX, errY := ax.err, ay.err
 	s.Metrics.Solves++
 	s.Metrics.CGIters += res.X.Iterations + res.Y.Iterations
 	if o := opt.Obs; o != nil {
 		o.RecordCG(res.X.Iterations, res.X.Residual, res.X.Converged)
 		o.RecordCG(res.Y.Iterations, res.Y.Residual, res.Y.Converged)
-		o.AddSeconds(obs.MetricCGSeconds, cgDur)
 		cgSpan.SetAttr("iters_x", float64(res.X.Iterations))
 		cgSpan.SetAttr("iters_y", float64(res.Y.Iterations))
 	}

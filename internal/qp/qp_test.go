@@ -1,16 +1,21 @@
 package qp
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"complx/internal/gen"
 	"complx/internal/geom"
 	"complx/internal/netlist"
 	"complx/internal/netmodel"
+	"complx/internal/sparse"
 )
 
 func chainDesign(t *testing.T) *netlist.Netlist {
@@ -307,6 +312,68 @@ func TestSolveConcurrentStreams(t *testing.T) {
 			if got[s][k] != refs[s][k] {
 				t.Fatalf("stream %d movable %d: concurrent %v != serial %v", s, k, got[s][k], refs[s][k])
 			}
+		}
+	}
+}
+
+// TestPrecondSetupFailsPerAxis: each axis sets up its own IC(0) factor
+// inside its solve task. A setup that breaks down on one axis only — an
+// anchor weight λ/ε that overflows to +Inf on that axis's diagonal — must
+// fail the solve with the preconditioner error, leave the cells where they
+// were and keep the warm-start history.
+func TestPrecondSetupFailsPerAxis(t *testing.T) {
+	for _, axis := range []string{"x", "y"} {
+		nl := chainDesign(t)
+		s := NewSolver(nl, Options{Eps: MinPseudoDenom, Precond: "ic0"})
+		for i := 0; i < 3; i++ {
+			if _, err := s.Solve(nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := nl.Positions()
+		hist := s.histCount
+		anchors := &Anchors{Pos: slices.Clone(before), Lambda: make([]float64, len(before))}
+		// The anchor sits on its cell along the failing axis and far off
+		// it along the other, where the weight stays finite.
+		if axis == "x" {
+			anchors.Pos[1].Y += 40
+		} else {
+			anchors.Pos[1].X += 40
+		}
+		anchors.Lambda[1] = 1e300
+		_, err := s.Solve(anchors)
+		if !errors.Is(err, sparse.ErrNotFinite) || !strings.HasPrefix(err.Error(), "qp: preconditioner: ") {
+			t.Fatalf("%s: err = %v, want a qp: preconditioner error wrapping ErrNotFinite", axis, err)
+		}
+		if got := nl.Positions(); !slices.Equal(got, before) {
+			t.Errorf("%s: failed solve moved cells: %v -> %v", axis, before, got)
+		}
+		if s.histCount != hist {
+			t.Errorf("%s: failed setup reset the warm-start history (%d -> %d)", axis, hist, s.histCount)
+		}
+	}
+}
+
+// TestSolveTimingWithinWall: setup is timed inside the concurrent axis
+// tasks, so the per-solve Assembly, PrecondSetup and CG increments together
+// must never exceed the solve's own wall-clock.
+func TestSolveTimingWithinWall(t *testing.T) {
+	nl, err := gen.Generate(gen.Spec{Name: "timing", NumCells: 2000, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSolver(nl, Options{Precond: "ic0"})
+	for i := 0; i < 5; i++ {
+		m0 := s.Metrics
+		t0 := time.Now()
+		if _, err := s.Solve(nil); err != nil {
+			t.Fatal(err)
+		}
+		wall := time.Since(t0)
+		asm := s.Metrics.Assembly - m0.Assembly
+		pre, cg := s.Metrics.PrecondSetup-m0.PrecondSetup, s.Metrics.CG-m0.CG
+		if pre <= 0 || cg < 0 || asm+pre+cg > wall {
+			t.Fatalf("solve %d: assembly %v + setup %v + CG %v against a wall-clock of %v", i, asm, pre, cg, wall)
 		}
 	}
 }

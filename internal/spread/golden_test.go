@@ -140,7 +140,7 @@ func TestSortAlongMatchesSortSlice(t *testing.T) {
 		}
 		want := slices.Clone(sel)
 		sort.Slice(want, func(a, b int) bool { return p.axis(want[a], horiz) < p.axis(want[b], horiz) })
-		p.sortAlong(sel, horiz)
+		p.sortAlong(sel, horiz, &p.lanes[0])
 		if !slices.Equal(sel, want) {
 			t.Fatalf("trial %d: sortAlong order differs from sort.Slice", trial)
 		}

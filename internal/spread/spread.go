@@ -23,6 +23,7 @@ import (
 	"complx/internal/density"
 	"complx/internal/geom"
 	"complx/internal/obs"
+	"complx/internal/par"
 )
 
 // Item is one movable object seen by the projection: a standard cell, a
@@ -65,12 +66,21 @@ func (o *Options) fill() {
 	}
 }
 
+// forkDepth is how many top levels of the region recursion fork their two
+// children, and forkMinItems the smallest selection that forks: below it a
+// launch costs more than the half it hands off.
+const (
+	forkDepth    = 3
+	forkMinItems = 1024
+)
+
 // Projector computes feasibility projections against a density grid. The
 // grid provides per-bin capacities (already excluding fixed obstacles and
 // scaled by the target density).
 type Projector struct {
 	g   *density.Grid
 	opt Options
+	lim *par.Limit // the caller's thread budget, resolved once per ProjectCtx
 
 	// scratch, sized to the grid
 	usage    []float64
@@ -85,8 +95,35 @@ type Projector struct {
 	clusters []clusterInfo
 	queue    []int
 	sel      []int
-	keyed    []keyedItem
-	prefix   []float64
+	// Region recursion: lanes[l] is the sort and prefix scratch of the
+	// subtrees that run in lane l, and forks[(1<<d)-1+l] the fork site of a
+	// depth-d region in lane l. A fork's left child keeps its parent's lane
+	// and its right child takes lane l+1<<d, so subtrees that may run at
+	// once never share scratch or a fork site.
+	lanes [1 << forkDepth]lane
+	forks [1<<forkDepth - 1]*fork
+}
+
+// lane is the region-recursion scratch of one concurrently running subtree.
+type lane struct {
+	keyed  []keyedItem
+	prefix []float64
+}
+
+// fork is one fork site of the region recursion: the arguments of the two
+// children and the launch that runs them.
+type fork struct {
+	p     *Projector
+	pair  *par.Pair
+	items []Item
+	r     [2]binRegion
+	sel   [2][]int
+	lane  [2]int
+	depth int
+}
+
+func (f *fork) child(c int) {
+	f.p.spreadRegion(f.items, f.r[c], f.sel[c], f.depth, f.lane[c])
 }
 
 // clusterInfo is one connected cluster of overfilled bins.
@@ -121,14 +158,28 @@ func cmpKey(a, b keyedItem) int {
 // NewProjector returns a projector over the given grid.
 func NewProjector(g *density.Grid, opt Options) *Projector {
 	opt.fill()
-	n := g.NX * g.NY
-	return &Projector{
-		g:        g,
-		opt:      opt,
-		usage:    make([]float64, n),
-		cluster:  make([]int32, n),
-		binStart: make([]int32, n+1),
+	p := &Projector{opt: opt}
+	for i := range p.forks {
+		f := &fork{p: p}
+		f.pair = par.NewPair(f.child)
+		p.forks[i] = f
 	}
+	p.Rebind(g)
+	return p
+}
+
+// Rebind points the projector at another grid, keeping its item-sized
+// scratch; grid-sized scratch is regrown only when the bin count grows.
+// The projection against g is the one a new projector would compute.
+func (p *Projector) Rebind(g *density.Grid) {
+	p.g = g
+	n := g.NX * g.NY
+	if cap(p.usage) < n {
+		p.usage = make([]float64, n)
+		p.cluster = make([]int32, n)
+		p.binStart = make([]int32, n+1)
+	}
+	p.usage, p.cluster, p.binStart = p.usage[:n], p.cluster[:n], p.binStart[:n+1]
 }
 
 // Project returns the projected center positions for items. The input slice
@@ -156,6 +207,7 @@ func (p *Projector) ProjectCtx(ctx context.Context, items []Item) ([]geom.Point,
 		p.binItems = make([]int32, len(items))
 	}
 	p.pos = out
+	p.lim = par.Current()
 	var err error
 	for pass := 0; pass < p.opt.MaxPasses; pass++ {
 		var again bool
@@ -254,7 +306,7 @@ func (p *Projector) sweep(ctx context.Context, items []Item) (bool, error) {
 		if len(sel) == 0 {
 			continue
 		}
-		p.spreadRegion(items, region, sel, 0)
+		p.spreadRegion(items, region, sel, 0, 0)
 		for _, i := range sel {
 			p.claimed[i] = true
 		}
@@ -436,15 +488,22 @@ func (p *Projector) stripGain(r, nr binRegion) float64 {
 
 // spreadRegion recursively partitions the region and its items, scaling
 // item coordinates into the sub-regions so that per-side area matches
-// per-side capacity (the cell-area-median cutline of SimPL).
-func (p *Projector) spreadRegion(items []Item, r binRegion, sel []int, depth int) {
+// per-side capacity (the cell-area-median cutline of SimPL). ln is the
+// region's lane (see Projector.lanes).
+//
+// The two children of a split own disjoint halves of sel, write only their
+// own items' positions and otherwise read only the grid and items, so the
+// top forkDepth levels run them as a two-way fork: the result is the serial
+// one, bit for bit, at any thread count.
+func (p *Projector) spreadRegion(items []Item, r binRegion, sel []int, depth, ln int) {
 	if len(sel) == 0 {
 		return
 	}
+	sc := &p.lanes[ln]
 	wide := r.x1 - r.x0
 	tall := r.y1 - r.y0
 	if len(sel) <= p.opt.MinItems || (wide <= 1 && tall <= 1) || depth > 64 {
-		p.distribute(items, r, sel)
+		p.distribute(items, r, sel, sc)
 		return
 	}
 	// Split along the physically longer side that still has >1 bin.
@@ -456,12 +515,12 @@ func (p *Projector) spreadRegion(items []Item, r binRegion, sel []int, depth int
 		horiz = true
 	}
 
-	p.sortAlong(sel, horiz)
+	p.sortAlong(sel, horiz, sc)
 	var total float64
 	// prefix is free for reuse once the cut is chosen: the recursion below
 	// only starts after its last read.
-	p.prefix = growF64(p.prefix, len(sel)+1)
-	prefix := p.prefix
+	sc.prefix = growF64(sc.prefix, len(sel)+1)
+	prefix := sc.prefix
 	prefix[0] = 0
 	for k, i := range sel {
 		total += items[i].Area()
@@ -469,7 +528,7 @@ func (p *Projector) spreadRegion(items []Item, r binRegion, sel []int, depth int
 	}
 	capTot := p.regionCapacity(r)
 	if total == 0 || capTot == 0 {
-		p.distribute(items, r, sel)
+		p.distribute(items, r, sel, sc)
 		return
 	}
 
@@ -510,7 +569,7 @@ func (p *Projector) spreadRegion(items []Item, r binRegion, sel []int, depth int
 		}
 	}
 	if bestCut < 0 {
-		p.distribute(items, r, sel)
+		p.distribute(items, r, sel, sc)
 		return
 	}
 
@@ -525,8 +584,15 @@ func (p *Projector) spreadRegion(items []Item, r binRegion, sel []int, depth int
 	k := bestSplit
 	p.scaleInto(items, sel[:k], horiz, r, left)
 	p.scaleInto(items, sel[k:], horiz, r, right)
-	p.spreadRegion(items, left, sel[:k], depth+1)
-	p.spreadRegion(items, right, sel[k:], depth+1)
+	if depth < forkDepth && len(sel) >= forkMinItems {
+		f := p.forks[1<<depth-1+ln]
+		f.items, f.r, f.sel = items, [2]binRegion{left, right}, [2][]int{sel[:k], sel[k:]}
+		f.lane, f.depth = [2]int{ln, ln + 1<<depth}, depth+1
+		f.pair.Run(p.lim)
+		return
+	}
+	p.spreadRegion(items, left, sel[:k], depth+1, ln)
+	p.spreadRegion(items, right, sel[k:], depth+1, ln)
 }
 
 // axis returns item i's current coordinate along the split axis (x when
@@ -548,8 +614,8 @@ func (p *Projector) axis(i int, horiz bool) float64 {
 // follows finds none), so skipping it gives the same permutation. This is
 // common, since scaleInto preserves order and a child region often splits
 // along its parent's axis.
-func (p *Projector) sortAlong(sel []int, horiz bool) {
-	keyed := p.keyed[:0]
+func (p *Projector) sortAlong(sel []int, horiz bool, sc *lane) {
+	keyed := sc.keyed[:0]
 	sorted := true
 	for _, i := range sel {
 		k := p.axis(i, horiz)
@@ -558,7 +624,7 @@ func (p *Projector) sortAlong(sel []int, horiz bool) {
 		}
 		keyed = append(keyed, keyedItem{key: k, idx: i})
 	}
-	p.keyed = keyed
+	sc.keyed = keyed
 	if sorted {
 		return
 	}
@@ -625,13 +691,13 @@ func (p *Projector) scaleInto(items []Item, sel []int, horiz bool, src, dst binR
 // distribute evens out a leaf region: items are ordered along the longer
 // side and placed so cumulative area maps linearly onto the interval, while
 // the other coordinate is clamped into the region.
-func (p *Projector) distribute(items []Item, r binRegion, sel []int) {
+func (p *Projector) distribute(items []Item, r binRegion, sel []int, sc *lane) {
 	if len(sel) == 0 {
 		return
 	}
 	rect := p.rect(r)
 	horiz := rect.Width() >= rect.Height()
-	p.sortAlong(sel, horiz)
+	p.sortAlong(sel, horiz, sc)
 	var total float64
 	for _, i := range sel {
 		total += items[i].Area()
@@ -656,7 +722,7 @@ func (p *Projector) distribute(items []Item, r binRegion, sel []int) {
 			if w > span {
 				w = span
 			}
-			desired[k] = p.keyed[k].key - w/2 // lower edge in axis direction
+			desired[k] = sc.keyed[k].key - w/2 // lower edge in axis direction
 			pitch[k] = w
 		}
 		xs := pav1D(desired, pitch, lo, hi)

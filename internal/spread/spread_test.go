@@ -1,6 +1,7 @@
 package spread
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -8,6 +9,7 @@ import (
 
 	"complx/internal/density"
 	"complx/internal/geom"
+	"complx/internal/par"
 )
 
 func grid(nx, ny int, target float64) *density.Grid {
@@ -333,8 +335,11 @@ func BenchmarkProject(b *testing.B) {
 
 // TestProjectAllocs gates the projection's allocations: once a Projector
 // has seen an item set, Project allocates only its result, at any item
-// count. Sweep, region and BFS scratch lives on the Projector.
+// count. Sweep, region, BFS and fork scratch lives on the Projector. Two
+// threads make the region recursion fork, so the gate covers the fork path.
 func TestProjectAllocs(t *testing.T) {
+	par.SetThreads(2)
+	defer par.SetThreads(0)
 	const maxAllocs = 1
 	for _, n := range []int{10000, 20000} {
 		g, items := projectField(t, n)
@@ -342,5 +347,43 @@ func TestProjectAllocs(t *testing.T) {
 		if a := testing.AllocsPerRun(3, func() { p.Project(items) }); a > maxAllocs {
 			t.Errorf("%d items: warm Project made %v allocations, want <= %d", n, a, maxAllocs)
 		}
+	}
+}
+
+// TestProjectBitwiseAcrossThreads: the forked region recursion gives the
+// serial projection's bits at every thread cap and under per-job budgets.
+// The field's largest cluster forks at all forkDepth levels: every lane's
+// scratch has been used.
+func TestProjectBitwiseAcrossThreads(t *testing.T) {
+	defer par.SetThreads(0)
+	g, items := projectField(t, 20000)
+	par.SetThreads(1)
+	want := NewProjector(g, Options{}).Project(items)
+	check := func(name string, got []geom.Point) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i].X) != math.Float64bits(want[i].X) ||
+				math.Float64bits(got[i].Y) != math.Float64bits(want[i].Y) {
+				t.Fatalf("%s: item %d at %v, serial projection put it at %v", name, i, got[i], want[i])
+			}
+		}
+	}
+	for _, threads := range []int{1, 2, 8} {
+		par.SetThreads(threads)
+		p := NewProjector(g, Options{})
+		for r := 0; r < 2; r++ {
+			check(fmt.Sprintf("threads=%d run %d", threads, r), p.Project(items))
+		}
+		for l := range p.lanes {
+			if cap(p.lanes[l].keyed) == 0 {
+				t.Fatalf("threads=%d: lane %d never ran; the field no longer forks to depth %d", threads, l, forkDepth)
+			}
+		}
+	}
+	par.SetThreads(8)
+	for _, budget := range []int{1, 2} {
+		par.With(par.NewLimit(budget), func() {
+			check(fmt.Sprintf("budget=%d", budget), NewProjector(g, Options{}).Project(items))
+		})
 	}
 }
