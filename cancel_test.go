@@ -235,13 +235,13 @@ func TestPlaceContextCancelledBaselines(t *testing.T) {
 			return baseline.SimPLContext(ctx, nl, core.Options{})
 		}},
 		{complx.AlgFastPlaceCS, func(ctx context.Context, nl *complx.Netlist) (*core.Result, error) {
-			return baseline.FastPlaceCSContext(ctx, nl, baseline.FPOptions{})
+			return baseline.FastPlaceCSContext(ctx, nl, core.Options{})
 		}},
 		{complx.AlgNLP, func(ctx context.Context, nl *complx.Netlist) (*core.Result, error) {
-			return baseline.NLPContext(ctx, nl, baseline.NLPOptions{})
+			return baseline.NLPContext(ctx, nl, core.Options{})
 		}},
 		{complx.AlgRQL, func(ctx context.Context, nl *complx.Netlist) (*core.Result, error) {
-			return baseline.RQLContext(ctx, nl, baseline.RQLOptions{})
+			return baseline.RQLContext(ctx, nl, core.Options{})
 		}},
 	} {
 		alg := tc.alg

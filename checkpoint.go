@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"complx/internal/chkpt"
-	"complx/internal/perr"
 	"complx/internal/resilience"
 )
 
@@ -97,15 +96,7 @@ func checkpointFingerprint(nl *Netlist, opt Options) [32]byte {
 func setupCheckpoint(nl *Netlist, opt Options) (*chkpt.Manager, *chkpt.State, *chkpt.PortfolioState, error) {
 	co := opt.Checkpoint
 	if co.Dir == "" {
-		if co.Resume {
-			return nil, nil, nil, perr.New(perr.StageCheckpoint,
-				"complx: Checkpoint.Resume requires Checkpoint.Dir")
-		}
 		return nil, nil, nil, nil
-	}
-	if opt.Clustered && (opt.Algorithm == AlgComPLx || opt.Algorithm == AlgSimPL) {
-		return nil, nil, nil, perr.New(perr.StageCheckpoint,
-			"complx: checkpointing is not supported with Clustered multilevel placement")
 	}
 	m := &chkpt.Manager{
 		Dir:         co.Dir,

@@ -315,6 +315,41 @@ func TestPlaceMultilevelRejections(t *testing.T) {
 		}
 	})
 
+	// The rest of Options.Validate's rules, each at the stage it has always
+	// reported.
+	for _, tc := range []struct {
+		name  string
+		edit  func(*Options)
+		stage string
+	}{
+		{"portfolio-multilevel", func(o *Options) {
+			o.Portfolio = PortfolioOptions{Enabled: true}
+			o.Multilevel = MultilevelOptions{Enabled: true}
+		}, perr.StageOptions},
+		{"portfolio-baseline", func(o *Options) {
+			o.Algorithm = AlgNLP
+			o.Portfolio = PortfolioOptions{Enabled: true}
+		}, perr.StageOptions},
+		{"portfolio-knob", func(o *Options) {
+			o.Portfolio = PortfolioOptions{Enabled: true, Members: 1}
+		}, perr.StageOptions},
+		{"clustered-checkpoint", func(o *Options) {
+			o.Clustered = true
+			o.Checkpoint = CheckpointOptions{Dir: t.TempDir()}
+		}, perr.StageCheckpoint},
+		{"bogus-precond", func(o *Options) { o.Precond = "bogus" }, perr.StageValidate},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := base
+			tc.edit(&opt)
+			_, err := Place(genCheckpointNetlist(t), opt)
+			var pe *PlaceError
+			if !errors.As(err, &pe) || pe.Stage != tc.stage {
+				t.Fatalf("want %s-stage error, got %v", tc.stage, err)
+			}
+		})
+	}
+
 	t.Run("checkpoint-fingerprint-covers-multilevel", func(t *testing.T) {
 		dir := t.TempDir()
 		nl := genCheckpointNetlist(t)

@@ -48,7 +48,7 @@ func main() {
 		aux       = flag.String("aux", "", "Bookshelf .aux file to place")
 		bench     = flag.String("bench", "", "named synthetic benchmark (e.g. adaptec1, newblue7)")
 		scale     = flag.Float64("scale", 1.0, "cell-count scale factor for -bench")
-		algo      = flag.String("algo", "complx", "placer: complx, simpl, fastplace-cs, nlp")
+		algo      = flag.String("algo", "complx", "placer: complx, simpl, fastplace-cs, nlp, rql")
 		precond   = flag.String("precond", "auto", "CG preconditioner: auto, jacobi, ssor, ic0")
 		target    = flag.Float64("target", 0, "target density gamma in (0,1]; 0 uses the benchmark default")
 		finest    = flag.Bool("finest", false, "use the finest projection grid on all iterations")

@@ -46,14 +46,15 @@ func FuzzJobSpec(f *testing.F) {
 		if s.DeadlineSeconds < 0 {
 			t.Fatalf("Validate accepted a negative deadline: %+v", s)
 		}
-		if s.Portfolio {
-			po := s.portfolioOptions()
-			if err := po.Validate(); err != nil {
-				t.Fatalf("Validate accepted a portfolio spec the facade rejects: %v (%+v)", err, s)
-			}
-			if s.Multilevel {
-				t.Fatalf("Validate accepted portfolio+multilevel: %+v", s)
-			}
+		opt, err := s.options()
+		if err != nil {
+			t.Fatalf("Validate accepted a spec with no options: %v (%+v)", err, s)
+		}
+		if err := opt.Validate(); err != nil {
+			t.Fatalf("Validate accepted a spec the facade rejects: %v (%+v)", err, s)
+		}
+		if s.Portfolio && s.Multilevel {
+			t.Fatalf("Validate accepted portfolio+multilevel: %+v", s)
 		}
 	})
 }
@@ -106,7 +107,7 @@ func TestJobSpecPortfolioValidation(t *testing.T) {
 		})
 	}
 
-	// Structural conflicts are rejected too (plain errors, pre-facade).
+	// Structural conflicts are rejected by the same facade validator.
 	conflicts := []string{
 		`{"bench":"adaptec1","portfolio":true,"multilevel":true}`,
 		`{"bench":"adaptec1","algorithm":"nlp","portfolio":true}`,
@@ -116,8 +117,10 @@ func TestJobSpecPortfolioValidation(t *testing.T) {
 		if err := json.Unmarshal([]byte(in), &s); err != nil {
 			t.Fatalf("decode %s: %v", in, err)
 		}
-		if err := s.Validate(); err == nil {
-			t.Errorf("conflicting spec %s accepted", in)
+		err := s.Validate()
+		var pe *complx.PlaceError
+		if !errors.As(err, &pe) || pe.Stage != "options" {
+			t.Errorf("conflicting spec %s: want *PlaceError stage options, got %T %v", in, err, err)
 		}
 	}
 }

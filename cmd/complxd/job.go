@@ -52,7 +52,8 @@ type JobSpec struct {
 	// Gen generates a custom synthetic design instead of a named benchmark.
 	Gen *complx.BenchSpec `json:"gen,omitempty"`
 
-	// Algorithm is "complx" (default), "simpl", "fastplace-cs" or "nlp".
+	// Algorithm is "complx" (default), "simpl", "fastplace-cs", "nlp" or
+	// "rql".
 	Algorithm     string  `json:"algorithm,omitempty"`
 	TargetDensity float64 `json:"target_density,omitempty"`
 	MaxIterations int     `json:"max_iterations,omitempty"`
@@ -106,54 +107,52 @@ func (s *JobSpec) Validate() error {
 	if s.Scale < 0 {
 		return fmt.Errorf("scale must be >= 0")
 	}
-	if s.Algorithm != "" {
-		if _, err := complx.ParseAlgorithm(s.Algorithm); err != nil {
-			return err
-		}
-	}
-	if _, err := complx.ParsePrecond(s.Precond); err != nil {
-		return err
-	}
 	if s.Threads < 0 {
 		return fmt.Errorf("threads must be >= 0")
 	}
 	if s.DeadlineSeconds < 0 {
 		return fmt.Errorf("deadline_seconds must be >= 0")
 	}
-	if s.Multilevel {
-		switch s.Algorithm {
-		case "", "complx", "simpl":
-		default:
-			return fmt.Errorf("multilevel requires the complx or simpl algorithm (got %q)", s.Algorithm)
-		}
+	opt, err := s.options()
+	if err != nil {
+		return err
 	}
-	if s.Portfolio {
-		if s.Multilevel {
-			return fmt.Errorf("portfolio and multilevel are mutually exclusive")
-		}
-		switch s.Algorithm {
-		case "", "complx", "simpl":
-		default:
-			return fmt.Errorf("portfolio requires the complx or simpl algorithm (got %q)", s.Algorithm)
-		}
-		// Surfaces the facade's stage-"options" *PlaceError for out-of-range
-		// knobs before the job is queued.
-		if err := s.portfolioOptions().Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return opt.Validate()
 }
 
-// portfolioOptions maps the spec's portfolio knobs onto the facade options.
-func (s *JobSpec) portfolioOptions() complx.PortfolioOptions {
-	return complx.PortfolioOptions{
-		Enabled:      s.Portfolio,
-		Members:      s.PFMembers,
-		Rounds:       s.PFRounds,
-		CullFraction: s.PFCullFraction,
-		Seed:         s.PFSeed,
+// options maps the spec onto the facade options the job runs with. The
+// scheduler adds the run's observer, checkpoint directory and the design's
+// own target density when the spec sets none.
+func (s *JobSpec) options() (complx.Options, error) {
+	alg := complx.AlgComPLx
+	if s.Algorithm != "" {
+		var err error
+		if alg, err = complx.ParseAlgorithm(s.Algorithm); err != nil {
+			return complx.Options{}, err
+		}
 	}
+	return complx.Options{
+		Algorithm:     alg,
+		TargetDensity: s.TargetDensity,
+		MaxIterations: s.MaxIterations,
+		Precond:       s.Precond,
+		SkipLegalize:  s.SkipLegalize,
+		SkipDetailed:  s.SkipDetailed,
+		Multilevel: complx.MultilevelOptions{
+			Enabled:     s.Multilevel,
+			TargetCells: s.MLTargetCells,
+			MaxLevels:   s.MLMaxLevels,
+			RefineIters: s.MLRefineIters,
+		},
+		Portfolio: complx.PortfolioOptions{
+			Enabled:      s.Portfolio,
+			Members:      s.PFMembers,
+			Rounds:       s.PFRounds,
+			CullFraction: s.PFCullFraction,
+			Seed:         s.PFSeed,
+		},
+		Threads: s.Threads,
+	}, nil
 }
 
 // JobResult is the subset of complx.Result persisted with the job.

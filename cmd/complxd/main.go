@@ -106,7 +106,6 @@ func run(addr, dataDir string, threads int, cfg config) error {
 	if err := sched.Recover(); err != nil {
 		return fmt.Errorf("recover jobs: %w", err)
 	}
-	sched.Start()
 
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -122,6 +121,9 @@ func run(addr, dataDir string, threads int, cfg config) error {
 
 	// The line tests and scripts wait for; keep the format stable.
 	log.Printf("complxd: listening on %s (workers=%d, data=%s)", ln.Addr(), cfg.workers, dataDir)
+	// Start running jobs only once the address is out: a recovered job that
+	// kills the process must not do so before the server has announced it.
+	sched.Start()
 
 	select {
 	case err := <-errc:

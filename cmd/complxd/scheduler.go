@@ -730,37 +730,19 @@ func runPlacement(ctx context.Context, j *Job, ckptDir string, ckptEach int,
 	if err != nil {
 		return nil, err
 	}
-	alg := complx.AlgComPLx
-	if j.Spec.Algorithm != "" {
-		if alg, err = complx.ParseAlgorithm(j.Spec.Algorithm); err != nil {
-			return nil, err
-		}
+	opt, err := j.Spec.options()
+	if err != nil {
+		return nil, err
 	}
-	if j.Spec.TargetDensity > 0 {
-		target = j.Spec.TargetDensity
+	if opt.TargetDensity <= 0 {
+		opt.TargetDensity = target
 	}
-	opt := complx.Options{
-		Algorithm:     alg,
-		TargetDensity: target,
-		MaxIterations: j.Spec.MaxIterations,
-		Precond:       j.Spec.Precond,
-		SkipLegalize:  j.Spec.SkipLegalize,
-		SkipDetailed:  j.Spec.SkipDetailed,
-		Multilevel: complx.MultilevelOptions{
-			Enabled:     j.Spec.Multilevel,
-			TargetCells: j.Spec.MLTargetCells,
-			MaxLevels:   j.Spec.MLMaxLevels,
-			RefineIters: j.Spec.MLRefineIters,
-		},
-		Portfolio:   j.Spec.portfolioOptions(),
-		Threads:     j.Spec.Threads,
-		Observer:    observer,
-		OnIteration: onIter,
-		Checkpoint: complx.CheckpointOptions{
-			Dir:      ckptDir,
-			Interval: ckptEach,
-			Resume:   true, // a fresh job has no snapshot; a re-queued one resumes
-		},
+	opt.Observer = observer
+	opt.OnIteration = onIter
+	opt.Checkpoint = complx.CheckpointOptions{
+		Dir:      ckptDir,
+		Interval: ckptEach,
+		Resume:   true, // a fresh job has no snapshot; a re-queued one resumes
 	}
 	res, err := complx.PlaceContext(ctx, nl, opt)
 	if res != nil && res.Cancelled {

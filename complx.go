@@ -37,6 +37,7 @@ import (
 	"complx/internal/gen"
 	"complx/internal/geom"
 	"complx/internal/legalize"
+	"complx/internal/multilevel"
 	"complx/internal/netlist"
 	"complx/internal/netmodel"
 	"complx/internal/obs"
@@ -253,8 +254,22 @@ func (a Algorithm) String() string {
 	}
 }
 
+// primalDual reports whether a runs on the primal-dual engine, the only
+// placers the Clustered, Multilevel and Portfolio drivers support.
+func (a Algorithm) primalDual() bool { return a == AlgComPLx || a == AlgSimPL }
+
+// globalPlacers maps each Algorithm to its global placer. Every placer
+// takes the one core.Options that PlaceContext builds.
+var globalPlacers = map[Algorithm]func(context.Context, *Netlist, core.Options) (*core.Result, error){
+	AlgComPLx:      core.PlaceContext,
+	AlgSimPL:       baseline.SimPLContext,
+	AlgFastPlaceCS: baseline.FastPlaceCSContext,
+	AlgNLP:         baseline.NLPContext,
+	AlgRQL:         baseline.RQLContext,
+}
+
 // ParseAlgorithm converts a name ("complx", "simpl", "fastplace-cs",
-// "nlp") into an Algorithm.
+// "nlp", "rql") into an Algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) {
 	switch s {
 	case "complx":
@@ -329,11 +344,13 @@ type Options struct {
 
 	// Clustered runs two-level placement for ComPLx/SimPL: heavy-edge
 	// clustering halves the design, the coarse netlist is placed, the
-	// placement is expanded and refined on the full design. It is not
-	// faster than flat: full flows on the bigblue3 analogs (2 threads on a
-	// 2-core x86-64 host) ran 4-6% slower, with HPWL 2.7% higher at 12K
-	// cells and 2.0% lower at 24K. Multilevel is the fast path; the two
-	// are mutually exclusive.
+	// placement is expanded and refined on the full design. It trades time
+	// for quality: full flows on the 16 ISPD analogs at scale 1 and 2 (2
+	// threads on a 2-core x86-64 host) gave −0.71% geomean HPWL against
+	// flat at 1.3× the wall time, better than flat on 17 of 32. Multilevel
+	// is the fast path; a one-pass V-cycle gave +1.62% at 0.64× and was
+	// worse than Clustered on 28 of 32 (DESIGN.md §13). The two are
+	// mutually exclusive.
 	Clustered bool
 
 	// Multilevel runs the full multilevel V-cycle for ComPLx/SimPL
@@ -343,9 +360,10 @@ type Options struct {
 	// is interpolated from the coarse placement and refined with a short
 	// warm-started schedule. This is the path to million-cell designs:
 	// expect a multiple-× speedup over a flat run within a few percent of
-	// its wirelength. Supports Checkpoint (a mid-V-cycle snapshot resumes
-	// at the level it was taken on); not compatible with Clustered or the
-	// non-ComPLx/SimPL baselines.
+	// its wirelength. A design already at or under TargetCells has nothing
+	// to coarsen and runs exactly as flat. Supports Checkpoint (a
+	// mid-V-cycle snapshot resumes at the level it was taken on); not
+	// compatible with Clustered or the non-ComPLx/SimPL baselines.
 	Multilevel MultilevelOptions
 
 	// Portfolio runs a competitive portfolio/restart search for ComPLx/SimPL
@@ -391,58 +409,77 @@ type Options struct {
 	Threads int
 }
 
-// MultilevelOptions configures the multilevel V-cycle (Options.Multilevel).
-// Zero values select the driver defaults.
-type MultilevelOptions struct {
-	// Enabled turns the V-cycle on.
-	Enabled bool
-	// TargetCells is the movable-cell count the coarsening descends to
-	// before the coarsest solve (default 10000).
-	TargetCells int
-	// MaxLevels caps the number of coarsening passes (default 6).
-	MaxLevels int
-	// RefineIters is the per-level iteration budget of the warm-started
-	// refinement levels below the coarsest (default 8).
-	RefineIters int
-}
+// MultilevelOptions configures the multilevel V-cycle (Options.Multilevel):
+// Enabled, TargetCells (default 10000), MaxLevels (default 6) and
+// RefineIters (default 8). Zero values select the driver defaults.
+type MultilevelOptions = multilevel.Options
 
 // PortfolioOptions configures the competitive portfolio search
-// (Options.Portfolio). Zero values select the driver defaults; explicit
-// out-of-range values (Members < 2, Rounds < 1, CullFraction outside (0,1))
-// are rejected up front with a *PlaceError of stage "options".
-type PortfolioOptions struct {
-	// Enabled turns the portfolio search on.
-	Enabled bool
-	// Members is the number of concurrent engine instances K (default 4).
-	Members int
-	// Rounds is the number of synchronization rounds the iteration budget
-	// is split into (default 4).
-	Rounds int
-	// CullFraction is the fraction of members culled and reseeded at each
-	// round boundary; floor(CullFraction·Members) members (default 0.25).
-	CullFraction float64
-	// Seed seeds the member perturbation RNG streams (default 1). The
-	// whole search is a pure function of the seed.
-	Seed int64
-}
+// (Options.Portfolio): Enabled, Members (default 4), Rounds (default 4),
+// CullFraction (default 0.25) and Seed (default 1). Zero values select the
+// driver defaults; Options.Validate rejects out-of-range values.
+type PortfolioOptions = portfolio.Options
 
-// Validate rejects unusable portfolio configurations with a *PlaceError of
-// stage "options": Members < 2, Rounds < 1, CullFraction outside (0,1).
-// Zero fields are validated at their defaults; disabled options are always
-// valid. PlaceContext validates automatically; services can call this
-// directly to reject a bad configuration before queueing a run.
-func (o PortfolioOptions) Validate() error {
-	if !o.Enabled {
-		return nil
+// Validate checks the rules for combining options and returns the first
+// one broken as a *PlaceError:
+//
+//   - Algorithm names a known placer (stage "validate");
+//   - Multilevel excludes Clustered and needs ComPLx or SimPL (stage
+//     "validate");
+//   - Portfolio excludes Multilevel and Clustered and needs ComPLx or
+//     SimPL; with zero fields at their defaults, Members >= 2, Rounds >= 1
+//     and CullFraction in (0,1) (stage "options");
+//   - Checkpoint.Resume needs Checkpoint.Dir, and Clustered ComPLx or SimPL
+//     runs cannot checkpoint (stage "checkpoint");
+//   - Precond names a known preconditioner (stage "validate").
+//
+// PlaceContext validates automatically; services can call Validate to
+// reject a configuration before queueing a run.
+func (o Options) Validate() error {
+	if _, ok := globalPlacers[o.Algorithm]; !ok {
+		return perr.New(perr.StageValidate, "complx: unknown algorithm %v", o.Algorithm)
 	}
-	po := portfolio.Options{
-		Members:      o.Members,
-		Rounds:       o.Rounds,
-		CullFraction: o.CullFraction,
-		Seed:         o.Seed,
+	if o.Multilevel.Enabled {
+		if o.Clustered {
+			return perr.New(perr.StageValidate,
+				"complx: Multilevel and Clustered are mutually exclusive")
+		}
+		if !o.Algorithm.primalDual() {
+			return perr.New(perr.StageValidate,
+				"complx: Multilevel requires the ComPLx or SimPL engine (got %v)", o.Algorithm)
+		}
 	}
-	po.Fill()
-	return po.Validate()
+	if o.Portfolio.Enabled {
+		if o.Multilevel.Enabled {
+			return perr.New(perr.StageOptions,
+				"complx: Portfolio and Multilevel are mutually exclusive")
+		}
+		if o.Clustered {
+			return perr.New(perr.StageOptions,
+				"complx: Portfolio and Clustered are mutually exclusive")
+		}
+		if !o.Algorithm.primalDual() {
+			return perr.New(perr.StageOptions,
+				"complx: Portfolio requires the ComPLx or SimPL engine (got %v)", o.Algorithm)
+		}
+		po := o.Portfolio
+		po.Fill()
+		if err := po.Validate(); err != nil {
+			return err
+		}
+	}
+	if o.Checkpoint.Dir == "" && o.Checkpoint.Resume {
+		return perr.New(perr.StageCheckpoint,
+			"complx: Checkpoint.Resume requires Checkpoint.Dir")
+	}
+	if o.Checkpoint.Dir != "" && o.Clustered && o.Algorithm.primalDual() {
+		return perr.New(perr.StageCheckpoint,
+			"complx: checkpointing is not supported with Clustered multilevel placement")
+	}
+	if _, err := qp.ResolvePrecond(o.Precond, 0); err != nil {
+		return perr.Wrap(perr.StageValidate, err)
+	}
+	return nil
 }
 
 // PortfolioStats reports a portfolio search (Result.Portfolio): the winning
@@ -554,19 +591,8 @@ func coreOptions(opt Options) core.Options {
 		OnIteration:      opt.OnIteration,
 		Obs:              opt.Observer,
 		Precond:          opt.Precond,
-		Multilevel: core.MultilevelOptions{
-			Enabled:     opt.Multilevel.Enabled,
-			TargetCells: opt.Multilevel.TargetCells,
-			MaxLevels:   opt.Multilevel.MaxLevels,
-			RefineIters: opt.Multilevel.RefineIters,
-		},
-		Portfolio: core.PortfolioOptions{
-			Enabled:      opt.Portfolio.Enabled,
-			Members:      opt.Portfolio.Members,
-			Rounds:       opt.Portfolio.Rounds,
-			CullFraction: opt.Portfolio.CullFraction,
-			Seed:         opt.Portfolio.Seed,
-		},
+		Multilevel:       opt.Multilevel,
+		Portfolio:        opt.Portfolio,
 	}
 }
 
@@ -614,49 +640,16 @@ func PlaceContext(ctx context.Context, nl *Netlist, opt Options) (*Result, error
 	if err := Validate(nl); err != nil {
 		return nil, err
 	}
+	if err := opt.Validate(); err != nil {
+		return nil, err
+	}
 	if opt.TargetDensity <= 0 || opt.TargetDensity > 1 {
 		opt.TargetDensity = 1
 	}
-	if opt.Multilevel.Enabled {
-		if opt.Clustered {
-			return nil, perr.New(perr.StageValidate,
-				"complx: Multilevel and Clustered are mutually exclusive")
-		}
-		if opt.Algorithm != AlgComPLx && opt.Algorithm != AlgSimPL {
-			return nil, perr.New(perr.StageValidate,
-				"complx: Multilevel requires the ComPLx or SimPL engine (got %v)", opt.Algorithm)
-		}
-	}
 	if opt.Portfolio.Enabled {
-		if opt.Multilevel.Enabled {
-			return nil, perr.New(perr.StageOptions,
-				"complx: Portfolio and Multilevel are mutually exclusive")
-		}
-		if opt.Clustered {
-			return nil, perr.New(perr.StageOptions,
-				"complx: Portfolio and Clustered are mutually exclusive")
-		}
-		if opt.Algorithm != AlgComPLx && opt.Algorithm != AlgSimPL {
-			return nil, perr.New(perr.StageOptions,
-				"complx: Portfolio requires the ComPLx or SimPL engine (got %v)", opt.Algorithm)
-		}
-		// Normalize to the filled values before validation and before the
-		// checkpoint fingerprint is taken, so explicit defaults and zero
-		// values are the same run.
-		po := portfolio.Options{
-			Members:      opt.Portfolio.Members,
-			Rounds:       opt.Portfolio.Rounds,
-			CullFraction: opt.Portfolio.CullFraction,
-			Seed:         opt.Portfolio.Seed,
-		}
-		po.Fill()
-		if err := po.Validate(); err != nil {
-			return nil, err
-		}
-		opt.Portfolio.Members = po.Members
-		opt.Portfolio.Rounds = po.Rounds
-		opt.Portfolio.CullFraction = po.CullFraction
-		opt.Portfolio.Seed = po.Seed
+		// Normalize to the filled values before the checkpoint fingerprint
+		// is taken, so explicit defaults and zero values are the same run.
+		opt.Portfolio.Fill()
 	}
 	// Persistent checkpointing (after the density normalization above, so
 	// the fingerprint sees canonical option values).
@@ -708,27 +701,21 @@ func PlaceContext(ctx context.Context, nl *Netlist, opt Options) (*Result, error
 			return nil
 		}
 	}
-	var (
-		r      *core.Result
-		err    error
-		coarse *core.Result
-	)
-	if opt.Clustered && (opt.Algorithm == AlgComPLx || opt.Algorithm == AlgSimPL) {
+	place := globalPlacers[opt.Algorithm]
+	var coarse *core.Result
+	if opt.Clustered && opt.Algorithm.primalDual() {
 		// Coarse level: place the clustered design with the full iteration
 		// budget, then expand and refine on the fine design.
-		cl, cerr := cluster.Cluster(nl, 1.0)
-		if cerr != nil {
-			return nil, cerr
+		cl, err := cluster.Cluster(nl, 1.0)
+		if err != nil {
+			return nil, err
 		}
 		coarseOpt := coreOpt
 		coarseOpt.CellPenalty = nil // indices differ on the coarse design
-		if opt.Algorithm == AlgSimPL {
-			coarseOpt.Schedule = core.ScheduleSimPL
-		}
 		// A cancelled coarse pass is not fatal: its best-so-far placement
 		// is expanded and the fine pass below immediately takes the cancel
 		// path on the same context, preserving the expanded positions.
-		if coarse, err = core.PlaceContext(ctx, cl.Coarse, coarseOpt); err != nil && !isCancellation(err) {
+		if coarse, err = place(ctx, cl.Coarse, coarseOpt); err != nil && !isCancellation(err) {
 			return nil, err
 		}
 		cl.Expand()
@@ -737,48 +724,7 @@ func PlaceContext(ctx context.Context, nl *Netlist, opt Options) (*Result, error
 			coreOpt.MaxIterations = 25
 		}
 	}
-	switch opt.Algorithm {
-	case AlgComPLx:
-		r, err = core.PlaceContext(ctx, nl, coreOpt)
-	case AlgSimPL:
-		r, err = baseline.SimPLContext(ctx, nl, coreOpt)
-	case AlgFastPlaceCS:
-		fpOpt := baseline.FPOptions{
-			TargetDensity: opt.TargetDensity,
-			MaxIterations: opt.MaxIterations,
-			Obs:           opt.Observer,
-		}
-		if ckptMgr != nil {
-			fpOpt.Checkpoint = ckptMgr
-			fpOpt.Resume = resumeState
-		}
-		r, err = baseline.FastPlaceCSContext(ctx, nl, fpOpt)
-	case AlgNLP:
-		nlpOpt := baseline.NLPOptions{
-			TargetDensity: opt.TargetDensity,
-			MaxIterations: opt.MaxIterations,
-			Obs:           opt.Observer,
-		}
-		if ckptMgr != nil {
-			nlpOpt.Checkpoint = ckptMgr
-			nlpOpt.Resume = resumeState
-		}
-		r, err = baseline.NLPContext(ctx, nl, nlpOpt)
-	case AlgRQL:
-		rqlOpt := baseline.RQLOptions{
-			TargetDensity: opt.TargetDensity,
-			MaxIterations: opt.MaxIterations,
-			Obs:           opt.Observer,
-		}
-		if ckptMgr != nil {
-			rqlOpt.Checkpoint = ckptMgr
-			rqlOpt.Resume = resumeState
-		}
-		r, err = baseline.RQLContext(ctx, nl, rqlOpt)
-	default:
-		globalSpan.End()
-		return nil, fmt.Errorf("complx: unknown algorithm %v", opt.Algorithm)
-	}
+	r, err := place(ctx, nl, coreOpt)
 	if coarse != nil && r != nil {
 		// The two passes are one run: the coarse placement seeds the fine
 		// one, so both count toward the totals and the History.

@@ -45,7 +45,7 @@ func TestSimPLRuns(t *testing.T) {
 
 func TestFastPlaceCSSpreads(t *testing.T) {
 	nl := design(t, 600, 32)
-	res, err := FastPlaceCS(nl, FPOptions{})
+	res, err := FastPlaceCS(nl, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestFastPlaceCSSpreads(t *testing.T) {
 
 func TestNLPSpreads(t *testing.T) {
 	nl := design(t, 300, 33)
-	res, err := NLP(nl, NLPOptions{MaxIterations: 25})
+	res, err := NLP(nl, core.Options{MaxIterations: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestComPLxBeatsOrMatchesBaselines(t *testing.T) {
 		return res.HPWL
 	})
 	fp := run(func(nl *netlist.Netlist) float64 {
-		res, err := FastPlaceCS(nl, FPOptions{})
+		res, err := FastPlaceCS(nl, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +150,7 @@ func TestRemapClamps(t *testing.T) {
 
 func TestRQLSpreads(t *testing.T) {
 	nl := design(t, 600, 35)
-	res, err := RQL(nl, RQLOptions{})
+	res, err := RQL(nl, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

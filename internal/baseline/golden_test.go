@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"complx/internal/core"
 	"complx/internal/gen"
 	"complx/internal/netlist"
 )
@@ -70,7 +72,7 @@ func TestBaselineGolden(t *testing.T) {
 
 	{
 		nl := mk(51)
-		r, err := FastPlaceCS(nl, FPOptions{MaxIterations: 40})
+		r, err := FastPlaceCS(nl, core.Options{MaxIterations: 40})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +80,7 @@ func TestBaselineGolden(t *testing.T) {
 	}
 	{
 		nl := mk(52)
-		r, err := RQL(nl, RQLOptions{MaxIterations: 30})
+		r, err := RQL(nl, core.Options{MaxIterations: 30})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +88,7 @@ func TestBaselineGolden(t *testing.T) {
 	}
 	{
 		nl := mk(53)
-		r, err := NLP(nl, NLPOptions{MaxIterations: 10, InnerIterations: 20})
+		r, err := nlp(context.Background(), nl, core.Options{MaxIterations: 10}, 20)
 		if err != nil {
 			t.Fatal(err)
 		}

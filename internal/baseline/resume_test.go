@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"complx/internal/chkpt"
+	"complx/internal/core"
 	"complx/internal/gen"
 	"complx/internal/netlist"
 )
@@ -49,7 +50,7 @@ func TestFastPlaceResumeBitwiseIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	sink := &memSink{t: t, states: map[int]*chkpt.State{}}
-	optA := FPOptions{MaxIterations: 20, Checkpoint: sink}
+	optA := core.Options{MaxIterations: 20, Checkpoint: sink}
 	rA, err := FastPlaceCS(nlA, optA)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
@@ -73,7 +74,7 @@ func TestFastPlaceResumeBitwiseIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rB, err := FastPlaceCS(nlB, FPOptions{MaxIterations: 20, Resume: st})
+	rB, err := FastPlaceCS(nlB, core.Options{MaxIterations: 20, Resume: st})
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -104,7 +105,7 @@ func TestOverflowResumeRejectsLoopKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := &chkpt.State{Kind: chkpt.KindLoop, Iter: 2}
-	if _, err := FastPlaceCS(nl, FPOptions{MaxIterations: 10, Resume: st}); err == nil {
+	if _, err := FastPlaceCS(nl, core.Options{MaxIterations: 10, Resume: st}); err == nil {
 		t.Fatal("loop-kind checkpoint was accepted by the overflow loop")
 	}
 }

@@ -6,61 +6,31 @@ import (
 	"math"
 	"sort"
 
-	"complx/internal/chkpt"
+	"complx/internal/core"
 	"complx/internal/density"
 	"complx/internal/engine"
 	"complx/internal/geom"
 	"complx/internal/netlist"
 	"complx/internal/netmodel"
-	"complx/internal/obs"
 	"complx/internal/qp"
 )
 
-// RQLOptions tunes the RQL-style baseline.
-type RQLOptions struct {
-	// TargetDensity is the utilization limit γ (default 1).
-	TargetDensity float64
-	// MaxIterations bounds the solve/spread loop (default 120).
-	MaxIterations int
-	// StopOverflow ends the loop below this overflow ratio (default 0.08).
-	StopOverflow float64
-	// ForcePercentile is the fraction of strongest anchor forces that are
-	// relaxed (capped) each iteration — RQL's hallmark force modulation
-	// (default 0.02, i.e. the top 2%).
-	ForcePercentile float64
-	// DiffusionSweeps per iteration (default 3).
-	DiffusionSweeps int
-	// GridMax caps the spreading grid dimension (default 128).
-	GridMax int
-	// Obs, when non-nil, instruments the run (iteration trace, CG metrics,
-	// spans) identically to the ComPLx placer.
-	Obs *obs.Observer
-	// Checkpoint, when non-nil, receives complete engine snapshots (see
-	// core.Options.Checkpoint); Resume primes the run from a saved one.
-	Checkpoint engine.CheckpointSink
-	Resume     *chkpt.State
-}
-
-func (o *RQLOptions) fill() {
-	if o.TargetDensity <= 0 || o.TargetDensity > 1 {
-		o.TargetDensity = 1
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = 120
-	}
-	if o.StopOverflow <= 0 {
-		o.StopOverflow = 0.08
-	}
-	if o.ForcePercentile <= 0 {
-		o.ForcePercentile = 0.02
-	}
-	if o.DiffusionSweeps <= 0 {
-		o.DiffusionSweeps = 10
-	}
-	if o.GridMax <= 0 {
-		o.GridMax = 128
-	}
-}
+// RQL tuning.
+const (
+	// rqlMaxIterations bounds the solve/spread loop when
+	// core.Options.MaxIterations is unset.
+	rqlMaxIterations = 120
+	// rqlStopOverflow ends the loop below this overflow ratio.
+	rqlStopOverflow = 0.08
+	// rqlForcePercentile is the fraction of strongest anchor forces that
+	// are relaxed (capped) each iteration — RQL's hallmark force
+	// modulation (the top 2%).
+	rqlForcePercentile = 0.02
+	// rqlDiffusionSweeps is the number of diffusion sweeps per iteration (10).
+	rqlDiffusionSweeps = 10
+	// rqlGridMax caps the spreading grid dimension.
+	rqlGridMax = 128
+)
 
 // rqlStepper is the RQL dual step: diffusion-based local spreading of
 // overfilled bins, then hold anchors whose strongest forces are relaxed
@@ -115,17 +85,19 @@ func (s *rqlStepper) Step(ctx context.Context, iter int, _ *density.Grid) (engin
 // iterative B2B quadratic solves, local diffusion-based spreading of
 // overfilled bins, and hold anchors whose strongest forces are relaxed
 // (capped) rather than applied in full — the "ad hoc thresholding" force
-// modulation the ComPLx paper contrasts itself against.
-func RQL(nl *netlist.Netlist, opt RQLOptions) (*engine.Result, error) {
+// modulation the ComPLx paper contrasts itself against. It reads
+// TargetDensity, MaxIterations (0 → 120), Obs, Checkpoint and Resume from
+// opt and ignores the other fields.
+func RQL(nl *netlist.Netlist, opt core.Options) (*engine.Result, error) {
 	return RQLContext(context.Background(), nl, opt)
 }
 
 // RQLContext is RQL with cooperative cancellation. On cancellation the
 // result so far is returned together with the wrapped context error.
-func RQLContext(ctx context.Context, nl *netlist.Netlist, opt RQLOptions) (*engine.Result, error) {
-	opt.fill()
+func RQLContext(ctx context.Context, nl *netlist.Netlist, opt core.Options) (*engine.Result, error) {
 	mov := nl.Movables()
-	nx, ny := density.AutoResolution(len(mov), 4, opt.GridMax)
+	nx, ny := density.AutoResolution(len(mov), 4, rqlGridMax)
+	target := targetDensity(opt)
 	loop := &engine.OverflowLoop{
 		Netlist: nl,
 		// One reusable solver for the whole run (incremental assembly + CG
@@ -133,14 +105,14 @@ func RQLContext(ctx context.Context, nl *netlist.Netlist, opt RQLOptions) (*engi
 		Primal: engine.NewQuadraticPrimal(nl, qp.Options{Obs: opt.Obs}),
 		Obs:    opt.Obs,
 		Dual: &rqlStepper{
-			nl: nl, nMov: len(mov), target: opt.TargetDensity,
+			nl: nl, nMov: len(mov), target: target,
 			nx: nx, ny: ny,
-			sweeps:     opt.DiffusionSweeps,
-			percentile: opt.ForcePercentile,
+			sweeps:     rqlDiffusionSweeps,
+			percentile: rqlForcePercentile,
 		},
-		MaxIterations: opt.MaxIterations,
-		StopOverflow:  opt.StopOverflow,
-		TargetDensity: opt.TargetDensity,
+		MaxIterations: maxIterations(opt, rqlMaxIterations),
+		StopOverflow:  rqlStopOverflow,
+		TargetDensity: target,
 		NX:            nx, NY: ny,
 		InitialSolves: 5,
 		Design:        nl.Name,

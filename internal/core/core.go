@@ -35,6 +35,7 @@ import (
 	"complx/internal/netlist"
 	"complx/internal/obs"
 	"complx/internal/perr"
+	"complx/internal/portfolio"
 	"complx/internal/qp"
 	"complx/internal/resilience"
 	"complx/internal/sparse"
@@ -155,43 +156,22 @@ type Options struct {
 	// portfolio driver (DESIGN.md §14): Members perturbed engine instances
 	// race in Rounds synchronization rounds, losers are culled and reseeded
 	// from the leader's forked checkpoint, and the best-scoring member's
-	// placement wins. Mutually exclusive with Multilevel. The flat path
-	// (Enabled false) is bitwise untouched.
+	// placement wins. It takes precedence over Multilevel
+	// (complx.Options.Validate rejects the pair). The flat path (Enabled
+	// false) is bitwise untouched.
 	Portfolio PortfolioOptions
 	// PortfolioResume, when non-nil, resumes a portfolio search from its
 	// round-boundary checkpoint (member table, RNG streams, round index).
 	PortfolioResume *chkpt.PortfolioState
 }
 
-// PortfolioOptions configures the portfolio search (portfolio.Options plus
-// the enable switch; zero values select the driver defaults).
-type PortfolioOptions struct {
-	// Enabled turns the portfolio search on.
-	Enabled bool
-	// Members is the number of concurrent engine instances (default 4).
-	Members int
-	// Rounds is the number of synchronization rounds (default 4).
-	Rounds int
-	// CullFraction is the fraction of members culled per round (default 0.25).
-	CullFraction float64
-	// Seed seeds the perturbation RNG streams (default 1).
-	Seed int64
-}
+// MultilevelOptions configures the multilevel V-cycle; zero values select
+// the driver defaults.
+type MultilevelOptions = multilevel.Options
 
-// MultilevelOptions configures the multilevel V-cycle (multilevel.Options
-// plus the enable switch; zero values select the driver defaults).
-type MultilevelOptions struct {
-	// Enabled turns the V-cycle on.
-	Enabled bool
-	// TargetCells is the movable-cell count coarsening descends to
-	// (default 10000).
-	TargetCells int
-	// MaxLevels caps the coarsening passes (default 6).
-	MaxLevels int
-	// RefineIters is the per-level iteration budget of the warm-started
-	// refinement levels below the coarsest (default 8).
-	RefineIters int
-}
+// PortfolioOptions configures the portfolio search; zero values select the
+// driver defaults.
+type PortfolioOptions = portfolio.Options
 
 func (o *Options) fill() {
 	if o.TargetDensity <= 0 || o.TargetDensity > 1 {
@@ -339,11 +319,7 @@ func placeMultilevel(ctx context.Context, nl *netlist.Netlist, opt Options) (*Re
 		refine = multilevel.DefaultRefineIters
 	}
 	cfg := multilevel.Config{
-		Options: multilevel.Options{
-			TargetCells: opt.Multilevel.TargetCells,
-			MaxLevels:   opt.Multilevel.MaxLevels,
-			RefineIters: refine,
-		},
+		Options:    opt.Multilevel,
 		Checkpoint: opt.Checkpoint,
 		Resume:     opt.Resume,
 		Obs:        opt.Obs,
@@ -381,9 +357,12 @@ func placeMultilevel(ctx context.Context, nl *netlist.Netlist, opt Options) (*Re
 				// looser gap and, more importantly, at the overflow where
 				// the flat schedule itself hands off to legalization:
 				// Π/Π₁ ≈ 0.06 on the synthetic suites, 3× the default
-				// PiTol.
-				lopt.GapTol = math.Max(2*opt.GapTol, coarseHandoffGap)
-				lopt.PiTol = 3 * opt.PiTol
+				// PiTol. A design with nothing to coarsen has its coarsest
+				// level at 0 with no refine to follow: that is the flat run.
+				if lv.Level > 0 {
+					lopt.GapTol = math.Max(2*opt.GapTol, coarseHandoffGap)
+					lopt.PiTol = 3 * opt.PiTol
+				}
 			} else {
 				// Intermediate levels only bridge to the next interpolation,
 				// so their budget halves per level above the finest; the

@@ -8,6 +8,7 @@ import (
 	"complx/internal/density"
 	"complx/internal/gen"
 	"complx/internal/geom"
+	"complx/internal/multilevel"
 	"complx/internal/netlist"
 	"complx/internal/netmodel"
 )
@@ -374,5 +375,36 @@ func TestOptimalLeafSpreadingOption(t *testing.T) {
 	}
 	if ov := overflowRatio(nl, 1.0); ov > 0.35 {
 		t.Errorf("PAV-leaf overflow = %v", ov)
+	}
+}
+
+// TestMultilevelUnderTargetIsFlat pins that a V-cycle with nothing to
+// coarsen — a design at or under TargetCells — is the flat run, bit for
+// bit: the coarse-level stopping rule is only for a cluster netlist that a
+// refinement follows.
+func TestMultilevelUnderTargetIsFlat(t *testing.T) {
+	spec := gen.Spec{Name: "mlflat", NumCells: 800, Seed: 11, Utilization: 0.7}
+	flat := genDesign(t, spec)
+	want, err := Place(flat, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := genDesign(t, spec)
+	if lv, err := multilevel.Levels(nl, multilevel.Options{}); err != nil || lv != 1 {
+		t.Fatalf("design has %d V-cycle levels (%v), want 1", lv, err)
+	}
+	got, err := Place(nl, Options{Multilevel: MultilevelOptions{Enabled: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Iterations != want.Iterations || math.Float64bits(got.HPWL) != math.Float64bits(want.HPWL) {
+		t.Fatalf("V-cycle: %d iterations, HPWL %v; flat: %d iterations, HPWL %v",
+			got.Iterations, got.HPWL, want.Iterations, want.HPWL)
+	}
+	for i := range nl.Cells {
+		a, b := nl.Cells[i], flat.Cells[i]
+		if math.Float64bits(a.X) != math.Float64bits(b.X) || math.Float64bits(a.Y) != math.Float64bits(b.Y) {
+			t.Fatalf("cell %d at (%v, %v), flat at (%v, %v)", i, a.X, a.Y, b.X, b.Y)
+		}
 	}
 }

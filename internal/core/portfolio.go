@@ -17,23 +17,11 @@ import (
 // cull/reseed, portfolio checkpointing); this function owns the
 // Options→engine translation, the same inversion as placeMultilevel.
 func placePortfolio(ctx context.Context, nl *netlist.Netlist, opt Options) (*Result, error) {
-	if opt.Multilevel.Enabled {
-		return nil, perr.New(perr.StageOptions,
-			"core: portfolio search and the multilevel V-cycle are mutually exclusive")
-	}
 	if err := nl.Validate(); err != nil {
 		return nil, perr.Wrap(perr.StageValidate, err)
 	}
-	popt := portfolio.Options{
-		Members:      opt.Portfolio.Members,
-		Rounds:       opt.Portfolio.Rounds,
-		CullFraction: opt.Portfolio.CullFraction,
-		Seed:         opt.Portfolio.Seed,
-	}
+	popt := opt.Portfolio
 	popt.Fill()
-	if err := popt.Validate(); err != nil {
-		return nil, err
-	}
 	filled := opt
 	filled.fill()
 
@@ -76,7 +64,7 @@ func placePortfolio(ctx context.Context, nl *netlist.Netlist, opt Options) (*Res
 // the next one into run.Checkpoint.
 func placeMember(ctx context.Context, run portfolio.MemberRun, opt Options) (*Result, error) {
 	lopt := opt
-	lopt.Portfolio = PortfolioOptions{}
+	lopt.Portfolio = portfolio.Options{}
 	lopt.PortfolioResume = nil
 	lopt.Checkpoint = run.Checkpoint
 	lopt.Resume = run.Resume

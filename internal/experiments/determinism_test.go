@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"complx"
 	"testing"
 
 	"complx/internal/core"
@@ -38,7 +39,7 @@ func TestFullFlowDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fr, err := runFlow(nl, flowOptions{algorithm: "complx"})
+		fr, err := runFlow(nl, complx.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"complx"
 	"fmt"
 	"io"
 	"sort"
@@ -36,10 +37,9 @@ func Figure1(w io.Writer, cfg Config) (*Figure1Result, error) {
 		return nil, err
 	}
 	res := &Figure1Result{Benchmark: spec.Name}
-	_, err = runFlow(nl, flowOptions{
-		algorithm: "complx",
-		skipLegal: true,
-		onIteration: func(st core.IterStats) {
+	_, err = runFlow(nl, complx.Options{
+		SkipLegalize: true,
+		OnIteration: func(st core.IterStats) {
 			res.History = append(res.History, st)
 		},
 	})
@@ -92,11 +92,10 @@ func Figure2(w io.Writer, cfg Config) (*Figure2Result, error) {
 		return nil, err
 	}
 	const iter = 12
-	if _, err := runFlow(nl, flowOptions{
-		algorithm:     "complx",
-		targetDensity: spec.TargetDensity,
-		maxIterations: iter,
-		skipLegal:     true,
+	if _, err := runFlow(nl, complx.Options{
+		TargetDensity: spec.TargetDensity,
+		MaxIterations: iter,
+		SkipLegalize:  true,
 	}); err != nil {
 		return nil, err
 	}
@@ -172,10 +171,9 @@ func Figure3(w io.Writer, cfg Config) (*Figure3Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		fr, err := runFlow(nl, flowOptions{
-			algorithm:     "complx",
-			targetDensity: spec.TargetDensity,
-			skipLegal:     true,
+		fr, err := runFlow(nl, complx.Options{
+			TargetDensity: spec.TargetDensity,
+			SkipLegalize:  true,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("figure3 %s: %w", spec.Name, err)
@@ -223,7 +221,7 @@ func Figure4(w io.Writer, cfg Config) (*Figure4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	fr, err := runFlow(nl, flowOptions{algorithm: "complx"})
+	fr, err := runFlow(nl, complx.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +242,7 @@ func Figure4(w io.Writer, cfg Config) (*Figure4Result, error) {
 	for _, ci := range group {
 		nl2.Cells[ci].Region = 0
 	}
-	fr2, err := runFlow(nl2, flowOptions{algorithm: "complx"})
+	fr2, err := runFlow(nl2, complx.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +331,7 @@ func Figure5(w io.Writer, cfg Config) (*Figure5Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := runFlow(probe, flowOptions{algorithm: "complx", maxIterations: 30, skipLegal: true}); err != nil {
+	if _, err := runFlow(probe, complx.Options{MaxIterations: 30, SkipLegalize: true}); err != nil {
 		return nil, err
 	}
 	paths := timing.New(probe, timing.Options{}).CriticalPaths(3)
@@ -365,7 +363,7 @@ func Figure5(w io.Writer, cfg Config) (*Figure5Result, error) {
 		for _, ni := range nets {
 			nl.Nets[ni].Weight = weight
 		}
-		fr, err := runFlow(nl, flowOptions{algorithm: "complx"})
+		fr, err := runFlow(nl, complx.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -404,7 +402,7 @@ func S2(w io.Writer, cfg Config) (*S2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		fr, err := runFlow(nl, flowOptions{algorithm: "complx", skipLegal: true})
+		fr, err := runFlow(nl, complx.Options{SkipLegalize: true})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"complx"
 	"fmt"
 	"io"
 	"math"
@@ -45,17 +46,17 @@ func RuntimeScaling(w io.Writer, cfg Config) (*RuntimeResult, error) {
 		spec.Name = fmt.Sprintf("scale%d", n)
 		spec.NumCells = n
 		spec.NumMacros = 0
-		for _, alg := range []string{"complx", "fastplace-cs"} {
+		for _, alg := range []complx.Algorithm{complx.AlgComPLx, complx.AlgFastPlaceCS} {
 			nl, err := fresh(spec)
 			if err != nil {
 				return nil, err
 			}
 			start := time.Now()
-			if _, err := runFlow(nl, flowOptions{algorithm: alg, skipLegal: true}); err != nil {
+			if _, err := runFlow(nl, complx.Options{Algorithm: alg, SkipLegalize: true}); err != nil {
 				return nil, fmt.Errorf("runtime %s/%d: %w", alg, n, err)
 			}
 			pt := RuntimePoint{Cells: n, Seconds: time.Since(start).Seconds()}
-			if alg == "complx" {
+			if alg == complx.AlgComPLx {
 				res.ComPLx = append(res.ComPLx, pt)
 			} else {
 				res.FastPlace = append(res.FastPlace, pt)

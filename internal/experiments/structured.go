@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"complx"
 	"fmt"
 	"io"
 	"math"
@@ -38,19 +39,19 @@ func Structured(w io.Writer, cfg Config) (*StructuredResult, error) {
 	}
 	spec := gen.MeshSpec{Name: "mesh", Cols: side, Rows: side * 3 / 4}
 	res := &StructuredResult{Cols: spec.Cols, Rows: spec.Rows}
-	for _, alg := range []string{"complx", "simpl", "fastplace-cs", "rql"} {
+	for _, alg := range []complx.Algorithm{complx.AlgComPLx, complx.AlgSimPL, complx.AlgFastPlaceCS, complx.AlgRQL} {
 		nl, natural, err := gen.GenerateMesh(spec)
 		if err != nil {
 			return nil, err
 		}
 		res.Natural = natural
 		scramble(nl)
-		fr, err := runFlow(nl, flowOptions{algorithm: alg})
+		fr, err := runFlow(nl, complx.Options{Algorithm: alg})
 		if err != nil {
 			return nil, fmt.Errorf("structured %s: %w", alg, err)
 		}
 		res.Rows_ = append(res.Rows_, StructuredRow{
-			Placer: alg,
+			Placer: alg.String(),
 			HPWL:   fr.HPWL,
 			Ratio:  fr.HPWL / natural,
 		})

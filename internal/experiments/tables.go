@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"complx"
 	"fmt"
 	"io"
 )
@@ -36,13 +37,13 @@ func Table1(w io.Writer, cfg Config) (*Table1Result, error) {
 	}
 	type variant struct {
 		key string
-		opt flowOptions
+		opt complx.Options
 	}
 	variants := []variant{
-		{"best", flowOptions{algorithm: "simpl"}},
-		{"finest", flowOptions{algorithm: "complx", finestGrid: true}},
-		{"projdp", flowOptions{algorithm: "complx", projectionDP: true}},
-		{"default", flowOptions{algorithm: "complx"}},
+		{"best", complx.Options{Algorithm: complx.AlgSimPL}},
+		{"finest", complx.Options{FinestGrid: true}},
+		{"projdp", complx.Options{ProjectionDP: true}},
+		{"default", complx.Options{}},
 	}
 	ratios := map[string][]float64{}
 	rratios := map[string][]float64{}
@@ -134,12 +135,12 @@ func Table2(w io.Writer, cfg Config) (*Table2Result, error) {
 	}
 	variants := []struct {
 		key string
-		alg string
+		alg complx.Algorithm
 	}{
-		{"nlp", "nlp"},
-		{"fastplace", "fastplace-cs"},
-		{"rql", "rql"},
-		{"complx", "complx"},
+		{"nlp", complx.AlgNLP},
+		{"fastplace", complx.AlgFastPlaceCS},
+		{"rql", complx.AlgRQL},
+		{"complx", complx.AlgComPLx},
 	}
 	ratios := map[string][]float64{}
 	penalties := map[string][]float64{}
@@ -151,7 +152,7 @@ func Table2(w io.Writer, cfg Config) (*Table2Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			fr, err := runFlow(nl, flowOptions{algorithm: v.alg, targetDensity: spec.TargetDensity})
+			fr, err := runFlow(nl, complx.Options{Algorithm: v.alg, TargetDensity: spec.TargetDensity})
 			if err != nil {
 				return nil, fmt.Errorf("table2 %s/%s: %w", spec.Name, v.key, err)
 			}

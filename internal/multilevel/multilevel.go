@@ -34,8 +34,12 @@ import (
 	"complx/internal/perr"
 )
 
-// Options configures the V-cycle shape.
+// Options configures the V-cycle (complx.Options.Multilevel and
+// core.Options.Multilevel alias it). Zero values select the defaults.
 type Options struct {
+	// Enabled turns the V-cycle on. It routes a core.Options run through
+	// Run; Run itself ignores it.
+	Enabled bool
 	// TargetCells is the movable-cell count the coarsening descends to
 	// (default 10000): clustering passes stop once the coarsest netlist is
 	// at or below it.

@@ -61,20 +61,27 @@ const (
 	DefaultSeed         = 1
 )
 
-// Options configures the portfolio search shape.
+// Options configures the portfolio search (complx.Options.Portfolio and
+// core.Options.Portfolio alias it). Zero values select the defaults;
+// explicit out-of-range values are rejected by Validate.
 type Options struct {
-	// Members is the number of concurrent engine instances K (>= 2).
+	// Enabled turns the portfolio search on. It routes a core.Options run
+	// through Run; Run itself ignores it.
+	Enabled bool
+	// Members is the number of concurrent engine instances K (>= 2,
+	// default 4).
 	Members int
-	// Rounds is the number of synchronization rounds (>= 1) the iteration
-	// budget is split into; culling happens at every boundary except the
-	// last.
+	// Rounds is the number of synchronization rounds (>= 1, default 4) the
+	// iteration budget is split into; culling happens at every boundary
+	// except the last.
 	Rounds int
 	// CullFraction is the fraction of members culled and reseeded at each
-	// synchronization round, in (0,1); floor(CullFraction·K) members are
-	// culled (0 members for small K is legal — the portfolio degenerates
-	// to independent restarts).
+	// synchronization round, in (0,1) (default 0.25); floor(CullFraction·K)
+	// members are culled (0 members for small K is legal — the portfolio
+	// degenerates to independent restarts).
 	CullFraction float64
-	// Seed seeds the per-member perturbation RNG streams.
+	// Seed seeds the per-member perturbation RNG streams (default 1). The
+	// whole search is a pure function of the seed.
 	Seed int64
 }
 
@@ -93,10 +100,6 @@ func (o *Options) Fill() {
 		o.Seed = DefaultSeed
 	}
 }
-
-// Enabled reports whether the options request a portfolio search at all (a
-// zero Members means "flat run", not "default members").
-func (o Options) Enabled() bool { return o.Members != 0 || o.Rounds != 0 || o.CullFraction != 0 }
 
 // Validate rejects unusable configurations up front with stage "options"
 // errors: Members < 2, Rounds < 1, CullFraction outside (0,1).

@@ -129,9 +129,6 @@ func TestOptionsValidate(t *testing.T) {
 
 func TestOptionsFillDefaults(t *testing.T) {
 	var o Options
-	if o.Enabled() {
-		t.Fatal("zero Options reports Enabled")
-	}
 	o.Fill()
 	if o.Members != DefaultMembers || o.Rounds != DefaultRounds ||
 		o.CullFraction != DefaultCullFraction || o.Seed != DefaultSeed {
