@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"complx/internal/chkpt"
@@ -199,17 +200,20 @@ func TestPlaceCheckpointResumeMidVCycle(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		cancel func(IterStats, int) bool // (stats, coarsest level) -> kill now
+		// fullHistory: the resumed run's History is the reference's in
+		// every field the checkpoint carries, V-cycle level included.
+		fullHistory bool
 	}{
 		// Mid-coarse-solve: the snapshot's level is the coarsest, so the
 		// resume finishes the coarse solve before any interpolation.
 		{"during-coarse-solve", func(it IterStats, top int) bool {
 			return it.Level == top && it.Iter == 10
-		}},
+		}, true},
 		// After the coarse solve, during a middle refinement level: the
 		// resume must skip the coarser levels entirely.
 		{"during-refine-level", func(it IterStats, top int) bool {
 			return it.Level == 1 && it.Iter == 2
-		}},
+		}, false},
 		// During the FIRST iteration of a warm level, before any of its
 		// deposits flushed: the level's pending iteration-0 snapshot has
 		// no schedule state and must not replace the coarser level's
@@ -217,7 +221,7 @@ func TestPlaceCheckpointResumeMidVCycle(t *testing.T) {
 		// on the coarser level and re-descends.
 		{"at-refine-level-entry", func(it IterStats, top int) bool {
 			return it.Level == top-1 && it.Iter == 1
-		}},
+		}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Uninterrupted reference.
@@ -280,6 +284,21 @@ func TestPlaceCheckpointResumeMidVCycle(t *testing.T) {
 			for i := range a {
 				if a[i] != b[i] {
 					t.Fatalf("position word %d diverged after mid-V-cycle resume", i)
+				}
+			}
+			if tc.fullHistory {
+				// Kernel deltas (timings, CG iterations) are not checkpointed.
+				numeric := func(h []IterStats) []IterStats {
+					out := append([]IterStats(nil), h...)
+					for i := range out {
+						st := &out[i]
+						st.ProjectTime, st.AssemblyTime, st.SolveTime, st.PrecondTime = 0, 0, 0, 0
+						st.CGIters = 0
+					}
+					return out
+				}
+				if got, want := numeric(resRes.History), numeric(resRef.History); !reflect.DeepEqual(got, want) {
+					t.Errorf("resumed History differs from the reference:\n got %+v\nwant %+v", got, want)
 				}
 			}
 		})

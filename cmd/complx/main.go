@@ -232,6 +232,11 @@ func run(ctx context.Context, cfg runCfg) error {
 	}
 	if cfg.verbose {
 		opt.OnIteration = func(it complx.IterStats) {
+			if it.PhiUpper == 0 {
+				// Overflow-loop record: no Lagrangian, no duality gap.
+				fmt.Printf("  iter %3d  overflow=%-7.4f HPWL=%.0f\n", it.Iter, it.Overflow, it.HPWL)
+				return
+			}
 			fmt.Printf("  iter %3d  lambda=%-9.4f Phi=%-12.0f Pi=%-12.0f gap=%.3f grid=%d\n",
 				it.Iter, it.Lambda, it.Phi, it.Pi, (it.PhiUpper-it.Phi)/it.PhiUpper, it.GridNX)
 		}

@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bufio"
+	"context"
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
 
+	"complx"
 	"complx/internal/faultinject"
 )
 
@@ -70,6 +74,64 @@ func TestJobWatchdog(t *testing.T) {
 	}
 	if g := sched.dobs.Gauge("complx_watchdog_active").Value(); g != 0 {
 		t.Errorf("complx_watchdog_active = %v after the job finished, want 0", g)
+	}
+}
+
+// TestJobWatchdogBaselines pins that the overflow-loop baselines report
+// progress: NLP and RQL jobs run under a watchdog window half as long as
+// the whole run — far longer than any single iteration (measured on a
+// 2-core host: NLP's longest gap, before its first iteration, is 0.8–1.1 s
+// of a 4.2–5.3 s run; RQL's is 0.1 s of 1.1–1.3 s) — and must finish done,
+// streaming one SSE iter event per global iteration in the report's row
+// form. The window is calibrated from an unwatched run of the same job, so
+// it scales with the host and the race detector.
+func TestJobWatchdogBaselines(t *testing.T) {
+	for _, alg := range []string{"nlp", "rql"} {
+		t.Run(alg, func(t *testing.T) {
+			spec := heavySpec(560, 1, 0)
+			spec.Algorithm = alg
+			start := time.Now()
+			if _, err := runPlacement(context.Background(), &Job{ID: "calibrate", Spec: spec},
+				t.TempDir(), 0, complx.NewObserver(), func(complx.IterStats) {}); err != nil {
+				t.Fatal(err)
+			}
+			cfg := testConfig(1)
+			cfg.watchdogStall = time.Since(start) / 2
+			srv, _ := startTestServerCfg(t, t.TempDir(), cfg)
+
+			j := submit(t, srv, spec)
+			resp, err := srv.Client().Get(srv.URL + "/jobs/" + j.ID + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var iters []map[string]any
+			sc := bufio.NewScanner(resp.Body)
+			for sc.Scan() && sc.Text() != "event: done" {
+				if sc.Text() != "event: iter" || !sc.Scan() {
+					continue
+				}
+				row := map[string]any{}
+				if err := json.Unmarshal([]byte(strings.TrimPrefix(sc.Text(), "data: ")), &row); err != nil {
+					t.Fatalf("iter payload %q: %v", sc.Text(), err)
+				}
+				iters = append(iters, row)
+			}
+
+			got := waitDone(t, srv, j.ID, 5*time.Minute)
+			if got.State != StateDone {
+				t.Fatalf("%s job under a %v watchdog: state %s (%s), want done",
+					alg, cfg.watchdogStall, got.State, got.Error)
+			}
+			if got.Result == nil || got.Result.Iterations == 0 || len(iters) != got.Result.Iterations {
+				t.Fatalf("%s job streamed %d iter events for result %+v", alg, len(iters), got.Result)
+			}
+			for _, key := range []string{"iter", "overflow", "hpwl"} {
+				if _, ok := iters[0][key]; !ok {
+					t.Fatalf("iter payload %v lacks the report key %q", iters[0], key)
+				}
+			}
+		})
 	}
 }
 

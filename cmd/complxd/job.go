@@ -14,6 +14,7 @@ import (
 	"complx"
 	"complx/internal/faultinject"
 	"complx/internal/fsatomic"
+	"complx/internal/obs"
 )
 
 // JobState is a job's position in the lifecycle. Transitions are
@@ -155,31 +156,6 @@ func (s *JobSpec) options() (complx.Options, error) {
 	}, nil
 }
 
-// JobResult is the subset of complx.Result persisted with the job.
-// global_iterations and cg_iterations are run totals: they count every
-// V-cycle level and every portfolio member round once, not only the
-// segment that produced the final placement.
-type JobResult struct {
-	HPWL             float64 `json:"hpwl"`
-	ScaledHPWL       float64 `json:"scaled_hpwl"`
-	OverflowPercent  float64 `json:"overflow_percent"`
-	GlobalIterations int     `json:"global_iterations"`
-	Converged        bool    `json:"converged"`
-	Legalized        bool    `json:"legalized"`
-	Detailed         bool    `json:"detailed"`
-	Resumed          bool    `json:"resumed"`
-	Precond          string  `json:"precond,omitempty"`
-	CGIterations     int     `json:"cg_iterations"`
-	TotalSeconds     float64 `json:"total_seconds"`
-	// Portfolio summary, present only when the job ran a portfolio search
-	// (a pointer so that winner member 0 is distinguishable from "no
-	// portfolio").
-	PortfolioWinner  *int   `json:"portfolio_winner,omitempty"`
-	PortfolioVariant string `json:"portfolio_variant,omitempty"`
-	PortfolioCulls   int    `json:"portfolio_culls,omitempty"`
-	PortfolioReseeds int    `json:"portfolio_reseeds,omitempty"`
-}
-
 // Job is one persisted job record: the spec, the lifecycle state, and the
 // result or error once finished. The record is the durable unit — it is
 // rewritten atomically on every state transition, so a killed server
@@ -194,9 +170,11 @@ type Job struct {
 	Finished  *time.Time `json:"finished,omitempty"`
 	// Attempts counts scheduling attempts, incremented on each transition
 	// to running; >1 means the job resumed after a server death.
-	Attempts int        `json:"attempts"`
-	Error    string     `json:"error,omitempty"`
-	Result   *JobResult `json:"result,omitempty"`
+	Attempts int    `json:"attempts"`
+	Error    string `json:"error,omitempty"`
+	// Result is the run's end-of-run summary (complx.Result.Summary), the
+	// same record as the run report's result.
+	Result *obs.FinalStats `json:"result,omitempty"`
 }
 
 // store persists job records under dir/jobs/<id>/job.json with atomic

@@ -553,6 +553,11 @@ func (s *scheduler) runJob(j *Job, ri *runtimeInfo) {
 		return
 	}
 
+	var summary *obs.FinalStats
+	if res != nil {
+		f := res.Summary()
+		summary = &f
+	}
 	s.update(j, func(j *Job) {
 		now := time.Now().UTC()
 		j.Finished = &now
@@ -562,12 +567,10 @@ func (s *scheduler) runJob(j *Job, ri *runtimeInfo) {
 			// best-so-far placement (when one exists) stays attached.
 			j.State = StateFailed
 			j.Error = cause.Error()
-			if res != nil {
-				j.Result = summarize(res)
-			}
+			j.Result = summary
 		case res != nil && res.Cancelled:
 			j.State = StateCancelled
-			j.Result = summarize(res)
+			j.Result = summary
 			if err != nil {
 				j.Error = err.Error()
 			}
@@ -576,7 +579,7 @@ func (s *scheduler) runJob(j *Job, ri *runtimeInfo) {
 			j.Error = err.Error()
 		default:
 			j.State = StateDone
-			j.Result = summarize(res)
+			j.Result = summary
 		}
 	})
 	ri.finish()
@@ -777,30 +780,4 @@ func buildNetlist(spec JobSpec) (*complx.Netlist, float64, error) {
 		return nil, 0, err
 	}
 	return nl, target, nil
-}
-
-func summarize(res *complx.Result) *JobResult {
-	if res == nil {
-		return nil
-	}
-	jr := &JobResult{
-		HPWL:             res.HPWL,
-		ScaledHPWL:       res.ScaledHPWL,
-		OverflowPercent:  res.OverflowPercent,
-		GlobalIterations: res.GlobalIterations,
-		Converged:        res.Converged,
-		Legalized:        res.Legalized,
-		Detailed:         res.Detailed,
-		Resumed:          res.Resumed,
-		Precond:          res.Precond,
-		CGIterations:     res.CGIterations,
-		TotalSeconds:     res.Total.Seconds(),
-	}
-	if pf := res.Portfolio; pf != nil {
-		jr.PortfolioWinner = &pf.Winner
-		jr.PortfolioVariant = pf.WinnerVariant
-		jr.PortfolioCulls = pf.Culls
-		jr.PortfolioReseeds = pf.Reseeds
-	}
-	return jr
 }

@@ -11,6 +11,7 @@ import (
 
 	"complx"
 	"complx/internal/faultinject"
+	"complx/internal/obs"
 	"complx/internal/perr"
 )
 
@@ -56,10 +57,10 @@ func (s *server) handler() http.Handler {
 	mux.Handle("/obs/", http.StripPrefix("/obs", s.hub.Handler()))
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		// Daemon-level series first (unlabeled), then the per-job series the
-		// hub aggregates under job="<id>" labels.
-		s.sched.dobs.Metrics().WritePrometheus(w) //nolint:errcheck // best-effort over HTTP
-		s.hub.WritePrometheus(w)                  //nolint:errcheck // best-effort over HTTP
+		// One exposition: the daemon-level series (unlabeled) first, then the
+		// per-job series under job="<id>" labels.
+		srcs := append([]obs.Source{{Reg: s.sched.dobs.Metrics()}}, s.hub.Sources()...)
+		obs.WritePrometheus(w, srcs...) //nolint:errcheck // best-effort over HTTP
 	})
 	mux.HandleFunc("GET /status", s.handleStatus)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {

@@ -223,9 +223,9 @@ func TestDaemonLoadConcurrent(t *testing.T) {
 			t.Errorf("job %s (threads=%d): HPWL %v != serial %v — daemon run is not bitwise identical",
 				id, specs[i].Threads, j.Result.HPWL, refs[i].HPWL)
 		}
-		if j.Result.GlobalIterations != refs[i].GlobalIterations {
+		if j.Result.Iterations != refs[i].GlobalIterations {
 			t.Errorf("job %s: %d iterations != serial %d",
-				id, j.Result.GlobalIterations, refs[i].GlobalIterations)
+				id, j.Result.Iterations, refs[i].GlobalIterations)
 		}
 	}
 

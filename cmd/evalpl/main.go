@@ -80,7 +80,7 @@ type levelScore struct {
 // levelBreakdown groups the iteration trace by V-cycle level, coarsest
 // first (the order the levels ran). A flat run yields a single level 0
 // group, reported as nil so flat score files stay unchanged.
-func levelBreakdown(trace []obs.IterSample) []levelScore {
+func levelBreakdown(trace []obs.IterStats) []levelScore {
 	byLevel := map[int]*levelScore{}
 	var order []int
 	for _, s := range trace {
@@ -91,7 +91,7 @@ func levelBreakdown(trace []obs.IterSample) []levelScore {
 			order = append(order, s.Level)
 		}
 		ls.Iterations++
-		ls.KernelSeconds += s.ProjectSeconds + s.AssemblySeconds + s.SolveSeconds + s.PrecondSeconds
+		ls.KernelSeconds += s.ProjectTime.Seconds() + s.AssemblyTime.Seconds() + s.SolveTime.Seconds() + s.PrecondTime.Seconds()
 		if s.HPWL != 0 {
 			ls.HPWL = s.HPWL
 		} else if ls.HPWL == 0 && s.PhiUpper != 0 {

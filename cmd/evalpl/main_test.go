@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"complx"
 	"complx/internal/obs"
@@ -98,11 +99,11 @@ func TestEvalPlErrors(t *testing.T) {
 // PhiUpper as the fallback, and flat (single-level) traces yielding nil so
 // flat score files are unchanged.
 func TestLevelBreakdown(t *testing.T) {
-	trace := []obs.IterSample{
-		{Level: 2, ProjectSeconds: 1, AssemblySeconds: 2, SolveSeconds: 3, PrecondSeconds: 4, PhiUpper: 500},
-		{Level: 2, SolveSeconds: 1, HPWL: 900},
-		{Level: 1, AssemblySeconds: 2, PhiUpper: 950},
-		{Level: 0, SolveSeconds: 3, HPWL: 1000},
+	trace := []obs.IterStats{
+		{Level: 2, ProjectTime: 1 * time.Second, AssemblyTime: 2 * time.Second, SolveTime: 3 * time.Second, PrecondTime: 4 * time.Second, PhiUpper: 500},
+		{Level: 2, SolveTime: 1 * time.Second, HPWL: 900},
+		{Level: 1, AssemblyTime: 2 * time.Second, PhiUpper: 950},
+		{Level: 0, SolveTime: 3 * time.Second, HPWL: 1000},
 	}
 	got := levelBreakdown(trace)
 	if len(got) != 3 {

@@ -117,7 +117,8 @@ type (
 	Point = geom.Point
 	// Rect is an axis-aligned rectangle.
 	Rect = geom.Rect
-	// IterStats records one global placement iteration.
+	// IterStats records one global placement iteration: the record of
+	// Result.History, Options.OnIteration and the run report's trace.
 	IterStats = core.IterStats
 	// SelfConsistency aggregates the Formula 11 projection check.
 	SelfConsistency = core.SelfConsistency
@@ -384,7 +385,10 @@ type Options struct {
 	// (timing/power criticalities γ⃗ of Formula 13).
 	CellPenalty []float64
 
-	// OnIteration observes global placement iterations.
+	// OnIteration observes every global placement iteration record, for
+	// every algorithm, V-cycle level, portfolio member and clustered pass.
+	// Portfolio members run concurrently, so with Portfolio enabled it
+	// must be safe for concurrent use.
 	OnIteration func(IterStats)
 
 	// Checkpoint enables persistent checkpoint/resume for the global
@@ -503,9 +507,10 @@ type Result struct {
 	// member round and clustered pass once. Converged, FinalLambda and
 	// DualityGap describe the segment that produced the final placement
 	// (the finest level, the portfolio winner, the fine clustered pass);
-	// History is that placement's trajectory: every V-cycle level coarsest
-	// first, the portfolio winner's lineage, or the clustered coarse pass
-	// followed by the fine pass.
+	// History is that placement's trajectory, one record per iteration for
+	// every algorithm: every V-cycle level coarsest first, the portfolio
+	// winner's lineage, or the clustered coarse pass followed by the fine
+	// pass. A resumed run's History starts with the checkpointed records.
 	GlobalIterations int
 	Converged        bool
 	FinalLambda      float64
@@ -553,6 +558,36 @@ type Result struct {
 	// legalization (0 after a successful one), however many there are;
 	// CheckLegal describes at most 100 of them.
 	LegalViolations int
+}
+
+// Summary returns the run's end-of-run summary: the result section of the
+// run report and the result complxd persists with a job.
+func (res *Result) Summary() obs.FinalStats {
+	f := obs.FinalStats{
+		HPWL:            res.HPWL,
+		WeightedHPWL:    res.WHPWL,
+		ScaledHPWL:      res.ScaledHPWL,
+		OverflowPercent: res.OverflowPercent,
+		FinalLambda:     res.FinalLambda,
+		DualityGap:      res.DualityGap,
+		Iterations:      res.GlobalIterations,
+		Converged:       res.Converged,
+		Cancelled:       res.Cancelled,
+		Legalized:       res.Legalized,
+		Detailed:        res.Detailed,
+		LegalViolations: res.LegalViolations,
+		TotalSeconds:    res.Total.Seconds(),
+		Precond:         res.Precond,
+		CGIters:         res.CGIterations,
+		Resumed:         res.Resumed,
+	}
+	if pf := res.Portfolio; pf != nil {
+		winner := pf.Winner
+		f.PortfolioWinner = &winner
+		f.PortfolioVariant = pf.WinnerVariant
+		f.PortfolioCulls, f.PortfolioReseeds = pf.Culls, pf.Reseeds
+	}
+	return f
 }
 
 // setGlobal copies the global placement stage's engine result into res.
@@ -790,23 +825,7 @@ func PlaceContext(ctx context.Context, nl *Netlist, opt Options) (*Result, error
 	res.WHPWL = netmodel.WeightedHPWL(nl)
 	res.ScaledHPWL, res.OverflowPercent = ScaledHPWL(nl, opt.TargetDensity)
 	res.Total = time.Since(start)
-	o.FinishRun(obs.FinalStats{
-		HPWL:            res.HPWL,
-		WeightedHPWL:    res.WHPWL,
-		ScaledHPWL:      res.ScaledHPWL,
-		OverflowPercent: res.OverflowPercent,
-		FinalLambda:     res.FinalLambda,
-		DualityGap:      res.DualityGap,
-		Iterations:      res.GlobalIterations,
-		Converged:       res.Converged,
-		Cancelled:       res.Cancelled,
-		Legalized:       res.Legalized,
-		Detailed:        res.Detailed,
-		LegalViolations: res.LegalViolations,
-		TotalSeconds:    res.Total.Seconds(),
-		Precond:         res.Precond,
-		CGIters:         res.CGIterations,
-	})
+	o.FinishRun(res.Summary())
 	if cancelErr != nil {
 		return res, cancelErr
 	}

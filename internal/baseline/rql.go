@@ -86,8 +86,8 @@ func (s *rqlStepper) Step(ctx context.Context, iter int, _ *density.Grid) (engin
 // overfilled bins, and hold anchors whose strongest forces are relaxed
 // (capped) rather than applied in full — the "ad hoc thresholding" force
 // modulation the ComPLx paper contrasts itself against. It reads
-// TargetDensity, MaxIterations (0 → 120), Obs, Checkpoint and Resume from
-// opt and ignores the other fields.
+// TargetDensity, MaxIterations (0 → 120), OnIteration, Obs, Checkpoint and
+// Resume from opt and ignores the other fields.
 func RQL(nl *netlist.Netlist, opt core.Options) (*engine.Result, error) {
 	return RQLContext(context.Background(), nl, opt)
 }
@@ -102,8 +102,9 @@ func RQLContext(ctx context.Context, nl *netlist.Netlist, opt core.Options) (*en
 		Netlist: nl,
 		// One reusable solver for the whole run (incremental assembly + CG
 		// workspace reuse).
-		Primal: engine.NewQuadraticPrimal(nl, qp.Options{Obs: opt.Obs}),
-		Obs:    opt.Obs,
+		Primal:  engine.NewQuadraticPrimal(nl, qp.Options{Obs: opt.Obs}),
+		Monitor: engine.MonitorFunc(opt.OnIteration),
+		Obs:     opt.Obs,
 		Dual: &rqlStepper{
 			nl: nl, nMov: len(mov), target: target,
 			nx: nx, ny: ny,

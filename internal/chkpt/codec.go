@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"complx/internal/geom"
+	"complx/internal/obs"
 )
 
 // Typed decode failures; test with errors.Is. Manager.Load wraps them in a
@@ -105,7 +106,7 @@ func Decode(data []byte) (*State, error) {
 		r.err = fmt.Errorf("%w: absurd history length %d", ErrCorrupt, nh)
 	}
 	if r.err == nil {
-		st.History = make([]IterRecord, nh)
+		st.History = make([]obs.IterStats, nh)
 		for i := range st.History {
 			h := &st.History[i]
 			h.Iter = r.i64()

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"complx/internal/geom"
+	"complx/internal/obs"
 )
 
 // fullState builds a State exercising every field, including awkward float
@@ -39,7 +40,7 @@ func fullState() *State {
 		SelfCons:       [4]int{10, 7, 2, 1},
 		ProjectorState: []float64{1.25, -0.5},
 		DualState:      nil,
-		History: []IterRecord{
+		History: []obs.IterStats{
 			{Iter: 1, Lambda: 0.1, Phi: 10, PhiUpper: 11, Pi: 5, L: 9, Overflow: 0.4, GridNX: 8},
 			{Iter: 2, Lambda: 0.2, Phi: 9.5, PhiUpper: 10.5, Pi: 4, L: 8.5, Overflow: 0.3, GridNX: 16},
 		},

@@ -35,6 +35,7 @@ import (
 	"strings"
 
 	"complx/internal/geom"
+	"complx/internal/obs"
 )
 
 // Version is the current checkpoint format version. Decode refuses other
@@ -57,16 +58,6 @@ const (
 	// (engine.OverflowLoop).
 	KindOverflow Kind = "overflow"
 )
-
-// IterRecord is the numeric (non-timing) projection of one engine.IterStats
-// history entry. Timing fields are deliberately dropped: they are excluded
-// from the golden hashes and would differ between a resumed and an
-// uninterrupted run anyway.
-type IterRecord struct {
-	Iter                                   int
-	Lambda, Phi, PhiUpper, Pi, L, Overflow float64
-	GridNX                                 int
-}
 
 // State is one complete, self-contained snapshot of an engine loop at an
 // iteration boundary. Every float64 survives encoding bit-for-bit.
@@ -117,8 +108,12 @@ type State struct {
 	// the solver holds no such state.
 	PrimalState []float64
 
-	// History holds the numeric iteration history accumulated so far.
-	History []IterRecord
+	// History holds the iteration records accumulated so far. The file
+	// format carries their numeric fields (Iter, Lambda, Phi, PhiUpper, Pi,
+	// L, Overflow, GridNX): timings are excluded from the golden hashes and
+	// would differ between a resumed and an uninterrupted run anyway, and
+	// the V-cycle level is the snapshot's Level.
+	History []obs.IterStats
 
 	// RNG is reserved for pseudo-random generator state. The placement
 	// loops are RNG-free today (all randomness lives in benchmark

@@ -127,7 +127,8 @@ type Options struct {
 	// ("jacobi", "ssor", "ic0"), or ""/"auto" for the size heuristic
 	// (Jacobi below qp.AutoPrecondMinVars variables, IC(0) above).
 	Precond string
-	// OnIteration, when set, observes per-iteration statistics.
+	// OnIteration, when set, observes every iteration record of every
+	// global placer, the overflow-loop baselines included.
 	OnIteration func(IterStats)
 	// Obs, when non-nil, instruments the run (spans, metrics, iteration
 	// trace). Instrumentation only reads placement state, so observed runs
@@ -197,8 +198,8 @@ func (o *Options) fill() {
 	}
 }
 
-// IterStats records one global placement iteration (Figure 1 data). It is
-// the engine's statistics record; see engine.IterStats for the fields.
+// IterStats records one global placement iteration (Figure 1 data); see
+// obs.IterStats for the fields.
 type IterStats = engine.IterStats
 
 // SelfConsistency aggregates the Formula 11 check (paper §S2).
@@ -505,17 +506,12 @@ func placeSingle(ctx context.Context, nl *netlist.Netlist, opt Options, seg segm
 			sched = dampedSchedule{Schedule: sched, factor: warmDamp}
 		}
 	}
-	var mon engine.Monitor
-	if opt.OnIteration != nil {
-		mon = engine.MonitorFunc(opt.OnIteration)
-	}
-
 	loop := &engine.Loop{
 		Netlist:        nl,
 		Primal:         primal,
 		Projector:      projector,
 		Schedule:       sched,
-		Monitor:        mon,
+		Monitor:        engine.MonitorFunc(opt.OnIteration),
 		Obs:            opt.Obs,
 		MaxIterations:  opt.MaxIterations,
 		InitialSolves:  opt.InitialSolves,

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"slices"
+
 	"complx/internal/chkpt"
 	"complx/internal/geom"
 	"complx/internal/obs"
@@ -63,46 +65,12 @@ func restoreCodec(v any, state []float64) error {
 	return sc.RestoreState(state)
 }
 
-// historyRecords projects the run history into checkpointable records
-// (timing fields dropped — they are excluded from the golden hashes).
-func historyRecords(hist []IterStats) []chkpt.IterRecord {
-	if hist == nil {
-		return nil
-	}
-	out := make([]chkpt.IterRecord, len(hist))
-	for i, h := range hist {
-		out[i] = chkpt.IterRecord{
-			Iter: h.Iter, Lambda: h.Lambda,
-			Phi: h.Phi, PhiUpper: h.PhiUpper,
-			Pi: h.Pi, L: h.L,
-			Overflow: h.Overflow, GridNX: h.GridNX,
-		}
-	}
-	return out
-}
-
-// historyStats is the inverse of historyRecords (timings zero).
-func historyStats(recs []chkpt.IterRecord) []IterStats {
-	if recs == nil {
-		return nil
-	}
-	out := make([]IterStats, len(recs))
-	for i, r := range recs {
-		out[i] = IterStats{
-			Iter: r.Iter, Lambda: r.Lambda,
-			Phi: r.Phi, PhiUpper: r.PhiUpper,
-			Pi: r.Pi, L: r.L,
-			Overflow: r.Overflow, GridNX: r.GridNX,
-		}
-	}
-	return out
-}
-
 // captureState builds a complete, self-contained snapshot of the loop at
 // the end of iteration iter (after that iteration's primal solve). The
 // snapshot references the loop's current slices — all of which are
 // replaced, never mutated, by subsequent iterations — so capture is cheap:
-// no position copies beyond the O(history) record conversion.
+// no copies at all (the history is clipped, so later appends on either
+// side never share its backing array).
 func (l *Loop) captureState(iter int, s *loopState, res *Result) *chkpt.State {
 	st := &chkpt.State{
 		Design:    l.Design,
@@ -123,7 +91,7 @@ func (l *Loop) captureState(iter int, s *loopState, res *Result) *chkpt.State {
 		},
 		ProjectorState: captureCodec(l.Projector),
 		PrimalState:    captureCodec(l.Primal),
-		History:        historyRecords(res.History),
+		History:        slices.Clip(res.History),
 	}
 	return st
 }

@@ -14,7 +14,7 @@
 //     live in projector.go);
 //   - Schedule updates the multiplier λ (ComPLx Formula 12 and the SimPL
 //     linear ramp live in schedule.go);
-//   - Monitor observes per-iteration statistics.
+//   - Monitor observes the per-iteration record (IterStats).
 //
 // Loop is the full ComPLx-style loop with duality-gap convergence;
 // OverflowLoop (overflow.go) is the simpler overflow-driven skeleton shared
@@ -124,52 +124,50 @@ type Schedule interface {
 	Next(lambda, h, pi, piPrev float64) float64
 }
 
-// Monitor observes per-iteration statistics.
+// Monitor observes every iteration record of both engine loops, in order.
 type Monitor interface {
 	OnIteration(IterStats)
 }
 
-// MonitorFunc adapts a function to the Monitor interface.
+// MonitorFunc adapts a function to the Monitor interface; a nil
+// MonitorFunc observes nothing.
 type MonitorFunc func(IterStats)
 
-// OnIteration calls f.
-func (f MonitorFunc) OnIteration(st IterStats) { f(st) }
+// OnIteration calls f when it is non-nil.
+func (f MonitorFunc) OnIteration(st IterStats) {
+	if f != nil {
+		f(st)
+	}
+}
 
-// IterStats records one global placement iteration (Figure 1 data).
-type IterStats struct {
-	Iter   int
-	Lambda float64
-	// Phi is the interconnect cost Φ (weighted HPWL) of the lower-bound
-	// placement; PhiUpper of the anchor (C-feasible) placement.
-	Phi, PhiUpper float64
-	// Pi is the L1 distance to the projection, L the Lagrangian Φ + λΠ.
-	Pi, L float64
-	// Overflow is the density overflow ratio of the lower-bound placement.
-	Overflow float64
-	// GridNX is the projection grid resolution used.
-	GridNX int
-	// Level is the multilevel V-cycle level the iteration ran at (0 for
-	// flat placement and the finest level, higher = coarser).
-	Level int
-	// Member is the portfolio member the iteration belongs to (0 for flat
-	// runs and for the portfolio's unperturbed base member).
-	Member int
+// IterStats records one global placement iteration (Figure 1 data); see
+// obs.IterStats for the fields.
+type IterStats = obs.IterStats
 
-	// ProjectTime is the wall-clock of this iteration's feasibility
-	// projection (grid build, spreading, interpolation, refinement).
-	ProjectTime time.Duration
-	// AssemblyTime and SolveTime are the kernel durations spent since the
-	// previous iteration's stats emission (so iteration k reports the
-	// primal solve that ended iteration k−1; iteration 1 reports the
-	// initial interconnect-only solves). Zero when the primal solver does
-	// not implement primalProbe.
-	AssemblyTime, SolveTime time.Duration
-	// CGIters and PrecondTime are the CG inner iterations and preconditioner
-	// setup/refresh wall-clock spent since the previous stats emission, on
-	// the same delta schedule as AssemblyTime/SolveTime. Zero when the primal
-	// solver does not implement primalProbe.
-	CGIters     int
-	PrecondTime time.Duration
+// recorder is the one emit path of both engine loops: it fills a record's
+// kernel deltas from the primal solver's totals, appends the record to the
+// run's History, and hands it to the Monitor and the observer.
+type recorder struct {
+	primal  PrimalSolver
+	monitor Monitor
+	obs     *obs.Observer
+	last    kernelTotals
+}
+
+// emit fills st's assembly, solve, preconditioner and CG deltas since the
+// previous record and emits it.
+func (r *recorder) emit(res *Result, st IterStats) {
+	kt := primalTotals(r.primal)
+	st.AssemblyTime = kt.assembly - r.last.assembly
+	st.SolveTime = kt.solve - r.last.solve
+	st.PrecondTime = kt.precondSetup - r.last.precondSetup
+	st.CGIters = kt.cgIters - r.last.cgIters
+	r.last = kt
+	res.History = append(res.History, st)
+	if r.monitor != nil {
+		r.monitor.OnIteration(st)
+	}
+	r.obs.RecordIteration(st)
 }
 
 // SelfConsistency aggregates the Formula 11 check (paper §S2).
@@ -217,7 +215,8 @@ type Result struct {
 	GapFinal, BestUpper float64
 	// History is the per-iteration trajectory that produced the final
 	// placement: every V-cycle level, coarsest first, or the portfolio
-	// winner's lineage. Empty for the overflow loops.
+	// winner's lineage, for both loop families. A resumed segment's
+	// History starts with the records restored from its snapshot.
 	History  []IterStats
 	SelfCons SelfConsistency
 	// Kernel timing breakdown: system assembly, CG solves, and feasibility
@@ -276,7 +275,12 @@ func (r *Result) Restore(st *chkpt.State) {
 		Inconsistent:  st.SelfCons[2],
 		PremiseFailed: st.SelfCons[3],
 	}
-	r.History = historyStats(st.History)
+	// One loop runs one V-cycle level, so the restored records belong to
+	// the snapshot's level.
+	r.History = append([]IterStats(nil), st.History...)
+	for i := range r.History {
+		r.History[i].Level = st.Level
+	}
 	if n := len(r.History); n > 0 {
 		// Re-derive the last iteration's summary scalars bitwise from the
 		// final history record, so a resume that immediately stops (e.g.
@@ -359,7 +363,7 @@ type Loop struct {
 	Primal    PrimalSolver
 	Projector Projector
 	Schedule  Schedule
-	// Monitor observes per-iteration statistics; nil disables.
+	// Monitor observes every iteration record; nil disables.
 	Monitor Monitor
 	// Obs, when non-nil, records the iteration trace, pipeline spans and
 	// pseudonet multiplier statistics. Instrumentation only reads placement
@@ -384,11 +388,11 @@ type Loop struct {
 	// messages; both are optional metadata.
 	Design, Algorithm string
 	// Level is the multilevel V-cycle level this loop solves (0 = finest /
-	// flat). It is stamped into every IterStats, iteration sample and
-	// checkpoint, and a Resume snapshot must carry the same level.
+	// flat). It is stamped into every IterStats record and checkpoint, and
+	// a Resume snapshot must carry the same level.
 	Level int
 	// Member is the portfolio member index this loop runs as (0 outside a
-	// portfolio). Stamped into IterStats and iteration samples; unlike
+	// portfolio). Stamped into every IterStats record; unlike
 	// Level it is pure observability metadata and is not checkpointed —
 	// the portfolio's member table owns that association.
 	Member int
@@ -599,8 +603,7 @@ func (l *Loop) Run(ctx context.Context) (*Result, error) {
 		}
 	}
 
-	var last kernelTotals
-
+	rec := recorder{primal: l.Primal, monitor: l.Monitor, obs: l.Obs}
 	for k := startIter; k <= l.MaxIterations; k++ {
 		if fi := faultinject.Active(); fi != nil {
 			if err := fi.Fire(faultinject.EngineIteration, l.Design); err != nil {
@@ -669,39 +672,15 @@ func (l *Loop) Run(ctx context.Context) (*Result, error) {
 		}
 		s.prevPos, s.prevAnchors = curPos, anchors
 
-		kt := primalTotals(l.Primal)
-		st := IterStats{
+		rec.emit(res, IterStats{
 			Iter: k, Lambda: s.lambda,
 			Phi: phi, PhiUpper: phiUpper,
 			Pi: pi, L: phi + s.lambda*pi,
-			Overflow: pr.Overflow(),
-			GridNX:   pr.GridNX,
-			Level:    l.Level,
-			Member:   l.Member,
-
-			ProjectTime:  projTime,
-			AssemblyTime: kt.assembly - last.assembly,
-			SolveTime:    kt.solve - last.solve,
-			CGIters:      kt.cgIters - last.cgIters,
-			PrecondTime:  kt.precondSetup - last.precondSetup,
-		}
-		last = kt
-		res.History = append(res.History, st)
-		if l.Monitor != nil {
-			l.Monitor.OnIteration(st)
-		}
-		l.Obs.RecordIteration(obs.IterSample{
-			Iter: st.Iter, Lambda: st.Lambda,
-			Phi: st.Phi, PhiUpper: st.PhiUpper,
-			Pi: st.Pi, L: st.L,
-			Overflow: st.Overflow, GridNX: st.GridNX,
-			Level:           st.Level,
-			Member:          st.Member,
-			ProjectSeconds:  st.ProjectTime.Seconds(),
-			AssemblySeconds: st.AssemblyTime.Seconds(),
-			SolveSeconds:    st.SolveTime.Seconds(),
-			PrecondSeconds:  st.PrecondTime.Seconds(),
-			CGIterations:    st.CGIters,
+			Overflow:    pr.Overflow(),
+			GridNX:      pr.GridNX,
+			Level:       l.Level,
+			Member:      l.Member,
+			ProjectTime: projTime,
 		})
 
 		if phiUpper < s.bestUpper {

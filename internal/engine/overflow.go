@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"slices"
 
 	"complx/internal/chkpt"
 	"complx/internal/density"
@@ -43,10 +44,10 @@ type OverflowLoop struct {
 	Netlist *netlist.Netlist
 	Primal  PrimalSolver
 	Dual    DualStepper
-	// Obs, when non-nil, records the per-iteration overflow/HPWL trace and
-	// the dual/primal stage spans. The per-iteration HPWL shown in the trace
-	// is measured only when an observer is attached (a read-only
-	// computation, so observed runs stay bitwise identical).
+	// Monitor observes every iteration record; nil disables.
+	Monitor Monitor
+	// Obs, when non-nil, records the per-iteration trace and the
+	// dual/primal stage spans.
 	Obs *obs.Observer
 
 	// MaxIterations bounds the measure/spread/solve loop (required > 0).
@@ -77,7 +78,7 @@ type OverflowLoop struct {
 
 // captureState builds a snapshot of the loop at the end of iteration iter
 // (after that iteration's primal solve).
-func (l *OverflowLoop) captureState(iter int) *chkpt.State {
+func (l *OverflowLoop) captureState(iter int, res *Result) *chkpt.State {
 	return &chkpt.State{
 		Design:    l.Design,
 		Algorithm: l.Algorithm,
@@ -85,6 +86,7 @@ func (l *OverflowLoop) captureState(iter int) *chkpt.State {
 		Iter:      iter,
 		Positions: l.Netlist.SnapshotPositions(),
 		DualState: captureCodec(l.Dual),
+		History:   slices.Clip(res.History),
 	}
 }
 
@@ -143,9 +145,10 @@ func (l *OverflowLoop) Run(ctx context.Context) (*Result, error) {
 			}
 		}
 		if ckpt != nil {
-			ckpt.set(0, l.captureState(0))
+			ckpt.set(0, l.captureState(0, res))
 		}
 	}
+	rec := recorder{primal: l.Primal, monitor: l.Monitor, obs: l.Obs}
 	for k := startIter; k <= l.MaxIterations; k++ {
 		grid, err := density.NewGridForNetlist(nl, l.NX, l.NY, l.TargetDensity)
 		if err != nil {
@@ -154,13 +157,9 @@ func (l *OverflowLoop) Run(ctx context.Context) (*Result, error) {
 		grid.AccumulateMovable(nl)
 		res.Overflow = grid.OverflowRatio()
 		res.Iterations = k
-		if l.Obs != nil {
-			// HPWL here is a read-only measurement taken only for the trace;
-			// unobserved runs skip it entirely.
-			l.Obs.RecordIteration(obs.IterSample{
-				Iter: k, Overflow: res.Overflow, HPWL: netmodel.HPWL(nl),
-			})
-		}
+		// HPWL is a read-only measurement, so recording it leaves the
+		// placement untouched.
+		rec.emit(res, IterStats{Iter: k, Overflow: res.Overflow, HPWL: netmodel.HPWL(nl)})
 		if res.Overflow < l.StopOverflow {
 			res.Converged = true
 			break
@@ -192,7 +191,7 @@ func (l *OverflowLoop) Run(ctx context.Context) (*Result, error) {
 		}
 		// End of iteration k: deposit a complete snapshot.
 		if ckpt != nil {
-			ckpt.set(k, l.captureState(k))
+			ckpt.set(k, l.captureState(k, res))
 		}
 	}
 	finish()

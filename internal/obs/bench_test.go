@@ -23,7 +23,7 @@ func BenchmarkNilObserverRecordIteration(b *testing.B) {
 	var o *Observer
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		o.RecordIteration(IterSample{Iter: i})
+		o.RecordIteration(IterStats{Iter: i})
 	}
 }
 
@@ -60,6 +60,6 @@ func BenchmarkEnabledRecordIteration(b *testing.B) {
 	o := New()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		o.RecordIteration(IterSample{Iter: i, Phi: 1, Overflow: 0.5})
+		o.RecordIteration(IterStats{Iter: i, Phi: 1, Overflow: 0.5})
 	}
 }

@@ -42,7 +42,7 @@ func (o *Observer) Handler() http.Handler {
 
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		o.Metrics().WritePrometheus(w)
+		WritePrometheus(w, Source{Reg: o.Metrics()})
 	})
 
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {

@@ -12,7 +12,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	o := New()
 	o.StartRun(RunInfo{Design: "adaptec1", Algorithm: "complx", Cells: 4})
 	o.SetPhase("global")
-	o.RecordIteration(IterSample{Iter: 0, Phi: 100, Overflow: 0.9})
+	o.RecordIteration(IterStats{Iter: 0, Phi: 100, Overflow: 0.9})
 	srv := httptest.NewServer(o.Handler())
 	defer srv.Close()
 

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"strings"
@@ -104,115 +102,21 @@ func (h *Hub) Statuses() map[string]Status {
 	return out
 }
 
-// labelSeries merges an extra label pair into a series name:
-// "m" → `m{k="v"}`, and "m{a=...}" → `m{k="v",a=...}`.
-func labelSeries(name, k, v string) string {
-	pair := fmt.Sprintf("%s=%q", k, v)
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:i] + "{" + pair + "," + name[i+1:]
-	}
-	return name + "{" + pair + "}"
-}
-
-// WritePrometheus renders every registered observer's metrics as one
-// Prometheus text exposition. Series are labeled job="<name>"; HELP and
-// TYPE headers appear once per base metric name across all observers, as
-// the text format requires.
-func (h *Hub) WritePrometheus(w io.Writer) error {
+// Sources returns every registered observer's registry labeled with the
+// observer's name, sorted by name: the hub's part of a Prometheus
+// exposition (see WritePrometheus).
+func (h *Hub) Sources() []Source {
 	if h == nil {
 		return nil
 	}
 	h.mu.Lock()
-	names := make([]string, 0, len(h.entries))
-	for n := range h.entries {
-		names = append(names, n)
+	defer h.mu.Unlock()
+	out := make([]Source, 0, len(h.entries))
+	for n, e := range h.entries {
+		out = append(out, Source{Reg: e.o.Metrics(), Job: n})
 	}
-	sort.Strings(names)
-	observers := make([]*Observer, len(names))
-	for i, n := range names {
-		observers[i] = h.entries[n].o
-	}
-	h.mu.Unlock()
-
-	type group struct {
-		kind  byte
-		help  string
-		lines []string
-	}
-	groups := map[string]*group{}
-	var order []string
-	for i, o := range observers {
-		job := names[i]
-		r := o.Metrics()
-		r.mu.Lock()
-		regNames := append([]string(nil), r.names...)
-		r.mu.Unlock()
-		for _, name := range regNames {
-			r.mu.Lock()
-			kind, help := r.kind[name], r.help[name]
-			c, g, hist := r.ctrs[name], r.gaug[name], r.hist[name]
-			r.mu.Unlock()
-			base := baseName(name)
-			grp, ok := groups[base]
-			if !ok {
-				grp = &group{kind: kind, help: help}
-				groups[base] = grp
-				order = append(order, base)
-			}
-			switch kind {
-			case 'c':
-				grp.lines = append(grp.lines, fmt.Sprintf("%s %v", labelSeries(name, "job", job), c.Value()))
-			case 'g':
-				grp.lines = append(grp.lines, fmt.Sprintf("%s %v", labelSeries(name, "job", job), g.Value()))
-			case 'h':
-				grp.lines = append(grp.lines, labeledHistogramLines(name, job, hist)...)
-			}
-		}
-	}
-	sort.Strings(order)
-	for _, base := range order {
-		grp := groups[base]
-		var kindName string
-		switch grp.kind {
-		case 'c':
-			kindName = "counter"
-		case 'g':
-			kindName = "gauge"
-		case 'h':
-			kindName = "histogram"
-		}
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", base, grp.help, base, kindName); err != nil {
-			return err
-		}
-		for _, ln := range grp.lines {
-			if _, err := fmt.Fprintln(w, ln); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// labeledHistogramLines renders one observer's histogram with the job label
-// merged into every bucket/sum/count series.
-func labeledHistogramLines(name, job string, h *Histogram) []string {
-	h.mu.Lock()
-	bounds := append([]float64(nil), h.bounds...)
-	counts := append([]uint64(nil), h.counts...)
-	sum, total := h.sum, h.total
-	h.mu.Unlock()
-	lines := make([]string, 0, len(bounds)+3)
-	cum := uint64(0)
-	for i, b := range bounds {
-		cum += counts[i]
-		lines = append(lines, fmt.Sprintf("%s_bucket{job=%q,le=\"%v\"} %d", name, job, b, cum))
-	}
-	cum += counts[len(counts)-1]
-	lines = append(lines,
-		fmt.Sprintf("%s_bucket{job=%q,le=\"+Inf\"} %d", name, job, cum),
-		fmt.Sprintf("%s_sum{job=%q} %v", name, job, sum),
-		fmt.Sprintf("%s_count{job=%q} %d", name, job, total))
-	return lines
+	sort.Slice(out, func(i, j int) bool { return out[i].Job < out[j].Job })
+	return out
 }
 
 // Handler returns the hub's HTTP handler (see the type comment for routes).
@@ -220,7 +124,7 @@ func (h *Hub) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		h.WritePrometheus(w) //nolint:errcheck // best-effort over HTTP
+		WritePrometheus(w, h.Sources()...) //nolint:errcheck // best-effort over HTTP
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")

@@ -18,7 +18,7 @@ func TestHubAggregatedMetrics(t *testing.T) {
 	hub.Register("job-b", b)
 
 	var sb strings.Builder
-	if err := hub.WritePrometheus(&sb); err != nil {
+	if err := WritePrometheus(&sb, hub.Sources()...); err != nil {
 		t.Fatal(err)
 	}
 	text := sb.String()
@@ -47,7 +47,7 @@ func TestHubLabeledSeriesAndHistograms(t *testing.T) {
 	hub.Register("j1", o)
 
 	var sb strings.Builder
-	if err := hub.WritePrometheus(&sb); err != nil {
+	if err := WritePrometheus(&sb, hub.Sources()...); err != nil {
 		t.Fatal(err)
 	}
 	text := sb.String()

@@ -94,20 +94,13 @@ const (
 // helpFor returns the exposition help string for a cataloged metric name
 // (generic fallback for ad-hoc names).
 func helpFor(name string) string {
-	if h, ok := metricHelp[baseName(name)]; ok {
+	// Labeled series are stored under their full name, m{label="..."}; the
+	// catalog is keyed by the base name m.
+	base, _, _ := strings.Cut(name, "{")
+	if h, ok := metricHelp[base]; ok {
 		return h
 	}
 	return "complx placement metric"
-}
-
-// baseName strips a {label="..."} suffix from a metric name. The registry
-// stores labeled series under their full name; HELP/TYPE exposition lines
-// and the help catalog use the base name.
-func baseName(name string) string {
-	if i := strings.IndexByte(name, '{'); i >= 0 {
-		return name[:i]
-	}
-	return name
 }
 
 var metricHelp = map[string]string{
@@ -346,54 +339,71 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	return h
 }
 
-// WritePrometheus renders every registered metric in the Prometheus text
-// exposition format (sorted by name, HELP and TYPE lines included).
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	if r == nil {
-		return nil
+// Source is one registry's part of a Prometheus exposition: its series
+// carry the label job="<Job>", or no extra label when Job is empty.
+type Source struct {
+	Reg *Registry
+	Job string
+}
+
+// WritePrometheus renders the sources' metrics as one Prometheus text
+// exposition. Metrics are sorted by base name (the name without its
+// {label=...} suffix), and HELP and TYPE appear once per base name across
+// all sources, as the text format requires; within a base name the series
+// follow the source order. Nil registries are skipped.
+func WritePrometheus(w io.Writer, srcs ...Source) error {
+	type group struct {
+		kind  byte
+		help  string
+		lines []string
 	}
-	r.mu.Lock()
-	names := append([]string(nil), r.names...)
-	r.mu.Unlock()
-	sort.Strings(names)
-	lastBase := ""
-	for _, name := range names {
+	groups := map[string]*group{}
+	var bases []string
+	for _, src := range srcs {
+		r := src.Reg
+		if r == nil {
+			continue
+		}
+		job := ""
+		if src.Job != "" {
+			job = fmt.Sprintf("job=%q", src.Job)
+		}
 		r.mu.Lock()
-		kind, help := r.kind[name], r.help[name]
-		c, g, h := r.ctrs[name], r.gaug[name], r.hist[name]
+		names := append([]string(nil), r.names...)
 		r.mu.Unlock()
-		// Labeled series ("name{label=...}") share one HELP/TYPE header
-		// under their base name; sorting makes them adjacent.
-		base := baseName(name)
-		if base != lastBase {
-			lastBase = base
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", base, help); err != nil {
-				return err
+		sort.Strings(names)
+		for _, name := range names {
+			r.mu.Lock()
+			kind, help := r.kind[name], r.help[name]
+			c, g, h := r.ctrs[name], r.gaug[name], r.hist[name]
+			r.mu.Unlock()
+			base, labels, _ := strings.Cut(name, "{")
+			labels = strings.TrimSuffix(labels, "}")
+			grp := groups[base]
+			if grp == nil {
+				grp = &group{kind: kind, help: help}
+				groups[base] = grp
+				bases = append(bases, base)
 			}
-			var kindName string
 			switch kind {
 			case 'c':
-				kindName = "counter"
+				grp.lines = append(grp.lines, fmt.Sprintf("%s %v", series(base, job, labels), c.Value()))
 			case 'g':
-				kindName = "gauge"
+				grp.lines = append(grp.lines, fmt.Sprintf("%s %v", series(base, job, labels), g.Value()))
 			case 'h':
-				kindName = "histogram"
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", base, kindName); err != nil {
-				return err
+				grp.lines = append(grp.lines, histogramLines(base, job, labels, h)...)
 			}
 		}
-		switch kind {
-		case 'c':
-			if _, err := fmt.Fprintf(w, "%s %v\n", name, c.Value()); err != nil {
-				return err
-			}
-		case 'g':
-			if _, err := fmt.Fprintf(w, "%s %v\n", name, g.Value()); err != nil {
-				return err
-			}
-		case 'h':
-			if err := writePrometheusHistogram(w, name, h); err != nil {
+	}
+	sort.Strings(bases)
+	kindNames := map[byte]string{'c': "counter", 'g': "gauge", 'h': "histogram"}
+	for _, base := range bases {
+		grp := groups[base]
+		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", base, grp.help, base, kindNames[grp.kind]); err != nil {
+			return err
+		}
+		for _, ln := range grp.lines {
+			if _, err := fmt.Fprintln(w, ln); err != nil {
 				return err
 			}
 		}
@@ -401,26 +411,40 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-func writePrometheusHistogram(w io.Writer, name string, h *Histogram) error {
+// series renders a sample name with its non-empty label pairs:
+// series("m", `job="a"`, "", `le="1"`) is `m{job="a",le="1"}`.
+func series(name string, pairs ...string) string {
+	var set []string
+	for _, p := range pairs {
+		if p != "" {
+			set = append(set, p)
+		}
+	}
+	if len(set) == 0 {
+		return name
+	}
+	return name + "{" + strings.Join(set, ",") + "}"
+}
+
+// histogramLines renders one histogram's cumulative bucket, sum and count
+// samples, each carrying the given label pairs.
+func histogramLines(base, job, labels string, h *Histogram) []string {
 	h.mu.Lock()
 	bounds := append([]float64(nil), h.bounds...)
 	counts := append([]uint64(nil), h.counts...)
 	sum, total := h.sum, h.total
 	h.mu.Unlock()
-	if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", name); err != nil {
-		return err
-	}
+	lines := make([]string, 0, len(bounds)+3)
 	cum := uint64(0)
 	for i, b := range bounds {
 		cum += counts[i]
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=\"%v\"} %d\n", name, b, cum); err != nil {
-			return err
-		}
+		lines = append(lines, fmt.Sprintf("%s %d", series(base+"_bucket", job, labels, fmt.Sprintf("le=\"%v\"", b)), cum))
 	}
 	cum += counts[len(counts)-1]
-	_, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %v\n%s_count %d\n",
-		name, cum, name, sum, name, total)
-	return err
+	return append(lines,
+		fmt.Sprintf("%s %d", series(base+"_bucket", job, labels, `le="+Inf"`), cum),
+		fmt.Sprintf("%s %v", series(base+"_sum", job, labels), sum),
+		fmt.Sprintf("%s %d", series(base+"_count", job, labels), total))
 }
 
 // Snapshot returns a flat name→value map of every counter and gauge plus

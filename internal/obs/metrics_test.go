@@ -63,7 +63,7 @@ func TestHistogramBuckets(t *testing.T) {
 		t.Fatalf("sum = %v, want 556.5", got)
 	}
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := WritePrometheus(&buf, Source{Reg: r}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -90,8 +90,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z_ctr", "a counter").Add(2)
 	r.Gauge("a_gauge", "a gauge").Set(1.5)
+	r.Histogram("m_hist", "a histogram", []float64{1}).Observe(0.5)
 	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
+	if err := WritePrometheus(&buf, Source{Reg: r}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -105,8 +106,19 @@ func TestWritePrometheusFormat(t *testing.T) {
 	if strings.Index(out, "a_gauge") > strings.Index(out, "z_ctr") {
 		t.Fatalf("exposition not sorted:\n%s", out)
 	}
+	// One HELP and one TYPE line per base name, histograms included.
+	for _, base := range []string{"a_gauge", "m_hist", "z_ctr"} {
+		for _, head := range []string{"# HELP " + base + " ", "# TYPE " + base + " "} {
+			if n := strings.Count(out, head); n != 1 {
+				t.Fatalf("%q appears %d times, want 1:\n%s", head, n, out)
+			}
+		}
+	}
+	if !strings.Contains(out, "# TYPE m_hist histogram\nm_hist_bucket{le=\"1\"} 1\n") {
+		t.Fatalf("histogram block malformed:\n%s", out)
+	}
 	var nilR *Registry
-	if err := nilR.WritePrometheus(&buf); err != nil {
+	if err := WritePrometheus(&buf, Source{Reg: nilR}); err != nil {
 		t.Fatal("nil registry WritePrometheus must be a no-op")
 	}
 }

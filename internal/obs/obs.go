@@ -33,6 +33,8 @@
 package obs
 
 import (
+	"encoding/json"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -58,12 +60,9 @@ type Observer struct {
 
 	mu       sync.Mutex
 	status   Status
-	trace    []IterSample
+	trace    []IterStats
 	final    FinalStats
 	finished bool
-	// lastCG tracks the CG-iteration counter at the previous RecordIteration
-	// so per-iteration CG counts can be derived as deltas.
-	lastCG float64
 }
 
 // New returns an enabled Observer with an empty registry and tracer.
@@ -97,7 +96,6 @@ func (o *Observer) Reset() {
 	o.status = Status{}
 	o.final = FinalStats{}
 	o.finished = false
-	o.lastCG = 0
 	o.tracer.reset()
 }
 
@@ -140,8 +138,10 @@ func (o *Observer) SetPhase(phase string) {
 	o.Counter(MetricPhaseChanges).Add(1)
 }
 
-// FinalStats is the end-of-run summary recorded by FinishRun and embedded
-// in the report.
+// FinalStats is the end-of-run summary: FinishRun records it for the run
+// report, and complxd persists it as the job result. Iterations and
+// CGIters are run totals, counting every V-cycle level, portfolio member
+// round and clustered pass once.
 type FinalStats struct {
 	HPWL            float64 `json:"hpwl"`
 	WeightedHPWL    float64 `json:"weighted_hpwl"`
@@ -161,6 +161,15 @@ type FinalStats struct {
 	// CGIters the total CG inner iterations spent, both dimensions.
 	Precond string `json:"precond,omitempty"`
 	CGIters int    `json:"cg_iters,omitempty"`
+	// Resumed reports that global placement was primed from a checkpoint.
+	Resumed bool `json:"resumed,omitempty"`
+	// Portfolio summary, present only when the run was a portfolio search
+	// (a pointer so that winner member 0 is distinguishable from "no
+	// portfolio").
+	PortfolioWinner  *int   `json:"portfolio_winner,omitempty"`
+	PortfolioVariant string `json:"portfolio_variant,omitempty"`
+	PortfolioCulls   int    `json:"portfolio_culls,omitempty"`
+	PortfolioReseeds int    `json:"portfolio_reseeds,omitempty"`
 }
 
 // FinishRun records the end-of-run summary, stamps the finish time and
@@ -182,48 +191,106 @@ func (o *Observer) FinishRun(f FinalStats) {
 	o.status.Updated = time.Now()
 }
 
-// IterSample is one iteration of the global placement loop as recorded in
-// the trace: the ComPLx/SimPL loops fill the Lagrangian fields, the
-// overflow-driven baselines fill Iter/Overflow/HPWL only.
-type IterSample struct {
-	Iter     int     `json:"iter"`
-	Lambda   float64 `json:"lambda,omitempty"`
+// IterStats records one global placement iteration (the paper's Figure 1
+// data). It is the one per-iteration record of the run: both engine loops
+// emit it to Result.History, the Monitor and RecordIteration, and the
+// report trace, the checkpoint history and complxd's SSE stream carry it
+// unchanged. The primal-dual loop fills the Lagrangian fields; the
+// overflow-driven baselines fill Iter, Overflow and HPWL. Both fill the
+// kernel deltas their primal solver measures.
+type IterStats struct {
+	Iter   int     `json:"iter"`
+	Lambda float64 `json:"lambda,omitempty"`
+	// Phi is the interconnect cost Φ (weighted HPWL) of the lower-bound
+	// placement; PhiUpper of the anchor (C-feasible) placement.
 	Phi      float64 `json:"phi,omitempty"`
 	PhiUpper float64 `json:"phi_upper,omitempty"`
-	Pi       float64 `json:"pi,omitempty"`
-	L        float64 `json:"lagrangian,omitempty"`
+	// Pi is the L1 distance to the projection, L the Lagrangian Φ + λΠ.
+	Pi float64 `json:"pi,omitempty"`
+	L  float64 `json:"lagrangian,omitempty"`
+	// Overflow is the density overflow ratio of the lower-bound placement.
 	Overflow float64 `json:"overflow"`
-	HPWL     float64 `json:"hpwl,omitempty"`
-	GridNX   int     `json:"grid_nx,omitempty"`
+	// HPWL is the unweighted HPWL the overflow loops measure each
+	// iteration; zero for the primal-dual loop, whose Phi carries the
+	// wirelength.
+	HPWL float64 `json:"hpwl,omitempty"`
+	// GridNX is the projection grid resolution used.
+	GridNX int `json:"grid_nx,omitempty"`
 	// Level is the multilevel V-cycle level the iteration ran at (0 for
 	// flat placement and the finest level, higher = coarser).
 	Level int `json:"level,omitempty"`
 	// Member is the portfolio member the iteration belongs to (0 for flat
-	// runs and the portfolio's unperturbed base member).
+	// runs and for the portfolio's unperturbed base member).
 	Member int `json:"member,omitempty"`
-	// CGIterations is the number of CG inner iterations spent since the
-	// previous sample (both dimensions); filled automatically from the
-	// metrics registry when zero.
-	CGIterations int `json:"cg_iterations,omitempty"`
-	// Kernel wall-clock spent on this iteration, in seconds.
+	// CGIters is the CG inner iterations (both dimensions) spent since the
+	// previous record, on the same delta schedule as AssemblyTime.
+	CGIters int `json:"cg_iterations,omitempty"`
+
+	// ProjectTime is the wall-clock of this iteration's feasibility
+	// projection (grid build, spreading, interpolation, refinement); zero
+	// for the overflow loops.
+	ProjectTime time.Duration `json:"-"`
+	// AssemblyTime, SolveTime and PrecondTime are the system-assembly,
+	// linear-solve and preconditioner-setup wall-clock spent since the
+	// previous record (so iteration k reports the primal solve that ended
+	// iteration k−1; the first iteration reports the initial solves). Zero
+	// when the primal solver keeps no kernel totals (the nonlinear steps).
+	AssemblyTime time.Duration `json:"-"`
+	SolveTime    time.Duration `json:"-"`
+	PrecondTime  time.Duration `json:"-"`
+}
+
+// iterJSON is the JSON form of IterStats: its tagged fields followed by the
+// four durations in seconds.
+type iterJSON struct {
+	iterFields
 	ProjectSeconds  float64 `json:"project_seconds,omitempty"`
 	AssemblySeconds float64 `json:"assembly_seconds,omitempty"`
 	SolveSeconds    float64 `json:"solve_seconds,omitempty"`
 	PrecondSeconds  float64 `json:"precond_seconds,omitempty"`
 }
 
-// RecordIteration appends one iteration sample to the trace, refreshes the
+// iterFields is IterStats without its JSON methods.
+type iterFields IterStats
+
+// MarshalJSON writes the record with its durations as float seconds
+// (project_seconds, assembly_seconds, solve_seconds, precond_seconds).
+func (s IterStats) MarshalJSON() ([]byte, error) {
+	return json.Marshal(iterJSON{
+		iterFields:      iterFields(s),
+		ProjectSeconds:  s.ProjectTime.Seconds(),
+		AssemblySeconds: s.AssemblyTime.Seconds(),
+		SolveSeconds:    s.SolveTime.Seconds(),
+		PrecondSeconds:  s.PrecondTime.Seconds(),
+	})
+}
+
+// UnmarshalJSON is the inverse of MarshalJSON.
+func (s *IterStats) UnmarshalJSON(b []byte) error {
+	var j iterJSON
+	if err := json.Unmarshal(b, &j); err != nil {
+		return err
+	}
+	*s = IterStats(j.iterFields)
+	s.ProjectTime = seconds(j.ProjectSeconds)
+	s.AssemblyTime = seconds(j.AssemblySeconds)
+	s.SolveTime = seconds(j.SolveSeconds)
+	s.PrecondTime = seconds(j.PrecondSeconds)
+	return nil
+}
+
+// seconds converts float seconds to the nearest Duration.
+func seconds(v float64) time.Duration {
+	return time.Duration(math.Round(v * float64(time.Second)))
+}
+
+// RecordIteration appends one iteration record to the trace, refreshes the
 // live status and updates the iteration-level metrics.
-func (o *Observer) RecordIteration(s IterSample) {
+func (o *Observer) RecordIteration(s IterStats) {
 	if o == nil {
 		return
 	}
-	cg := o.Counter(MetricCGIterations).Value()
 	o.mu.Lock()
-	if s.CGIterations == 0 {
-		s.CGIterations = int(cg - o.lastCG)
-	}
-	o.lastCG = cg
 	o.trace = append(o.trace, s)
 	o.status.Iteration = s.Iter
 	o.status.HPWL = s.Phi + s.HPWL // exactly one is set per loop family
@@ -238,19 +305,19 @@ func (o *Observer) RecordIteration(s IterSample) {
 	o.Gauge(MetricLambda).Set(s.Lambda)
 	o.Gauge(MetricPi).Set(s.Pi)
 	o.Gauge(MetricGridNX).Set(float64(s.GridNX))
-	if sec := s.ProjectSeconds + s.AssemblySeconds + s.SolveSeconds; sec > 0 {
-		o.Histogram(MetricIterationSeconds).Observe(sec)
+	if d := s.ProjectTime + s.AssemblyTime + s.SolveTime; d > 0 {
+		o.Histogram(MetricIterationSeconds).Observe(d.Seconds())
 	}
 }
 
-// Trace returns a copy of the iteration samples recorded so far.
-func (o *Observer) Trace() []IterSample {
+// Trace returns a copy of the iteration records recorded so far.
+func (o *Observer) Trace() []IterStats {
 	if o == nil {
 		return nil
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	out := make([]IterSample, len(o.trace))
+	out := make([]IterStats, len(o.trace))
 	copy(out, o.trace)
 	return out
 }

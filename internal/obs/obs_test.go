@@ -17,7 +17,7 @@ func TestNilObserverSafe(t *testing.T) {
 	var o *Observer
 	o.StartRun(RunInfo{Design: "d"})
 	o.SetPhase("global")
-	o.RecordIteration(IterSample{Iter: 1})
+	o.RecordIteration(IterStats{Iter: 1})
 	o.RecordCG(10, 1e-7, true)
 	o.RecordPseudoWeights([]float64{1, 2})
 	o.AddSeconds(MetricCGSeconds, time.Second)
@@ -55,7 +55,7 @@ func TestNilObserverZeroAlloc(t *testing.T) {
 		sp := o.StartSpan("x")
 		sp.SetAttr("a", 1)
 		sp.End()
-		o.RecordIteration(IterSample{})
+		o.RecordIteration(IterStats{})
 		o.RecordCG(3, 0, true)
 		o.AddSeconds(MetricCGSeconds, time.Millisecond)
 	})
@@ -69,9 +69,9 @@ func TestObserverLifecycle(t *testing.T) {
 	o.StartRun(RunInfo{Design: "adaptec1", Algorithm: "complx", Cells: 10, Nets: 5, Pins: 20})
 	o.SetPhase("global")
 	o.RecordCG(40, 1e-7, true)
-	o.RecordIteration(IterSample{Iter: 0, Lambda: 0.1, Phi: 100, PhiUpper: 150, Pi: 50, L: 105, Overflow: 0.8, GridNX: 8})
+	o.RecordIteration(IterStats{Iter: 0, Lambda: 0.1, Phi: 100, PhiUpper: 150, Pi: 50, L: 105, Overflow: 0.8, GridNX: 8, CGIters: 40})
 	o.RecordCG(60, 1e-7, true)
-	o.RecordIteration(IterSample{Iter: 1, Lambda: 0.2, Phi: 110, PhiUpper: 140, Pi: 30, L: 116, Overflow: 0.5, GridNX: 16})
+	o.RecordIteration(IterStats{Iter: 1, Lambda: 0.2, Phi: 110, PhiUpper: 140, Pi: 30, L: 116, Overflow: 0.5, GridNX: 16, CGIters: 60})
 	o.SetPhase("legalize")
 	o.FinishRun(FinalStats{HPWL: 120, OverflowPercent: 2, Iterations: 2, Converged: true, Legalized: true})
 
@@ -83,9 +83,9 @@ func TestObserverLifecycle(t *testing.T) {
 	if len(tr) != 2 {
 		t.Fatalf("trace length = %d, want 2", len(tr))
 	}
-	// Per-iteration CG counts are derived as deltas of the cumulative counter.
-	if tr[0].CGIterations != 40 || tr[1].CGIterations != 60 {
-		t.Fatalf("CG deltas = %d, %d; want 40, 60", tr[0].CGIterations, tr[1].CGIterations)
+	// The trace holds the records as the engine emitted them.
+	if tr[0].CGIters != 40 || tr[1].CGIters != 60 {
+		t.Fatalf("CG deltas = %d, %d; want 40, 60", tr[0].CGIters, tr[1].CGIters)
 	}
 	if got := o.Counter(MetricIterations).Value(); got != 2 {
 		t.Fatalf("iterations counter = %v, want 2", got)
@@ -187,8 +187,8 @@ func TestReportRoundTrip(t *testing.T) {
 	o := New()
 	o.StartRun(RunInfo{Design: "gen", Algorithm: "complx", Cells: 3, Nets: 2, Pins: 6})
 	sp := o.StartSpan("global")
-	o.RecordIteration(IterSample{Iter: 0, Lambda: 0.1, Phi: 10, Overflow: 0.9, GridNX: 8,
-		ProjectSeconds: 0.25, AssemblySeconds: 0.5, SolveSeconds: 1})
+	o.RecordIteration(IterStats{Iter: 0, Lambda: 0.1, Phi: 10, Overflow: 0.9, GridNX: 8,
+		ProjectTime: 250 * time.Millisecond, AssemblyTime: 500 * time.Millisecond, SolveTime: time.Second})
 	sp.End()
 	o.FinishRun(FinalStats{HPWL: 12, Iterations: 1, Converged: true})
 
@@ -209,7 +209,7 @@ func TestReportRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if back.Design != rep.Design || back.Result.HPWL != 12 || len(back.Trace) != 1 ||
-		back.Trace[0].SolveSeconds != 1 {
+		back.Trace[0].SolveTime != time.Second {
 		t.Fatalf("round-trip mismatch: %+v", back)
 	}
 
@@ -221,8 +221,8 @@ func TestReportRoundTrip(t *testing.T) {
 func TestReportCSV(t *testing.T) {
 	o := New()
 	o.StartRun(RunInfo{Design: "gen", Algorithm: "complx"})
-	o.RecordIteration(IterSample{Iter: 0, Lambda: 0.5, Phi: 10, PhiUpper: 20, Pi: 5, L: 12.5, Overflow: 0.75, GridNX: 8})
-	o.RecordIteration(IterSample{Iter: 1, Lambda: 1, Phi: 11, PhiUpper: 18, Pi: 3, L: 14, Overflow: 0.5, GridNX: 16})
+	o.RecordIteration(IterStats{Iter: 0, Lambda: 0.5, Phi: 10, PhiUpper: 20, Pi: 5, L: 12.5, Overflow: 0.75, GridNX: 8})
+	o.RecordIteration(IterStats{Iter: 1, Lambda: 1, Phi: 11, PhiUpper: 18, Pi: 3, L: 14, Overflow: 0.5, GridNX: 16})
 	rep := o.Report()
 
 	var buf bytes.Buffer
@@ -247,7 +247,7 @@ func TestReportCSV(t *testing.T) {
 func TestWriteFiles(t *testing.T) {
 	o := New()
 	o.StartRun(RunInfo{Design: "gen", Algorithm: "complx"})
-	o.RecordIteration(IterSample{Iter: 0, Phi: 10, Overflow: 1})
+	o.RecordIteration(IterStats{Iter: 0, Phi: 10, Overflow: 1})
 	o.FinishRun(FinalStats{HPWL: 10})
 
 	base := filepath.Join(t.TempDir(), "run")
@@ -343,7 +343,7 @@ func TestObserverConcurrency(t *testing.T) {
 				case 0:
 					o.RecordCG(i, 1e-6, true)
 				case 1:
-					o.RecordIteration(IterSample{Iter: i, Overflow: 0.5})
+					o.RecordIteration(IterStats{Iter: i, Overflow: 0.5})
 				case 2:
 					o.Counter(MetricSpreadSweeps).Add(1)
 					o.Gauge(MetricLambda).Set(float64(i))
@@ -365,11 +365,11 @@ func TestIterSampleStatusHPWL(t *testing.T) {
 	// Lagrangian loops set Phi, overflow loops set HPWL; /status shows
 	// whichever is present.
 	o := New()
-	o.RecordIteration(IterSample{Iter: 0, Phi: 42})
+	o.RecordIteration(IterStats{Iter: 0, Phi: 42})
 	if got := o.Status().HPWL; got != 42 {
 		t.Fatalf("status HPWL from Phi = %v", got)
 	}
-	o.RecordIteration(IterSample{Iter: 1, HPWL: 99})
+	o.RecordIteration(IterStats{Iter: 1, HPWL: 99})
 	if got := o.Status().HPWL; got != 99 {
 		t.Fatalf("status HPWL from HPWL = %v", got)
 	}

@@ -27,7 +27,7 @@ type Report struct {
 	Seconds  float64 `json:"seconds"`
 
 	Result  FinalStats         `json:"result"`
-	Trace   []IterSample       `json:"trace"`
+	Trace   []IterStats        `json:"trace"`
 	Metrics map[string]float64 `json:"metrics,omitempty"`
 	Spans   []*SpanNode        `json:"spans,omitempty"`
 }
@@ -44,7 +44,7 @@ func (o *Observer) Report() *Report {
 	o.mu.Lock()
 	st := o.status
 	final := o.final
-	trace := append([]IterSample(nil), o.trace...)
+	trace := append([]IterStats(nil), o.trace...)
 	o.mu.Unlock()
 
 	r := &Report{
@@ -97,8 +97,8 @@ func (r *Report) WriteCSV(w io.Writer) error {
 		rec := []string{
 			strconv.Itoa(s.Iter), f(s.Lambda), f(s.Phi), f(s.PhiUpper),
 			f(s.Pi), f(s.L), f(s.Overflow), f(s.HPWL),
-			strconv.Itoa(s.GridNX), strconv.Itoa(s.CGIterations), r.Result.Precond,
-			f(s.ProjectSeconds), f(s.AssemblySeconds), f(s.SolveSeconds), f(s.PrecondSeconds),
+			strconv.Itoa(s.GridNX), strconv.Itoa(s.CGIters), r.Result.Precond,
+			f(s.ProjectTime.Seconds()), f(s.AssemblyTime.Seconds()), f(s.SolveTime.Seconds()), f(s.PrecondTime.Seconds()),
 			strconv.Itoa(s.Level), strconv.Itoa(s.Member),
 		}
 		if err := cw.Write(rec); err != nil {

@@ -1,6 +1,7 @@
 package complx_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"complx"
@@ -9,7 +10,8 @@ import (
 // TestResultTotalsMatchObserver pins the result contract's totals: for every
 // global placer and driver, an uninterrupted observed run reports the same
 // iteration and CG-iteration totals in its Result as the observer counted
-// while the run executed. The multi-segment drivers (V-cycle levels,
+// while the run executed, and every iteration reaches OnIteration and the
+// observer's trace exactly once. The multi-segment drivers (V-cycle levels,
 // portfolio member rounds including reseeded forks, the two-level clustered
 // pass) must count every segment once.
 func TestResultTotalsMatchObserver(t *testing.T) {
@@ -56,6 +58,8 @@ func TestResultTotalsMatchObserver(t *testing.T) {
 			opt.MaxIterations = 20
 			opt.SkipLegalize, opt.SkipDetailed = true, true
 			opt.Observer = complx.NewObserver()
+			var calls atomic.Int64 // portfolio members report concurrently
+			opt.OnIteration = func(complx.IterStats) { calls.Add(1) }
 			res, err := complx.Place(nl, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -66,6 +70,9 @@ func TestResultTotalsMatchObserver(t *testing.T) {
 			}
 			if got, want := res.CGIterations, int(m["complx_cg_iterations_total"]); got != want {
 				t.Errorf("CGIterations = %d, observer counted %d", got, want)
+			}
+			if n, tr := int(calls.Load()), len(opt.Observer.Trace()); n != res.GlobalIterations || tr != res.GlobalIterations {
+				t.Errorf("OnIteration calls = %d, observer trace = %d, GlobalIterations = %d", n, tr, res.GlobalIterations)
 			}
 			if tc.check != nil {
 				tc.check(t, res)
