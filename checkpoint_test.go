@@ -305,8 +305,9 @@ func TestPlaceCheckpointResumeMidVCycle(t *testing.T) {
 	}
 }
 
-// TestPlaceMultilevelRejections covers the facade's multilevel option
-// validation.
+// TestPlaceMultilevelRejections covers the facade's option validation:
+// the multilevel, clustered and portfolio driver rules and the rest of
+// Options.Validate.
 func TestPlaceMultilevelRejections(t *testing.T) {
 	base := Options{MaxIterations: 6, SkipLegalize: true, SkipDetailed: true}
 
@@ -357,14 +358,22 @@ func TestPlaceMultilevelRejections(t *testing.T) {
 			o.Checkpoint = CheckpointOptions{Dir: t.TempDir()}
 		}, perr.StageCheckpoint},
 		{"bogus-precond", func(o *Options) { o.Precond = "bogus" }, perr.StageValidate},
+		{"lse-pnorm", func(o *Options) { o.UseLSE, o.UsePNorm = true, true }, perr.StageValidate},
+		{"clustered-baseline", func(o *Options) {
+			o.Algorithm = AlgNLP
+			o.Clustered = true
+		}, perr.StageValidate},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := base
 			tc.edit(&opt)
-			_, err := Place(genCheckpointNetlist(t), opt)
 			var pe *PlaceError
+			if err := opt.Validate(); !errors.As(err, &pe) || pe.Stage != tc.stage {
+				t.Fatalf("Validate: want %s-stage error, got %v", tc.stage, err)
+			}
+			_, err := Place(genCheckpointNetlist(t), opt)
 			if !errors.As(err, &pe) || pe.Stage != tc.stage {
-				t.Fatalf("want %s-stage error, got %v", tc.stage, err)
+				t.Fatalf("Place: want %s-stage error, got %v", tc.stage, err)
 			}
 		})
 	}

@@ -30,7 +30,6 @@ import (
 
 	"complx/internal/baseline"
 	"complx/internal/bookshelf"
-	"complx/internal/cluster"
 	"complx/internal/core"
 	"complx/internal/density"
 	"complx/internal/detailed"
@@ -343,9 +342,11 @@ type Options struct {
 	Routability      bool
 	RoutabilityAlpha float64
 
-	// Clustered runs two-level placement for ComPLx/SimPL: heavy-edge
-	// clustering halves the design, the coarse netlist is placed, the
-	// placement is expanded and refined on the full design. It trades time
+	// Clustered runs core's two-level driver for ComPLx/SimPL: heavy-edge
+	// clustering halves the design, the coarse netlist is placed with the
+	// full budget, and the placement is expanded and refined on the full
+	// design (one initial solve, at most 25 iterations). Validate rejects
+	// it for the other algorithms and with Checkpoint. It trades time
 	// for quality: full flows on the 16 ISPD analogs at scale 1 and 2 (2
 	// threads on a 2-core x86-64 host) gave −0.71% geomean HPWL against
 	// flat at 1.3× the wall time, better than flat on 17 of 32. Multilevel
@@ -428,13 +429,15 @@ type PortfolioOptions = portfolio.Options
 // one broken as a *PlaceError:
 //
 //   - Algorithm names a known placer (stage "validate");
+//   - UseLSE excludes UsePNorm, and Clustered needs ComPLx or SimPL
+//     (stage "validate");
 //   - Multilevel excludes Clustered and needs ComPLx or SimPL (stage
 //     "validate");
 //   - Portfolio excludes Multilevel and Clustered and needs ComPLx or
 //     SimPL; with zero fields at their defaults, Members >= 2, Rounds >= 1
 //     and CullFraction in (0,1) (stage "options");
-//   - Checkpoint.Resume needs Checkpoint.Dir, and Clustered ComPLx or SimPL
-//     runs cannot checkpoint (stage "checkpoint");
+//   - Checkpoint.Resume needs Checkpoint.Dir, and Clustered runs cannot
+//     checkpoint (stage "checkpoint");
 //   - Precond names a known preconditioner (stage "validate").
 //
 // PlaceContext validates automatically; services can call Validate to
@@ -442,6 +445,13 @@ type PortfolioOptions = portfolio.Options
 func (o Options) Validate() error {
 	if _, ok := globalPlacers[o.Algorithm]; !ok {
 		return perr.New(perr.StageValidate, "complx: unknown algorithm %v", o.Algorithm)
+	}
+	if o.UseLSE && o.UsePNorm {
+		return perr.New(perr.StageValidate, "complx: UseLSE and UsePNorm are mutually exclusive")
+	}
+	if o.Clustered && !o.Algorithm.primalDual() {
+		return perr.New(perr.StageValidate,
+			"complx: Clustered requires the ComPLx or SimPL engine (got %v)", o.Algorithm)
 	}
 	if o.Multilevel.Enabled {
 		if o.Clustered {
@@ -476,7 +486,7 @@ func (o Options) Validate() error {
 		return perr.New(perr.StageCheckpoint,
 			"complx: Checkpoint.Resume requires Checkpoint.Dir")
 	}
-	if o.Checkpoint.Dir != "" && o.Clustered && o.Algorithm.primalDual() {
+	if o.Checkpoint.Dir != "" && o.Clustered {
 		return perr.New(perr.StageCheckpoint,
 			"complx: checkpointing is not supported with Clustered multilevel placement")
 	}
@@ -626,6 +636,7 @@ func coreOptions(opt Options) core.Options {
 		OnIteration:      opt.OnIteration,
 		Obs:              opt.Observer,
 		Precond:          opt.Precond,
+		Clustered:        opt.Clustered,
 		Multilevel:       opt.Multilevel,
 		Portfolio:        opt.Portfolio,
 	}
@@ -736,38 +747,7 @@ func PlaceContext(ctx context.Context, nl *Netlist, opt Options) (*Result, error
 			return nil
 		}
 	}
-	place := globalPlacers[opt.Algorithm]
-	var coarse *core.Result
-	if opt.Clustered && opt.Algorithm.primalDual() {
-		// Coarse level: place the clustered design with the full iteration
-		// budget, then expand and refine on the fine design.
-		cl, err := cluster.Cluster(nl, 1.0)
-		if err != nil {
-			return nil, err
-		}
-		coarseOpt := coreOpt
-		coarseOpt.CellPenalty = nil // indices differ on the coarse design
-		// A cancelled coarse pass is not fatal: its best-so-far placement
-		// is expanded and the fine pass below immediately takes the cancel
-		// path on the same context, preserving the expanded positions.
-		if coarse, err = place(ctx, cl.Coarse, coarseOpt); err != nil && !isCancellation(err) {
-			return nil, err
-		}
-		cl.Expand()
-		coreOpt.InitialSolves = 1
-		if coreOpt.MaxIterations == 0 || coreOpt.MaxIterations > 25 {
-			coreOpt.MaxIterations = 25
-		}
-	}
-	r, err := place(ctx, nl, coreOpt)
-	if coarse != nil && r != nil {
-		// The two passes are one run: the coarse placement seeds the fine
-		// one, so both count toward the totals and the History.
-		var total core.Result
-		total.Merge(coarse, true)
-		total.Merge(r, true)
-		r = &total
-	}
+	r, err := globalPlacers[opt.Algorithm](ctx, nl, coreOpt)
 	if r != nil {
 		res.setGlobal(r)
 	}

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"complx/internal/core"
@@ -31,7 +32,7 @@ func overflow(nl *netlist.Netlist, target float64) float64 {
 
 func TestSimPLRuns(t *testing.T) {
 	nl := design(t, 600, 31)
-	res, err := SimPL(nl, core.Options{MaxIterations: 60})
+	res, err := SimPLContext(context.Background(), nl, core.Options{MaxIterations: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestSimPLRuns(t *testing.T) {
 
 func TestFastPlaceCSSpreads(t *testing.T) {
 	nl := design(t, 600, 32)
-	res, err := FastPlaceCS(nl, core.Options{})
+	res, err := FastPlaceCSContext(context.Background(), nl, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestFastPlaceCSSpreads(t *testing.T) {
 
 func TestNLPSpreads(t *testing.T) {
 	nl := design(t, 300, 33)
-	res, err := NLP(nl, core.Options{MaxIterations: 25})
+	res, err := NLPContext(context.Background(), nl, core.Options{MaxIterations: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,14 +91,14 @@ func TestComPLxBeatsOrMatchesBaselines(t *testing.T) {
 		return res.HPWL
 	})
 	simpl := run(func(nl *netlist.Netlist) float64 {
-		res, err := SimPL(nl, core.Options{})
+		res, err := SimPLContext(context.Background(), nl, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.HPWL
 	})
 	fp := run(func(nl *netlist.Netlist) float64 {
-		res, err := FastPlaceCS(nl, core.Options{})
+		res, err := FastPlaceCSContext(context.Background(), nl, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func TestRemapClamps(t *testing.T) {
 
 func TestRQLSpreads(t *testing.T) {
 	nl := design(t, 600, 35)
-	res, err := RQL(nl, core.Options{})
+	res, err := RQLContext(context.Background(), nl, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

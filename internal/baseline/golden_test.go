@@ -72,7 +72,7 @@ func TestBaselineGolden(t *testing.T) {
 
 	{
 		nl := mk(51)
-		r, err := FastPlaceCS(nl, core.Options{MaxIterations: 40})
+		r, err := FastPlaceCSContext(context.Background(), nl, core.Options{MaxIterations: 40})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func TestBaselineGolden(t *testing.T) {
 	}
 	{
 		nl := mk(52)
-		r, err := RQL(nl, core.Options{MaxIterations: 30})
+		r, err := RQLContext(context.Background(), nl, core.Options{MaxIterations: 30})
 		if err != nil {
 			t.Fatal(err)
 		}

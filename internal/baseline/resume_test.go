@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestFastPlaceResumeBitwiseIdentical(t *testing.T) {
 	}
 	sink := &memSink{t: t, states: map[int]*chkpt.State{}}
 	optA := core.Options{MaxIterations: 20, Checkpoint: sink}
-	rA, err := FastPlaceCS(nlA, optA)
+	rA, err := FastPlaceCSContext(context.Background(), nlA, optA)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -74,7 +75,7 @@ func TestFastPlaceResumeBitwiseIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rB, err := FastPlaceCS(nlB, core.Options{MaxIterations: 20, Resume: st})
+	rB, err := FastPlaceCSContext(context.Background(), nlB, core.Options{MaxIterations: 20, Resume: st})
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -105,7 +106,7 @@ func TestOverflowResumeRejectsLoopKind(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := &chkpt.State{Kind: chkpt.KindLoop, Iter: 2}
-	if _, err := FastPlaceCS(nl, core.Options{MaxIterations: 10, Resume: st}); err == nil {
+	if _, err := FastPlaceCSContext(context.Background(), nl, core.Options{MaxIterations: 10, Resume: st}); err == nil {
 		t.Fatal("loop-kind checkpoint was accepted by the overflow loop")
 	}
 }

@@ -81,19 +81,14 @@ func (s *rqlStepper) Step(ctx context.Context, iter int, _ *density.Grid) (engin
 	return engine.DualStep{Anchors: anchors, Lambdas: lambdas}, nil
 }
 
-// RQL places nl in the style of Viswanathan et al.'s RQL (DAC 2007):
-// iterative B2B quadratic solves, local diffusion-based spreading of
+// RQLContext places nl in the style of Viswanathan et al.'s RQL (DAC
+// 2007): iterative B2B quadratic solves, local diffusion-based spreading of
 // overfilled bins, and hold anchors whose strongest forces are relaxed
 // (capped) rather than applied in full — the "ad hoc thresholding" force
 // modulation the ComPLx paper contrasts itself against. It reads
 // TargetDensity, MaxIterations (0 → 120), OnIteration, Obs, Checkpoint and
-// Resume from opt and ignores the other fields.
-func RQL(nl *netlist.Netlist, opt core.Options) (*engine.Result, error) {
-	return RQLContext(context.Background(), nl, opt)
-}
-
-// RQLContext is RQL with cooperative cancellation. On cancellation the
-// result so far is returned together with the wrapped context error.
+// Resume from opt and ignores the other fields. On cancellation the result
+// so far is returned together with the wrapped context error.
 func RQLContext(ctx context.Context, nl *netlist.Netlist, opt core.Options) (*engine.Result, error) {
 	mov := nl.Movables()
 	nx, ny := density.AutoResolution(len(mov), 4, rqlGridMax)

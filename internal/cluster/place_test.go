@@ -1,12 +1,10 @@
-// External test package: these tests drive internal/core, which (via the
-// multilevel driver) imports internal/cluster — an in-package test would be
-// an import cycle.
+// External test package: these tests drive internal/core, which imports
+// internal/cluster — an in-package test would be an import cycle.
 package cluster_test
 
 import (
 	"testing"
 
-	"complx/internal/cluster"
 	"complx/internal/core"
 	"complx/internal/gen"
 	"complx/internal/netlist"
@@ -22,8 +20,8 @@ func design(t *testing.T, n int, seed int64) *netlist.Netlist {
 	return nl
 }
 
-// TestClusteredPlacementFlow: place coarse, expand, refine — final quality
-// should be comparable to flat placement and the flow must stay legal-able.
+// TestClusteredPlacementFlow: core's two-level clustered driver (place
+// coarse, expand, refine) should reach quality comparable to flat placement.
 func TestClusteredPlacementFlow(t *testing.T) {
 	flat := design(t, 800, 4)
 	flatRes, err := core.Place(flat, core.Options{})
@@ -32,16 +30,7 @@ func TestClusteredPlacementFlow(t *testing.T) {
 	}
 
 	fine := design(t, 800, 4)
-	c, err := cluster.Cluster(fine, 1.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := core.Place(c.Coarse, core.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	c.Expand()
-	// Short refinement on the fine netlist from the expanded placement.
-	refined, err := core.Place(fine, core.Options{InitialSolves: 1, MaxIterations: 15})
+	refined, err := core.Place(fine, core.Options{Clustered: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,8 +21,10 @@
 // placement Options onto the engine's pluggable pieces — quadratic / LSE /
 // p-norm primal solvers, the spreading projector (optionally decorated with
 // a refinement hook), and the ComPLx / SimPL multiplier schedules — and
-// keeps the public Place API stable. PlaceContext adds cooperative
-// cancellation on the same engine.
+// keeps the public Place API stable. It also holds the drivers that run
+// several engine segments as one run: the multilevel V-cycle, the
+// two-level clustered pass and the portfolio search. PlaceContext adds
+// cooperative cancellation on the same engine.
 package core
 
 import (
@@ -30,6 +32,7 @@ import (
 	"math"
 
 	"complx/internal/chkpt"
+	"complx/internal/cluster"
 	"complx/internal/engine"
 	"complx/internal/multilevel"
 	"complx/internal/netlist"
@@ -37,7 +40,6 @@ import (
 	"complx/internal/perr"
 	"complx/internal/portfolio"
 	"complx/internal/qp"
-	"complx/internal/resilience"
 	"complx/internal/sparse"
 
 	"complx/internal/netmodel"
@@ -66,38 +68,21 @@ type Options struct {
 	// Model selects the quadratic net decomposition (default B2B).
 	Model netmodel.Model
 	// UseLSE switches the primal step to the nonlinear log-sum-exp
-	// instantiation; UsePNorm to the p,β-regularization (paper §S1). At
-	// most one may be set.
+	// instantiation; UsePNorm to the p,β-regularization (paper §S1). UseLSE
+	// wins when both are set (complx.Options.Validate rejects the pair).
 	UseLSE   bool
 	UsePNorm bool
-	// LSEGamma is the LSE smoothing parameter (0 → 1% of core width);
-	// PNormP the p exponent (0 → 8).
-	LSEGamma float64
-	PNormP   float64
 
 	// TargetDensity is the utilization limit γ in (0, 1]; default 1.
 	TargetDensity float64
-	// MaxIterations bounds global placement iterations (default 80).
+	// MaxIterations bounds global placement iterations (0 →
+	// engine.DefaultMaxIterations).
 	MaxIterations int
-	// InitialSolves is the number of unconstrained interconnect solves
-	// before the first projection (default 5).
-	InitialSolves int
-	// GapTol is the relative duality-gap convergence threshold (default 0.08).
-	GapTol float64
-	// PiTol stops when Π falls below PiTol·Π₁ (default 0.02).
-	PiTol float64
-	// MinIterations before convergence may be declared (default 8).
-	MinIterations int
 
 	// Schedule selects the λ update rule.
 	Schedule Schedule
 	// FinestGrid disables grid coarsening (Table 1 ablation).
 	FinestGrid bool
-	// OptimalLeafSpreading uses the exact 1-D PAV spreading in projection
-	// leaves (§S2's convex subproblem) instead of uniform spreading.
-	OptimalLeafSpreading bool
-	// GridMax caps the bin grid dimension (0 → 192).
-	GridMax int
 	// ProjectionRefine, when set, post-processes each projection: it is
 	// called with the netlist positioned at the anchors and may improve
 	// them in place (the "P_C += FastPlace-DP" ablation of Table 1).
@@ -107,9 +92,6 @@ type Options struct {
 	// §5): cells in RUDY-congested bins are temporarily inflated before
 	// each feasibility projection so P_C separates them further.
 	Routability bool
-	// RoutingCapacity is the routing supply per unit area for the RUDY
-	// map; 0 self-calibrates so the initial average congestion is ~0.7.
-	RoutingCapacity float64
 	// RoutabilityAlpha scales the congestion-driven inflation (default 1).
 	RoutabilityAlpha float64
 
@@ -119,10 +101,6 @@ type Options struct {
 	// NoMacroLambdaScale disables the per-macro λ scaling of §5.
 	NoMacroLambdaScale bool
 
-	// Eps is the linearization floor (0 → 1.5× row height).
-	Eps float64
-	// CG configures the linear solver.
-	CG sparse.CGOptions
 	// Precond selects the CG preconditioner: one of sparse.PrecondKinds
 	// ("jacobi", "ssor", "ic0"), or ""/"auto" for the size heuristic
 	// (Jacobi below qp.AutoPrecondMinVars variables, IC(0) above).
@@ -142,9 +120,15 @@ type Options struct {
 	// identical to the uninterrupted one. See DESIGN.md §10.
 	Checkpoint engine.CheckpointSink
 	Resume     *chkpt.State
-	// RecoveryPolicy overrides the solver fallback ladder (nil selects
-	// resilience.DefaultPolicy).
-	RecoveryPolicy *resilience.Policy
+
+	// Clustered routes the run through the two-level clustered driver
+	// (DESIGN.md §13): the design is clustered once by heavy-edge matching,
+	// the cluster netlist is placed with the full budget, and the expanded
+	// placement is refined on the design with one initial solve and at most
+	// 25 iterations. It does not checkpoint (complx.Options.Validate rejects
+	// Checkpoint with Clustered) and is exclusive with Multilevel and
+	// Portfolio.
+	Clustered bool
 
 	// Multilevel, when Enabled, routes the run through the V-cycle driver
 	// (DESIGN.md §13): coarsen to TargetCells movable cells, solve the
@@ -179,22 +163,7 @@ func (o *Options) fill() {
 		o.TargetDensity = 1
 	}
 	if o.MaxIterations <= 0 {
-		o.MaxIterations = 80
-	}
-	if o.InitialSolves <= 0 {
-		o.InitialSolves = 5
-	}
-	if o.GapTol <= 0 {
-		o.GapTol = 0.08
-	}
-	if o.PiTol <= 0 {
-		o.PiTol = 0.02
-	}
-	if o.MinIterations <= 0 {
-		o.MinIterations = 8
-	}
-	if o.GridMax <= 0 {
-		o.GridMax = 192
+		o.MaxIterations = engine.DefaultMaxIterations
 	}
 }
 
@@ -242,7 +211,48 @@ func PlaceContext(ctx context.Context, nl *netlist.Netlist, opt Options) (*Resul
 	if opt.Multilevel.Enabled {
 		return placeMultilevel(ctx, nl, opt)
 	}
+	if opt.Clustered {
+		return placeClustered(ctx, nl, opt)
+	}
 	return placeSingle(ctx, nl, opt, segment{})
+}
+
+// clusteredFineIters caps the fine pass of the two-level clustered driver.
+const clusteredFineIters = 25
+
+// placeClustered is the two-level clustered driver: one heavy-edge
+// clustering, a placeSingle over the cluster netlist with the caller's full
+// budget, expansion to the design, and a short placeSingle refinement of
+// the expanded placement. Both passes are one run: their Results merge
+// into the totals and the History, coarse pass first. Per-cell penalties
+// apply to the fine pass only (they are indexed by the fine movables).
+func placeClustered(ctx context.Context, nl *netlist.Netlist, opt Options) (*Result, error) {
+	cl, err := cluster.Cluster(nl, 1.0)
+	if err != nil {
+		return nil, err
+	}
+	copt := opt
+	copt.CellPenalty = nil
+	// A cancelled coarse pass is not fatal: its best-so-far placement is
+	// expanded and the fine pass immediately takes the cancel path on the
+	// same context, preserving the expanded positions.
+	coarse, err := placeSingle(ctx, cl.Coarse, copt, segment{})
+	if err != nil && (coarse == nil || !coarse.Cancelled) {
+		return nil, err
+	}
+	cl.Expand()
+	fine := segment{initialSolves: 1, maxIterations: clusteredFineIters}
+	if opt.MaxIterations > 0 && opt.MaxIterations < clusteredFineIters {
+		fine.maxIterations = opt.MaxIterations
+	}
+	r, err := placeSingle(ctx, nl, opt, fine)
+	if r == nil {
+		return nil, err
+	}
+	var total Result
+	total.Merge(coarse, true)
+	total.Merge(r, true)
+	return &total, err
 }
 
 // warmDamp scales the multiplier schedule's initial (λ₁, h) at warm-started
@@ -314,7 +324,6 @@ func placeMultilevel(ctx context.Context, nl *netlist.Netlist, opt Options) (*Re
 	if err := nl.Validate(); err != nil {
 		return nil, perr.Wrap(perr.StageValidate, err)
 	}
-	opt.fill()
 	refine := opt.Multilevel.RefineIters
 	if refine <= 0 {
 		refine = multilevel.DefaultRefineIters
@@ -361,8 +370,8 @@ func placeMultilevel(ctx context.Context, nl *netlist.Netlist, opt Options) (*Re
 				// PiTol. A design with nothing to coarsen has its coarsest
 				// level at 0 with no refine to follow: that is the flat run.
 				if lv.Level > 0 {
-					lopt.GapTol = math.Max(2*opt.GapTol, coarseHandoffGap)
-					lopt.PiTol = 3 * opt.PiTol
+					seg.gapTol = math.Max(2*engine.DefaultGapTol, coarseHandoffGap)
+					seg.piTol = 3 * engine.DefaultPiTol
 				}
 			} else {
 				// Intermediate levels only bridge to the next interpolation,
@@ -376,21 +385,18 @@ func placeMultilevel(ctx context.Context, nl *netlist.Netlist, opt Options) (*Re
 				if budget < 3 {
 					budget = 3
 				}
-				lopt.MaxIterations = budget
-				if budget < opt.MinIterations {
-					lopt.MinIterations = budget
+				seg.maxIterations = budget
+				if budget < engine.DefaultMinIterations {
+					seg.minIterations = budget
 				}
 				seg.warm = lv.Resume == nil
 				seg.startLambda = lv.StartLambda
 				// Refinement solves are re-anchored by the next projection
 				// anyway, so converging CG to the flat 1e-6 residual is
-				// wasted work - the warm levels run a looser tolerance
-				// unless the caller pinned one. Cuts the finest level's
-				// solve time ~3x at unchanged legalized wirelength on the
-				// bigblue3 analogs.
-				if lopt.CG.Tol == 0 {
-					lopt.CG.Tol = refineCGTol
-				}
+				// wasted work - the warm levels run a looser tolerance.
+				// Cuts the finest level's solve time ~3x at unchanged
+				// legalized wirelength on the bigblue3 analogs.
+				seg.cgTol = refineCGTol
 			}
 			return placeSingle(ctx, lv.Netlist, lopt, seg)
 		},
@@ -399,8 +405,9 @@ func placeMultilevel(ctx context.Context, nl *netlist.Netlist, opt Options) (*Re
 }
 
 // segment is the driver state one placeSingle run starts from: the whole
-// run when multilevel and portfolio are off (the zero value: level 0, cold
-// start), one V-cycle level or one portfolio member segment otherwise.
+// run when no driver is on (the zero value: level 0, cold start, engine
+// defaults), one V-cycle level, one clustered pass or one portfolio member
+// segment otherwise.
 type segment struct {
 	// level is the V-cycle level and member the portfolio member index,
 	// both stamped into the iteration statistics (0 for flat runs).
@@ -415,12 +422,17 @@ type segment struct {
 	// firstScale scales a cold schedule's initial (λ₁, h); values <= 0 and
 	// 1 leave it unscaled.
 	firstScale float64
+	// maxIterations overrides Options.MaxIterations; initialSolves,
+	// minIterations, gapTol and piTol set the engine.Loop fields of the
+	// same name, and cgTol the CG residual tolerance. Zero means the
+	// Options value or the engine default.
+	maxIterations, initialSolves, minIterations int
+	gapTol, piTol, cgTol                        float64
 }
 
 // placeSingle runs one flat primal-dual placement over nl as the driver
 // segment seg describes.
 func placeSingle(ctx context.Context, nl *netlist.Netlist, opt Options, seg segment) (*Result, error) {
-	opt.fill()
 	if err := nl.Validate(); err != nil {
 		return nil, perr.Wrap(perr.StageValidate, err)
 	}
@@ -453,9 +465,6 @@ func placeSingle(ctx context.Context, nl *netlist.Netlist, opt Options, seg segm
 		scale[k] = s
 	}
 
-	if opt.UseLSE && opt.UsePNorm {
-		return nil, perr.New(perr.StageValidate, "core: UseLSE and UsePNorm are mutually exclusive")
-	}
 	// Validate the preconditioner name up front so a typo fails at
 	// StageValidate instead of mid-run inside the first primal solve.
 	if _, err := qp.ResolvePrecond(opt.Precond, 0); err != nil {
@@ -467,23 +476,21 @@ func placeSingle(ctx context.Context, nl *netlist.Netlist, opt Options, seg segm
 	var primal engine.PrimalSolver
 	switch {
 	case opt.UseLSE:
-		primal = &engine.LSEPrimal{NL: nl, Gamma: opt.LSEGamma}
+		primal = &engine.LSEPrimal{NL: nl}
 	case opt.UsePNorm:
-		primal = &engine.PNormPrimal{NL: nl, P: opt.PNormP}
+		primal = &engine.PNormPrimal{NL: nl}
 	default:
 		primal = engine.NewQuadraticPrimal(nl, qp.Options{
-			Model: opt.Model, Eps: opt.Eps, CG: opt.CG, Obs: opt.Obs,
+			Model: opt.Model, CG: sparse.CGOptions{Tol: seg.cgTol}, Obs: opt.Obs,
 			Precond: opt.Precond,
 		})
 	}
 
 	// Dual step: the spreading projector, optionally decorated with the
 	// refinement hook.
-	sp := engine.NewSpreadProjector(nl, opt.TargetDensity, opt.GridMax)
+	sp := engine.NewSpreadProjector(nl, opt.TargetDensity)
 	sp.FinestGrid = opt.FinestGrid
-	sp.OptimalLeaf = opt.OptimalLeafSpreading
 	sp.Routability = opt.Routability
-	sp.RoutingCapacity = opt.RoutingCapacity
 	sp.RoutabilityAlpha = opt.RoutabilityAlpha
 	sp.Obs = opt.Obs
 	var projector engine.Projector = sp
@@ -506,27 +513,30 @@ func placeSingle(ctx context.Context, nl *netlist.Netlist, opt Options, seg segm
 			sched = dampedSchedule{Schedule: sched, factor: warmDamp}
 		}
 	}
+	maxIter := opt.MaxIterations
+	if seg.maxIterations > 0 {
+		maxIter = seg.maxIterations
+	}
 	loop := &engine.Loop{
-		Netlist:        nl,
-		Primal:         primal,
-		Projector:      projector,
-		Schedule:       sched,
-		Monitor:        engine.MonitorFunc(opt.OnIteration),
-		Obs:            opt.Obs,
-		MaxIterations:  opt.MaxIterations,
-		InitialSolves:  opt.InitialSolves,
-		MinIterations:  opt.MinIterations,
-		GapTol:         opt.GapTol,
-		PiTol:          opt.PiTol,
-		LambdaScale:    scale,
-		Design:         nl.Name,
-		Algorithm:      opt.Schedule.String(),
-		Level:          seg.level,
-		Member:         seg.member,
-		WarmStart:      seg.warm,
-		Checkpoint:     opt.Checkpoint,
-		Resume:         opt.Resume,
-		RecoveryPolicy: opt.RecoveryPolicy,
+		Netlist:       nl,
+		Primal:        primal,
+		Projector:     projector,
+		Schedule:      sched,
+		Monitor:       engine.MonitorFunc(opt.OnIteration),
+		Obs:           opt.Obs,
+		MaxIterations: maxIter,
+		InitialSolves: seg.initialSolves,
+		MinIterations: seg.minIterations,
+		GapTol:        seg.gapTol,
+		PiTol:         seg.piTol,
+		LambdaScale:   scale,
+		Design:        nl.Name,
+		Algorithm:     opt.Schedule.String(),
+		Level:         seg.level,
+		Member:        seg.member,
+		WarmStart:     seg.warm,
+		Checkpoint:    opt.Checkpoint,
+		Resume:        opt.Resume,
 	}
 	return loop.Run(ctx)
 }

@@ -308,13 +308,6 @@ func TestPNormInstantiation(t *testing.T) {
 	}
 }
 
-func TestLSEAndPNormMutuallyExclusive(t *testing.T) {
-	nl := genDesign(t, gen.Spec{Name: "t14", NumCells: 200, Seed: 24})
-	if _, err := Place(nl, Options{UseLSE: true, UsePNorm: true}); err == nil {
-		t.Error("expected error for UseLSE+UsePNorm")
-	}
-}
-
 func TestNetModelVariants(t *testing.T) {
 	for _, m := range []netmodel.Model{netmodel.B2B, netmodel.Clique, netmodel.Star, netmodel.Hybrid} {
 		nl := genDesign(t, gen.Spec{Name: "t15" + m.String(), NumCells: 300, Seed: 25})
@@ -361,20 +354,6 @@ func TestRoutabilityReducesCongestion(t *testing.T) {
 	// The wirelength cost should be bounded.
 	if rr.HPWL > 1.5*rb.HPWL {
 		t.Errorf("routability mode cost too much HPWL: %v vs %v", rr.HPWL, rb.HPWL)
-	}
-}
-
-func TestOptimalLeafSpreadingOption(t *testing.T) {
-	nl := genDesign(t, gen.Spec{Name: "t17", NumCells: 500, Seed: 27})
-	res, err := Place(nl, Options{OptimalLeafSpreading: true, MaxIterations: 25})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.HPWL <= 0 {
-		t.Fatal("no placement")
-	}
-	if ov := overflowRatio(nl, 1.0); ov > 0.35 {
-		t.Errorf("PAV-leaf overflow = %v", ov)
 	}
 }
 

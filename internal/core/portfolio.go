@@ -68,7 +68,6 @@ func placeMember(ctx context.Context, run portfolio.MemberRun, opt Options) (*Re
 	lopt.PortfolioResume = nil
 	lopt.Checkpoint = run.Checkpoint
 	lopt.Resume = run.Resume
-	lopt.MaxIterations = run.MaxIterations
 
 	v := run.Variant
 	if v.UseLSE {
@@ -80,5 +79,7 @@ func placeMember(ctx context.Context, run portfolio.MemberRun, opt Options) (*Re
 	if v.FinestGrid {
 		lopt.FinestGrid = true
 	}
-	return placeSingle(ctx, run.Netlist, lopt, segment{member: run.Member, firstScale: v.LambdaScale})
+	return placeSingle(ctx, run.Netlist, lopt, segment{
+		member: run.Member, firstScale: v.LambdaScale, maxIterations: run.MaxIterations,
+	})
 }

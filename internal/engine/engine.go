@@ -370,15 +370,18 @@ type Loop struct {
 	// state, so observed runs are bitwise identical to unobserved ones.
 	Obs *obs.Observer
 
-	// MaxIterations bounds global placement iterations (default 80).
+	// MaxIterations bounds global placement iterations (0 →
+	// DefaultMaxIterations).
 	MaxIterations int
 	// InitialSolves is the number of unconstrained interconnect solves
-	// before the first projection (default 5).
+	// before the first projection (0 → DefaultInitialSolves).
 	InitialSolves int
-	// MinIterations before convergence may be declared (default 8).
+	// MinIterations before convergence may be declared (0 →
+	// DefaultMinIterations).
 	MinIterations int
-	// GapTol is the relative duality-gap convergence threshold (default
-	// 0.08); PiTol stops when Π falls below PiTol·Π₁ (default 0.02).
+	// GapTol is the relative duality-gap convergence threshold (0 →
+	// DefaultGapTol); PiTol stops when Π falls below PiTol·Π₁ (0 →
+	// DefaultPiTol).
 	GapTol, PiTol float64
 	// LambdaScale is the per-movable multiplier scale (macro area ratio ×
 	// criticality, paper §5); nil means uniform 1.
@@ -413,9 +416,6 @@ type Loop struct {
 	// Resume.Iter+1 runs next. A resumed run is bitwise identical to the
 	// uninterrupted one (pinned by the resume-determinism golden tests).
 	Resume *chkpt.State
-	// RecoveryPolicy overrides the solver fallback ladder; nil selects
-	// resilience.DefaultPolicy.
-	RecoveryPolicy *resilience.Policy
 
 	// run state
 	mov        []int
@@ -424,21 +424,32 @@ type Loop struct {
 	esc        *resilience.Escalator
 }
 
+// The loop defaults of Algorithm 1: the iteration budget, the initial
+// interconnect-only solves, the iterations before convergence may be
+// declared, and the duality-gap (Formula 8) and penalty stopping tolerances.
+const (
+	DefaultMaxIterations = 80
+	DefaultInitialSolves = 5
+	DefaultMinIterations = 8
+	DefaultGapTol        = 0.08
+	DefaultPiTol         = 0.02
+)
+
 func (l *Loop) fill() {
 	if l.MaxIterations <= 0 {
-		l.MaxIterations = 80
+		l.MaxIterations = DefaultMaxIterations
 	}
 	if l.InitialSolves <= 0 {
-		l.InitialSolves = 5
+		l.InitialSolves = DefaultInitialSolves
 	}
 	if l.MinIterations <= 0 {
-		l.MinIterations = 8
+		l.MinIterations = DefaultMinIterations
 	}
 	if l.GapTol <= 0 {
-		l.GapTol = 0.08
+		l.GapTol = DefaultGapTol
 	}
 	if l.PiTol <= 0 {
-		l.PiTol = 0.02
+		l.PiTol = DefaultPiTol
 	}
 }
 
@@ -524,11 +535,7 @@ func (l *Loop) Run(ctx context.Context) (*Result, error) {
 	nl := l.Netlist
 	l.mov = nl.Movables()
 	l.relaxCount = 0
-	policy := resilience.DefaultPolicy()
-	if l.RecoveryPolicy != nil {
-		policy = *l.RecoveryPolicy
-	}
-	l.esc = resilience.NewEscalator(policy, l.Obs)
+	l.esc = resilience.NewEscalator(resilience.DefaultPolicy(), l.Obs)
 	if l.LambdaScale != nil && len(l.LambdaScale) != len(l.mov) {
 		return nil, perr.New(perr.StageValidate, "engine: LambdaScale has %d entries for %d movables",
 			len(l.LambdaScale), len(l.mov))

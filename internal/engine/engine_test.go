@@ -43,7 +43,7 @@ func newTestLoop(nl *netlist.Netlist, maxIter int) *Loop {
 	return &Loop{
 		Netlist:       nl,
 		Primal:        NewQuadraticPrimal(nl, qp.Options{}),
-		Projector:     NewSpreadProjector(nl, 0.7, 0),
+		Projector:     NewSpreadProjector(nl, 0.7),
 		Schedule:      ComPLxSchedule{},
 		MaxIterations: maxIter,
 	}

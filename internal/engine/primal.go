@@ -119,7 +119,7 @@ func (p *LSEPrimal) Solve(ctx context.Context, anchors []geom.Point, lambdas []f
 	o.Lambda = lambdas
 	maxIter := p.MaxIter
 	if maxIter <= 0 {
-		maxIter = 60
+		maxIter = nonlinearMaxIter
 	}
 	if anchors == nil && p.InitMaxIter > 0 {
 		maxIter = p.InitMaxIter
@@ -128,27 +128,23 @@ func (p *LSEPrimal) Solve(ctx context.Context, anchors []geom.Point, lambdas []f
 	return err
 }
 
+// nonlinearMaxIter bounds each nonlinear CG solve of the LSE and p-norm
+// primal steps.
+const nonlinearMaxIter = 60
+
 // PNormPrimal minimizes the p,β-regularized instantiation of the
-// Lagrangian (paper §S1). A fresh objective is built per solve, matching
-// the historical core behavior.
+// Lagrangian (paper §S1) at lse.NewPNorm's default exponent. A fresh
+// objective is built per solve, matching the historical core behavior.
 type PNormPrimal struct {
 	NL *netlist.Netlist
-	// P is the norm exponent (0 → 8).
-	P float64
-	// MaxIter bounds each nonlinear CG solve (default 60).
-	MaxIter int
 }
 
 // Solve minimizes the p-norm Lagrangian at the given anchors, writing the
 // optimized centers back to the netlist.
 func (p *PNormPrimal) Solve(ctx context.Context, anchors []geom.Point, lambdas []float64) error {
-	o := lse.NewPNorm(p.NL, p.P)
+	o := lse.NewPNorm(p.NL, 0)
 	o.Anchors = anchors
 	o.Lambda = lambdas
-	maxIter := p.MaxIter
-	if maxIter <= 0 {
-		maxIter = 60
-	}
-	_, err := lse.SolveWithCtx(ctx, p.NL, o, lse.MinimizeOptions{MaxIter: maxIter})
+	_, err := lse.SolveWithCtx(ctx, p.NL, o, lse.MinimizeOptions{MaxIter: nonlinearMaxIter})
 	return err
 }

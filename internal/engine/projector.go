@@ -29,14 +29,9 @@ type SpreadProjector struct {
 	TargetDensity float64
 	// FinestGrid disables grid coarsening (Table 1 ablation).
 	FinestGrid bool
-	// OptimalLeaf selects the exact 1-D PAV spreading in projection leaves.
-	OptimalLeaf bool
 	// Routability enables congestion-driven item inflation before each
-	// projection; RoutingCapacity is the routing supply per unit area (0
-	// self-calibrates on first use and persists); RoutabilityAlpha scales
-	// the inflation (0 → 1).
+	// projection; RoutabilityAlpha scales the inflation (0 → 1).
 	Routability      bool
-	RoutingCapacity  float64
 	RoutabilityAlpha float64
 	// Obs, when non-nil, is forwarded to the spreader so it can count
 	// sweeps and processed regions.
@@ -45,6 +40,9 @@ type SpreadProjector struct {
 	nl       *netlist.Netlist
 	shredder *shred.Shredder
 	finestNX int
+	// routingCapacity is the routing supply per unit area of the
+	// routability extension, self-calibrated on first use (0 until then).
+	routingCapacity float64
 	// grid is the projection grid of the last iteration and proj the
 	// projector over it; both are kept until the schedule changes nx, so
 	// the projector's scratch lives for the whole run.
@@ -52,15 +50,15 @@ type SpreadProjector struct {
 	proj *spread.Projector
 }
 
+// gridMax caps the projection grid dimension.
+const gridMax = 192
+
 // NewSpreadProjector builds the projector for nl: movable macros are
 // shredded into row-height pieces and the finest grid resolution is derived
-// from the item count, capped at gridMax (0 → 192).
-func NewSpreadProjector(nl *netlist.Netlist, targetDensity float64, gridMax int) *SpreadProjector {
+// from the item count, capped at gridMax.
+func NewSpreadProjector(nl *netlist.Netlist, targetDensity float64) *SpreadProjector {
 	if targetDensity <= 0 || targetDensity > 1 {
 		targetDensity = 1
-	}
-	if gridMax <= 0 {
-		gridMax = 192
 	}
 	shredder := shred.New(nl, targetDensity)
 	finestNX, _ := density.AutoResolution(shredder.NumItems(), 2.5, gridMax)
@@ -80,10 +78,10 @@ func (p *SpreadProjector) FinestNX() int { return p.finestNX }
 // never calibrated), so a resumed run reuses the original calibration
 // instead of re-deriving one from mid-run congestion.
 func (p *SpreadProjector) CaptureState() []float64 {
-	if p.RoutingCapacity == 0 {
+	if p.routingCapacity == 0 {
 		return nil
 	}
-	return []float64{p.RoutingCapacity}
+	return []float64{p.routingCapacity}
 }
 
 // RestoreState implements StateCodec.
@@ -91,7 +89,7 @@ func (p *SpreadProjector) RestoreState(state []float64) error {
 	if len(state) != 1 {
 		return fmt.Errorf("engine: SpreadProjector state wants 1 value, checkpoint carries %d", len(state))
 	}
-	p.RoutingCapacity = state[0]
+	p.routingCapacity = state[0]
 	return nil
 }
 
@@ -107,7 +105,7 @@ func (p *SpreadProjector) Project(ctx context.Context, iter int) (*Projection, e
 		}
 		p.grid = grid
 		if p.proj == nil {
-			p.proj = spread.NewProjector(grid, spread.Options{OptimalLeaf: p.OptimalLeaf, Obs: p.Obs})
+			p.proj = spread.NewProjector(grid, spread.Options{Obs: p.Obs})
 		} else {
 			p.proj.Rebind(grid)
 		}
@@ -149,7 +147,7 @@ func (p *SpreadProjector) Project(ctx context.Context, iter int) (*Projection, e
 // persists in p for the rest of the run.
 func (p *SpreadProjector) inflateItems(items []spread.Item, nx int) error {
 	nl := p.nl
-	if p.RoutingCapacity <= 0 {
+	if p.routingCapacity <= 0 {
 		// Calibrate against a unit-capacity map: congestion there equals raw
 		// demand density, so capacity = avg/0.7 yields ~0.7 average
 		// congestion.
@@ -158,9 +156,9 @@ func (p *SpreadProjector) inflateItems(items []spread.Item, nx int) error {
 			return err
 		}
 		probe.AddNetlist(nl)
-		p.RoutingCapacity = math.Max(probe.Stats().Avg/0.7, 1e-12)
+		p.routingCapacity = math.Max(probe.Stats().Avg/0.7, 1e-12)
 	}
-	cm, err := congest.NewMap(nl.Core, nx, nx, p.RoutingCapacity)
+	cm, err := congest.NewMap(nl.Core, nx, nx, p.routingCapacity)
 	if err != nil {
 		return err
 	}

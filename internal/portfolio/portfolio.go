@@ -152,7 +152,7 @@ type Config struct {
 	// iteration cap. internal/core provides the production implementation.
 	Solve func(ctx context.Context, run MemberRun) (*engine.Result, error)
 	// MaxIterations is the total per-member iteration budget the rounds
-	// partition (default 80, the engine default).
+	// partition (0 → engine.DefaultMaxIterations).
 	MaxIterations int
 	// TargetDensity feeds the scalarized score's overflow measurement
 	// (<= 0 or > 1 means 1.0, matching the facade's ScaledHPWL).
@@ -204,7 +204,7 @@ func Run(ctx context.Context, nl *netlist.Netlist, cfg Config) (*engine.Result, 
 	}
 	budget := cfg.MaxIterations
 	if budget <= 0 {
-		budget = 80 // engine.Loop default
+		budget = engine.DefaultMaxIterations
 	}
 	K := cfg.Options.Members
 	R := cfg.Options.Rounds

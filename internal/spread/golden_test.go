@@ -60,10 +60,10 @@ func clusteredGrid(t *testing.T) *density.Grid {
 	return g
 }
 
-// TestProjectionGolden pins the projection's exact output bits on four
+// TestProjectionGolden pins the projection's exact output bits on three
 // inputs. Any change to the sorts, the item selection or the leaf
 // distribution that reorders ties or floating-point operations changes a
-// hash; a rewrite that keeps all four is bitwise equivalent on them.
+// hash; a rewrite that keeps all three is bitwise equivalent on them.
 func TestProjectionGolden(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -83,13 +83,6 @@ func TestProjectionGolden(t *testing.T) {
 			grid:  clusteredGrid,
 			items: clusteredField(3, 3000),
 			want:  0x57046a9c4158efcd,
-		},
-		{
-			name:  "clustered-optimal-leaf",
-			grid:  clusteredGrid,
-			items: clusteredField(3, 3000),
-			opt:   Options{OptimalLeaf: true},
-			want:  0x8e6174ddbf5e6ee7,
 		},
 		{
 			name:  "two-passes",

@@ -46,11 +46,6 @@ type Options struct {
 	// MaxPasses bounds how many cluster-and-spread sweeps run per call;
 	// a sweep is skipped early once no bin is overfilled. Defaults to 2.
 	MaxPasses int
-	// OptimalLeaf distributes leaf regions by the exact 1-D
-	// squared-displacement optimum (pool-adjacent-violators over the §S2
-	// gap variables) instead of uniform cumulative-area spreading; lower
-	// displacement at slightly higher residual overflow.
-	OptimalLeaf bool
 	// Obs, when non-nil, counts cluster-and-spread sweeps and processed
 	// overfilled regions. Read-only instrumentation; never changes the
 	// projection.
@@ -702,42 +697,11 @@ func (p *Projector) distribute(items []Item, r binRegion, sel []int, sc *lane) {
 	for _, i := range sel {
 		total += items[i].Area()
 	}
-	var lo, hi, cross float64
+	lo, hi := rect.YMin, rect.YMax
 	if horiz {
 		lo, hi = rect.XMin, rect.XMax
-		cross = rect.Height()
-	} else {
-		lo, hi = rect.YMin, rect.YMax
-		cross = rect.Width()
 	}
 	span := hi - lo
-	if p.opt.OptimalLeaf && total > 0 && cross > 0 {
-		// Exact 1-D spreading: pitch_i = area_i / (γ·crossExtent) is the
-		// axis extent each item needs to stay under the density target.
-		target := p.g.Target
-		desired := make([]float64, len(sel))
-		pitch := make([]float64, len(sel))
-		for k, i := range sel {
-			w := items[i].Area() / (target * cross)
-			if w > span {
-				w = span
-			}
-			desired[k] = sc.keyed[k].key - w/2 // lower edge in axis direction
-			pitch[k] = w
-		}
-		xs := pav1D(desired, pitch, lo, hi)
-		for k, i := range sel {
-			v := xs[k] + pitch[k]/2
-			if horiz {
-				p.pos[i].X = v
-				p.pos[i].Y = geom.Clamp(p.pos[i].Y, rect.YMin, rect.YMax)
-			} else {
-				p.pos[i].Y = v
-				p.pos[i].X = geom.Clamp(p.pos[i].X, rect.XMin, rect.XMax)
-			}
-		}
-		return
-	}
 	var cum float64
 	for k, i := range sel {
 		a := items[i].Area()

@@ -11,24 +11,12 @@ import (
 // TestCoreOptionsForwarding fails when a new core field is neither
 // forwarded nor recorded here.
 var engineInternalCoreOptions = map[string]string{
-	"LSEGamma":             "LSE smoothing is self-calibrated from the core width",
-	"PNormP":               "p exponent is fixed to the paper's default",
-	"InitialSolves":        "engine default; overridden internally by the clustered flow",
-	"GapTol":               "convergence tolerance is the paper's default",
-	"PiTol":                "convergence tolerance is the paper's default",
-	"MinIterations":        "engine default",
-	"Schedule":             "derived from Options.Algorithm (AlgSimPL), not a facade knob",
-	"OptimalLeafSpreading": "Table 1 ablation knob, exercised via internal/core only",
-	"GridMax":              "engine default projection grid cap",
-	"ProjectionRefine":     "constructed by the facade from Options.ProjectionDP",
-	"RoutingCapacity":      "self-calibrated RUDY supply",
-	"NoMacroLambdaScale":   "paper §5 ablation knob, exercised via internal/core only",
-	"Eps":                  "linearization floor is derived from the row height",
-	"CG":                   "CG solver tuning stays internal",
-	"Checkpoint":           "constructed by the facade from Options.Checkpoint (a chkpt.Manager, wired in PlaceContext, not coreOptions)",
-	"Resume":               "loaded by the facade from the checkpoint directory when Options.Checkpoint.Resume is set",
-	"PortfolioResume":      "loaded by the facade from the checkpoint directory (portfolio.ckpt) when Options.Checkpoint.Resume is set",
-	"RecoveryPolicy":       "engine-internal recovery-ladder tuning; the facade always uses the default policy",
+	"Schedule":           "derived from Options.Algorithm (AlgSimPL), not a facade knob",
+	"ProjectionRefine":   "constructed by the facade from Options.ProjectionDP",
+	"NoMacroLambdaScale": "paper §5 ablation knob, exercised via internal/core only",
+	"Checkpoint":         "constructed by the facade from Options.Checkpoint (a chkpt.Manager, wired in PlaceContext, not coreOptions)",
+	"Resume":             "loaded by the facade from the checkpoint directory when Options.Checkpoint.Resume is set",
+	"PortfolioResume":    "loaded by the facade from the checkpoint directory (portfolio.ckpt) when Options.Checkpoint.Resume is set",
 }
 
 // TestCoreOptionsForwarding is the contract test for the single
