@@ -1,6 +1,7 @@
 // Kernel micro-benchmarks for the primal hot path: sparse matrix-vector
-// products, dot products, full system assembly and HPWL evaluation, each at
-// 10k and 100k variables on a representative synthetic netlist. Run with
+// products, dot products, the IC(0) preconditioner, full system assembly
+// and HPWL evaluation, each at 10k and 100k variables on a representative
+// synthetic netlist. Run with
 //
 //	go test ./internal/sparse -bench BenchmarkKernels -benchmem
 //
@@ -152,5 +153,37 @@ func BenchmarkKernelsCG(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkKernelsIC0 times the IC(0) preconditioner on the benchmark
+// systems: Setup (factor and transpose) and Apply (forward and backward
+// gathers) separately.
+func BenchmarkKernelsIC0(b *testing.B) {
+	for _, n := range benchSizes {
+		b.Run(fmt.Sprintf("setup/n=%d", n), func(b *testing.B) {
+			sys := benchSystem(b, n)
+			var f sparse.IC0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := f.Setup(sys.A); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("apply/n=%d", n), func(b *testing.B) {
+			sys := benchSystem(b, n)
+			var f sparse.IC0
+			if err := f.Setup(sys.A); err != nil {
+				b.Fatal(err)
+			}
+			z := make([]float64, len(sys.B))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f.Apply(z, sys.B)
+			}
+		})
 	}
 }

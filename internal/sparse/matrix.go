@@ -48,7 +48,10 @@ type Builder struct {
 	ents []entry
 }
 
-// entry is one accumulated (row, col, value) triplet.
+// entry is one accumulated record: either the (row, col, value) triplet of
+// Add, or, when r is negative, the compact spring record of AddSym with
+// weight v between variables ^r and c, which BuildMergedInto expands into
+// its four triplets.
 type entry struct {
 	r, c int32
 	v    float64
@@ -61,9 +64,6 @@ func NewBuilder(n int) *Builder {
 
 // N returns the matrix dimension.
 func (b *Builder) N() int { return b.n }
-
-// Len returns the number of accumulated (unmerged) entries.
-func (b *Builder) Len() int { return len(b.ents) }
 
 // Reset drops all accumulated entries but keeps the allocated capacity, so
 // a Builder can be reused across assembly iterations without reallocating
@@ -95,14 +95,15 @@ func (b *Builder) check(i, j int) {
 // variables i and j: +w on both diagonals, -w on both off-diagonals. This is
 // the element contribution of the quadratic term w(x_i - x_j)^2. The four
 // entries are emitted in the order (i,i), (j,j), (i,j), (j,i), and a zero
-// weight emits none of them.
+// weight emits none of them. They are stored as one compact record (row
+// ^i) that BuildMergedInto expands in that order, so a spring costs one
+// 16-byte record instead of four triplets.
 func (b *Builder) AddSym(i, j int, w float64) {
 	b.check(i, j)
 	if w == 0 {
 		return
 	}
-	r, c := int32(i), int32(j)
-	b.ents = append(b.ents, entry{r, r, w}, entry{c, c, w}, entry{r, c, -w}, entry{c, r, -w})
+	b.ents = append(b.ents, entry{^int32(i), int32(j), w})
 }
 
 // AddDiag accumulates w on the diagonal entry (i, i); the element
@@ -147,7 +148,8 @@ func growF64(s []float64, n int) []float64 {
 }
 
 // BuildMergedInto builds the CSR matrix for the concatenation of the
-// shards' triplet streams, taken in shard order. It replaces the sort-based
+// shards' triplet streams, taken in shard order, where each AddSym record
+// stands for its four triplets in AddSym's order. It replaces the sort-based
 // Build with a deterministic two-phase counting build:
 //
 //  1. count off-diagonal triplets per row and scatter them (sequentially,
@@ -197,7 +199,12 @@ func BuildMergedInto(m *CSR, ws *BuildScratch, n int, shards ...*Builder) *CSR {
 	clear(start)
 	for _, b := range shards {
 		for _, e := range b.ents {
-			if e.r != e.c {
+			if e.r < 0 {
+				if r := ^e.r; r != e.c {
+					start[r+1]++
+					start[e.c+1]++
+				}
+			} else if e.r != e.c {
 				start[e.r+1]++
 			}
 		}
@@ -209,7 +216,8 @@ func BuildMergedInto(m *CSR, ws *BuildScratch, n int, shards ...*Builder) *CSR {
 	// Phase 1b: scatter off-diagonal triplets into row segments and sum the
 	// diagonal. Sequential on purpose: it preserves the emission order of
 	// duplicates within each row, which fixes the floating-point summation
-	// order.
+	// order. A spring record expands to its four triplets in AddSym's
+	// documented order.
 	cur := growI32(ws.cur, n)
 	copy(cur, start[:n])
 	total := int(start[n])
@@ -223,13 +231,23 @@ func BuildMergedInto(m *CSR, ws *BuildScratch, n int, shards ...*Builder) *CSR {
 	clear(hasDiag)
 	for _, b := range shards {
 		for _, e := range b.ents {
-			if e.r == e.c {
-				if hasDiag[e.r] {
-					diag[e.r] += e.v
-				} else {
-					diag[e.r] = e.v
-					hasDiag[e.r] = true
+			if e.r < 0 {
+				r := ^e.r
+				foldDiag(diag, hasDiag, r, e.v)
+				foldDiag(diag, hasDiag, e.c, e.v)
+				if r == e.c {
+					foldDiag(diag, hasDiag, r, -e.v)
+					foldDiag(diag, hasDiag, r, -e.v)
+					continue
 				}
+				p, q := cur[r], cur[e.c]
+				cur[r], cur[e.c] = p+1, q+1
+				rawCol[p], rawVal[p] = e.c, -e.v
+				rawCol[q], rawVal[q] = r, -e.v
+				continue
+			}
+			if e.r == e.c {
+				foldDiag(diag, hasDiag, e.r, e.v)
 				continue
 			}
 			p := cur[e.r]
@@ -307,6 +325,17 @@ func BuildMergedInto(m *CSR, ws *BuildScratch, n int, shards ...*Builder) *CSR {
 	ws.diag = diag
 	m.splits = m.computeSplits(m.splits[:0])
 	return m
+}
+
+// foldDiag adds v to row r's diagonal sum, or starts the sum at v when row
+// r has none yet.
+func foldDiag(diag []float64, hasDiag []bool, r int32, v float64) {
+	if hasDiag[r] {
+		diag[r] += v
+	} else {
+		diag[r] = v
+		hasDiag[r] = true
+	}
 }
 
 // insertionSortByCol stably sorts the (col, val) pairs by column. Stability
@@ -392,12 +421,18 @@ func (m *CSR) computeSplits(dst []int32) []int32 {
 	return append(dst, int32(m.N))
 }
 
-// mulRows computes dst[i] = Σ_k val·x for rows [lo, hi).
+// mulRows computes dst[i] = Σ_k val·x for rows [lo, hi). The matrix slices
+// are read into locals once and each row is ranged as a subslice, so the
+// inner loop reloads no slice header.
 func (m *CSR) mulRows(dst, x []float64, lo, hi int32) {
+	rowPtr, col, val := m.RowPtr, m.Col, m.Val
 	for i := lo; i < hi; i++ {
+		cols := col[rowPtr[i]:rowPtr[i+1]]
+		vals := val[rowPtr[i]:rowPtr[i+1]]
+		vals = vals[:len(cols)]
 		var s float64
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			s += m.Val[k] * x[m.Col[k]]
+		for k, c := range cols {
+			s += vals[k] * x[c]
 		}
 		dst[i] = s
 	}
@@ -449,12 +484,16 @@ func (m *CSR) Diag(dst []float64) {
 	if len(dst) != m.N {
 		panic("sparse: Diag dimension mismatch")
 	}
+	rowPtr, col, val := m.RowPtr, m.Col, m.Val
 	par.For(m.N, buildRowGrain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
+			cols := col[rowPtr[i]:rowPtr[i+1]]
+			vals := val[rowPtr[i]:rowPtr[i+1]]
+			vals = vals[:len(cols)]
 			var d float64
-			for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-				if int(m.Col[k]) == i {
-					d += m.Val[k]
+			for k, c := range cols {
+				if int(c) == i {
+					d += vals[k]
 				}
 			}
 			dst[i] = d

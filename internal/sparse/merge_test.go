@@ -83,6 +83,25 @@ func mergeShards(rng *rand.Rand, n, nShards int) ([]*Builder, []triplet) {
 			b.Add(r, c, v)
 			all = append(all, triplet{int32(r), int32(c), v})
 		}
+		// spring stamps one compact AddSym record and lists the four
+		// triplets it stands for, in AddSym's documented order.
+		spring := func(r, c int, w float64) {
+			b.AddSym(r, c, w)
+			all = append(all, triplet{int32(r), int32(r), w}, triplet{int32(c), int32(c), w},
+				triplet{int32(r), int32(c), -w}, triplet{int32(c), int32(r), -w})
+		}
+		// edgeSpring stamps a spring between two off-diagonal rows, when the
+		// matrix has any, so that a compact record opens or closes the shard.
+		edgeSpring := func() {
+			for try := 0; try < 20; try++ {
+				r, c := rng.Intn(n), rng.Intn(n)
+				if role(r) == 2 && role(c) == 2 {
+					spring(r, c, val())
+					return
+				}
+			}
+		}
+		edgeSpring()
 		entries := rng.Intn(4 * n)
 		for k := 0; k < entries; k++ {
 			r := rng.Intn(n)
@@ -99,15 +118,24 @@ func mergeShards(rng *rand.Rand, n, nShards int) ([]*Builder, []triplet) {
 				case 0:
 					emit(r, r, val())
 				case 1:
-					// A spring: the symmetric stamp AddSym emits.
+					// A spring: the symmetric stamp AddSym emits. Some
+					// springs tie a row to itself, whose four triplets all
+					// land on the diagonal, and some have zero weight,
+					// which stamps nothing.
 					c := rng.Intn(n)
+					switch rng.Intn(6) {
+					case 0:
+						c = r
+					case 1:
+						if role(c) == 2 {
+							spring(r, c, 0)
+						}
+						continue
+					}
 					if role(c) != 2 {
 						continue
 					}
-					w := val()
-					b.AddSym(r, c, w)
-					all = append(all, triplet{int32(r), int32(r), w}, triplet{int32(c), int32(c), w},
-						triplet{int32(r), int32(c), -w}, triplet{int32(c), int32(r), -w})
+					spring(r, c, val())
 				default:
 					c := rng.Intn(n)
 					if role(c) == 2 {
@@ -137,7 +165,13 @@ func mergeShards(rng *rand.Rand, n, nShards int) ([]*Builder, []triplet) {
 			emit(r, n-1, -1e16)
 			emit(r, n/2, 4)
 			emit(r, n/2, -4)
+			// A self-spring between diagonal probes: 1e16, then the
+			// spring's w, w, −w, −w, then −1e16, folded left to right.
+			emit(r, r, 1e16)
+			spring(r, r, 1)
+			emit(r, r, -1e16)
 		}
+		edgeSpring()
 	}
 	return shards, all
 }

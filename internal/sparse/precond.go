@@ -170,13 +170,20 @@ func (s *SSOR) Name() string { return "ssor" }
 // cannot happen for the M-matrices quadratic placement assembles but can
 // for arbitrary SPD input) is repaired per-row by falling back to the
 // guarded √diag pivot, which keeps L̂ nonsingular and M SPD.
+//
+// The factor is held twice: by rows (rowPtr/col/val) for the forward sweep
+// and transposed (tPtr/tRow/tVal: column j's entries in decreasing source
+// row) for the backward sweep, so both sweeps are gathers.
 type IC0 struct {
 	n      int
 	rowPtr []int32
 	col    []int32
 	val    []float64
 	d      []float64
-	aDiag  []float64 // scratch: raw diagonal of the last matrix seen
+	tPtr   []int32
+	tRow   []int32
+	tVal   []float64
+	slot   []int32   // scratch: factor position of each column of the current row
 	y      []float64 // forward-sweep intermediate
 }
 
@@ -195,100 +202,139 @@ func pivot(s, aii float64) float64 {
 	return 1
 }
 
-// Setup computes the IC(0) factorization of a.
+// Setup computes the IC(0) factorization of a, whose rows must be sorted
+// by column without duplicates (as Builder produces them).
+//
+// One left-looking pass over the rows: row i copies its strict-lower
+// prefix from a while folding the diagonal the way CSR.Diag does, then
+// computes l_ij = (a_ij − Σ_{c<j} l_ic·l_jc) / d_j for each of its columns
+// j. The sum runs over row j's columns in increasing order and finds l_ic
+// through slot, row i's column→position map, so it subtracts the same
+// products in the same order as a two-pointer merge of rows i and j.
 func (f *IC0) Setup(a *CSR) error {
 	n := a.N
 	f.n = n
 	f.rowPtr = growI32(f.rowPtr, n+1)
 	f.d = growF64(f.d, n)
-	f.aDiag = growF64(f.aDiag, n)
 	f.y = growF64(f.y, n)
-	a.Diag(f.aDiag)
-
-	// Strict-lower pattern (CSR rows are sorted by column, so the lower
-	// part of each row is a prefix).
-	nnz := 0
-	f.rowPtr[0] = 0
+	f.slot = growI32(f.slot, n)
+	slot := f.slot
+	for c := range slot {
+		slot[c] = -1
+	}
+	aPtr, aCol, aVal := a.RowPtr, a.Col, a.Val
+	rowPtr, d := f.rowPtr, f.d
+	col, val := f.col[:0], f.val[:0]
+	rowPtr[0] = 0
 	for i := 0; i < n; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if int(a.Col[k]) < i {
-				nnz++
-			} else {
-				break
+		cols := aCol[aPtr[i]:aPtr[i+1]]
+		vals := aVal[aPtr[i]:aPtr[i+1]]
+		vals = vals[:len(cols)]
+		lower := len(cols)
+		var aii float64
+		for k, c := range cols {
+			if int(c) == i {
+				aii += vals[k]
+			}
+			if int(c) >= i && lower == len(cols) {
+				lower = k
 			}
 		}
-		f.rowPtr[i+1] = int32(nnz)
-	}
-	f.col = growI32(f.col, nnz)
-	f.val = growF64(f.val, nnz)
-	idx := 0
-	for i := 0; i < n; i++ {
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if int(a.Col[k]) >= i {
-				break
-			}
-			f.col[idx] = a.Col[k]
-			f.val[idx] = a.Val[k]
-			idx++
-		}
-	}
-
-	// Row-wise left-looking factorization on the fixed pattern. Rows are
-	// short (a handful of B2B couplings), so the sparse dot products via
-	// two-pointer merges stay linear in nnz in practice.
-	for i := 0; i < n; i++ {
-		ri0, ri1 := f.rowPtr[i], f.rowPtr[i+1]
+		ri0 := int32(len(col))
+		col = append(col, cols[:lower]...)
+		val = append(val, vals[:lower]...)
+		ri1 := int32(len(col))
+		rowPtr[i+1] = ri1
 		for kk := ri0; kk < ri1; kk++ {
-			j := int(f.col[kk])
-			s := f.val[kk]
-			// s -= Σ_{c < j} l_ic · l_jc over the shared pattern.
-			pi, pj := ri0, f.rowPtr[j]
-			rj1 := f.rowPtr[j+1]
-			for pi < kk && pj < rj1 {
-				ci, cj := f.col[pi], f.col[pj]
-				switch {
-				case ci == cj:
-					s -= f.val[pi] * f.val[pj]
-					pi++
-					pj++
-				case ci < cj:
-					pi++
-				default:
-					pj++
+			slot[col[kk]] = kk
+		}
+		for kk := ri0; kk < ri1; kk++ {
+			j := col[kk]
+			s := val[kk]
+			for pj := rowPtr[j]; pj < rowPtr[j+1]; pj++ {
+				// A slot at or past ri0 belongs to row i; row j's columns
+				// are below j, so it lies before kk.
+				if p := slot[col[pj]]; p >= ri0 {
+					s -= val[p] * val[pj]
 				}
 			}
-			f.val[kk] = s / f.d[j]
+			val[kk] = s / d[j]
 		}
-		s := f.aDiag[i]
+		s := aii
 		for kk := ri0; kk < ri1; kk++ {
-			s -= f.val[kk] * f.val[kk]
+			s -= val[kk] * val[kk]
 		}
-		f.d[i] = pivot(s, f.aDiag[i])
-		if !isFinite(f.d[i]) {
+		d[i] = pivot(s, aii)
+		if !isFinite(d[i]) {
+			f.col, f.val = col, val
 			return fmt.Errorf("sparse: IC(0) row %d: %w", i, ErrNotFinite)
 		}
 	}
+	f.col, f.val = col, val
+	f.transpose()
 	return nil
 }
 
-// Apply solves L̂ y = r (forward) then L̂ᵀ z = y (backward column sweep).
+// transpose fills tPtr/tRow/tVal from the row factor: column j's entries
+// by decreasing source row, the order in which a column-oriented backward
+// sweep applies them.
+func (f *IC0) transpose() {
+	n := f.n
+	nnz := len(f.col)
+	f.tPtr = growI32(f.tPtr, n+1)
+	f.tRow = growI32(f.tRow, nnz)
+	f.tVal = growF64(f.tVal, nnz)
+	rowPtr, col, val := f.rowPtr, f.col, f.val
+	tPtr, tRow, tVal := f.tPtr, f.tRow, f.tVal
+	clear(tPtr)
+	for _, c := range col {
+		tPtr[c+1]++
+	}
+	for j := 0; j < n; j++ {
+		tPtr[j+1] += tPtr[j]
+	}
+	// slot serves as the per-column fill cursor.
+	cur := f.slot
+	copy(cur, tPtr[:n])
+	for i := n - 1; i >= 0; i-- {
+		for kk := rowPtr[i]; kk < rowPtr[i+1]; kk++ {
+			c := col[kk]
+			p := cur[c]
+			cur[c] = p + 1
+			tRow[p] = int32(i)
+			tVal[p] = val[kk]
+		}
+	}
+}
+
+// Apply solves L̂ y = r (forward), then L̂ᵀ z = y (backward), both as row
+// gathers. The backward gather of z_j subtracts l_ij·z_i over the
+// transposed factor's decreasing rows i, the same operands in the same
+// order as the column sweep "for i from n−1 down: z_i /= d_i; z_c −= l_ic·z_i",
+// so the result is bitwise that sweep's.
 func (f *IC0) Apply(z, r []float64) {
 	n := f.n
-	y := f.y
+	rowPtr, col, val, d, y := f.rowPtr, f.col, f.val, f.d, f.y
 	for i := 0; i < n; i++ {
+		cols := col[rowPtr[i]:rowPtr[i+1]]
+		vals := val[rowPtr[i]:rowPtr[i+1]]
+		vals = vals[:len(cols)]
 		s := r[i]
-		for kk := f.rowPtr[i]; kk < f.rowPtr[i+1]; kk++ {
-			s -= f.val[kk] * y[f.col[kk]]
+		for k, c := range cols {
+			s -= vals[k] * y[c]
 		}
-		y[i] = s / f.d[i]
+		y[i] = s / d[i]
 	}
-	copy(z[:n], y[:n])
-	for i := n - 1; i >= 0; i-- {
-		zi := z[i] / f.d[i]
-		z[i] = zi
-		for kk := f.rowPtr[i]; kk < f.rowPtr[i+1]; kk++ {
-			z[f.col[kk]] -= f.val[kk] * zi
+	tPtr, tRow, tVal := f.tPtr, f.tRow, f.tVal
+	for j := n - 1; j >= 0; j-- {
+		rows := tRow[tPtr[j]:tPtr[j+1]]
+		vals := tVal[tPtr[j]:tPtr[j+1]]
+		vals = vals[:len(rows)]
+		s := y[j]
+		for k, i := range rows {
+			s -= vals[k] * z[i]
 		}
+		z[j] = s / d[j]
 	}
 }
 

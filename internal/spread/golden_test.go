@@ -1,6 +1,7 @@
 package spread
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -114,11 +115,114 @@ func TestProjectionGoldenNeedsTwoPasses(t *testing.T) {
 	}
 }
 
+// cmpKey is the three-way form of the "key_a < key_b" less function:
+// cmpKey(a, b) < 0 exactly when a.key < b.key, the comparison sortKeyed
+// inlines.
+func cmpKey(a, b keyedItem) int {
+	switch {
+	case a.key < b.key:
+		return -1
+	case a.key > b.key:
+		return 1
+	}
+	return 0
+}
+
+// sortKeys returns n keys of one of several shapes chosen by shape. Beside
+// random keys full of ties they cover the inputs that steer pdqsort's
+// branches: ascending (the sorted hint and partial insertion sort),
+// descending (the reversal), organ pipes and sawtooth runs (unbalanced
+// pivots, so breakPatterns), all equal (the equal-partition path), NaN
+// keys, which compare false both ways, signed zeros, which compare equal,
+// and an adversarial order that exhausts the bad-pivot budget, so the sort
+// falls back to heapsort.
+func sortKeys(rng *rand.Rand, shape, n int) []float64 {
+	if shape == 9 {
+		return adversaryKeys(n)
+	}
+	keys := make([]float64, n)
+	for i := range keys {
+		switch shape {
+		case 0:
+			keys[i] = float64(rng.Intn(1 + n/8))
+		case 1:
+			keys[i] = float64(i / 3)
+		case 2:
+			keys[i] = float64(n - i/2)
+		case 3:
+			keys[i] = float64(min(i, n-1-i))
+		case 4:
+			keys[i] = 7
+		case 5:
+			keys[i] = float64(i % 37)
+		case 6:
+			if rng.Intn(3) == 0 {
+				keys[i] = math.NaN()
+			} else {
+				keys[i] = float64(rng.Intn(50))
+			}
+		case 7:
+			if i%2 == 0 {
+				keys[i] = math.NaN()
+			} else {
+				keys[i] = float64(n - i)
+			}
+		case 8:
+			keys[i] = []float64{0, math.Copysign(0, -1), 1, -1}[rng.Intn(4)]
+		}
+	}
+	return keys
+}
+
+const numSortShapes = 10
+
+// adversaryKeys builds McIlroy's "gas" adversary against the toolchain's
+// pdqsort: all keys start undecided, and whenever the sort compares two
+// undecided keys the first operand is frozen to the next smallest value.
+// Its pivots come out near the low end of every partition, so pdqsort
+// spends its bad-pivot budget on them and ends in heapsort. Each value is
+// given to two keys, so the heapsort also sees ties.
+func adversaryKeys(n int) []float64 {
+	gas := n
+	val := make([]int, n)
+	ids := make([]int, n)
+	for i := range val {
+		val[i], ids[i] = gas, i
+	}
+	frozen := 0
+	slices.SortFunc(ids, func(a, b int) int {
+		if val[a] == gas && val[b] == gas {
+			val[a] = frozen / 2
+			frozen++
+		}
+		return val[a] - val[b]
+	})
+	keys := make([]float64, n)
+	for i, v := range val {
+		keys[i] = float64(v)
+	}
+	return keys
+}
+
+// sortSizes are the lengths the sort tests use: the insertion-sort cutoff
+// (12), the ninther threshold (50) and the partial-insertion threshold
+// around them, up to about 5,000.
+var sortSizes = []int{1, 2, 7, 12, 13, 49, 50, 51, 200, 1000, 4999}
+
 // TestSortAlongMatchesSortSlice checks sortAlong's contract directly: on
 // inputs full of ties, both shuffled and already in order, it permutes the
 // selection exactly as sort.Slice with the plain less function does.
 func TestSortAlongMatchesSortSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	check := func(name string, p *Projector, sel []int, horiz bool) {
+		t.Helper()
+		want := slices.Clone(sel)
+		sort.Slice(want, func(a, b int) bool { return p.axis(want[a], horiz) < p.axis(want[b], horiz) })
+		p.sortAlong(sel, horiz, &p.lanes[0])
+		if !slices.Equal(sel, want) {
+			t.Fatalf("%s: sortAlong order differs from sort.Slice", name)
+		}
+	}
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(300)
 		p := &Projector{pos: make([]geom.Point, n)}
@@ -131,11 +235,54 @@ func TestSortAlongMatchesSortSlice(t *testing.T) {
 			// Pre-sorted by sort.Slice, so the fast path sees ordered keys.
 			sort.Slice(sel, func(a, b int) bool { return p.axis(sel[a], horiz) < p.axis(sel[b], horiz) })
 		}
-		want := slices.Clone(sel)
-		sort.Slice(want, func(a, b int) bool { return p.axis(want[a], horiz) < p.axis(want[b], horiz) })
-		p.sortAlong(sel, horiz, &p.lanes[0])
-		if !slices.Equal(sel, want) {
-			t.Fatalf("trial %d: sortAlong order differs from sort.Slice", trial)
+		check(fmt.Sprintf("trial %d", trial), p, sel, horiz)
+	}
+	for shape := 0; shape < numSortShapes; shape++ {
+		for _, n := range sortSizes {
+			keys := sortKeys(rng, shape, n)
+			p := &Projector{pos: make([]geom.Point, n)}
+			for i, k := range keys {
+				p.pos[i] = geom.Point{X: k, Y: -k}
+			}
+			// The identity selection keeps the shape; a shuffled one
+			// scrambles it.
+			sel := make([]int, n)
+			for i := range sel {
+				sel[i] = i
+			}
+			check(fmt.Sprintf("shape %d n=%d", shape, n), p, sel, true)
+			check(fmt.Sprintf("shape %d n=%d shuffled", shape, n), p, rng.Perm(n), shape%2 == 0)
+		}
+	}
+}
+
+// TestSortKeyedMatchesSortFunc checks sortKeyed against the toolchain's
+// slices.SortFunc with the equivalent three-way comparison. sortKeyed is a
+// copy of that template; if the toolchain's template changes, the two
+// permutations can differ and this test fails.
+func TestSortKeyedMatchesSortFunc(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for shape := 0; shape < numSortShapes; shape++ {
+		for _, n := range sortSizes {
+			keys := sortKeys(rng, shape, n)
+			for _, shuffle := range []bool{false, true} {
+				got := make([]keyedItem, n)
+				for i, k := range keys {
+					got[i] = keyedItem{key: k, idx: i}
+				}
+				if shuffle {
+					rng.Shuffle(n, func(a, b int) { got[a], got[b] = got[b], got[a] })
+				}
+				want := slices.Clone(got)
+				slices.SortFunc(want, cmpKey)
+				sortKeyed(got)
+				for k := range want {
+					if got[k].idx != want[k].idx {
+						t.Fatalf("shape %d n=%d shuffle=%v: position %d holds item %d, slices.SortFunc puts %d there",
+							shape, n, shuffle, k, got[k].idx, want[k].idx)
+					}
+				}
+			}
 		}
 	}
 }

@@ -135,21 +135,6 @@ type keyedItem struct {
 	idx int
 }
 
-// cmpKey orders keyed items by ascending key. It is the three-way form of
-// the "key_a < key_b" less function: cmpKey(a, b) < 0 exactly when
-// a.key < b.key, so slices.SortFunc — generated from the same pdqsort
-// template as sort.Slice — performs the same comparisons and swaps and
-// leaves ties (and NaNs) in the same order.
-func cmpKey(a, b keyedItem) int {
-	switch {
-	case a.key < b.key:
-		return -1
-	case a.key > b.key:
-		return 1
-	}
-	return 0
-}
-
 // NewProjector returns a projector over the given grid.
 func NewProjector(g *density.Grid, opt Options) *Projector {
 	opt.fill()
@@ -601,7 +586,8 @@ func (p *Projector) axis(i int, horiz bool) float64 {
 
 // sortAlong sorts sel by the items' current coordinate along the split
 // axis (x when horiz). It permutes sel exactly as sort.Slice with the less
-// function "coord(sel[a]) < coord(sel[b])" would (see cmpKey).
+// function "coord(sel[a]) < coord(sel[b])" would: sortKeyed is the same
+// pdqsort template with that comparison inlined.
 //
 // A selection that is already in non-decreasing order, with no NaN key, is
 // left as it is without sorting: on such input pdqsort makes no swap (its
@@ -623,7 +609,7 @@ func (p *Projector) sortAlong(sel []int, horiz bool, sc *lane) {
 	if sorted {
 		return
 	}
-	slices.SortFunc(keyed, cmpKey)
+	sortKeyed(keyed)
 	for k := range keyed {
 		sel[k] = keyed[k].idx
 	}
