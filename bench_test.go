@@ -44,9 +44,7 @@ func BenchmarkTable2ISPD2006(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.ScaledRatio["nlp"], "nlpScaled/complx")
-		b.ReportMetric(res.ScaledRatio["fastplace"], "fpScaled/complx")
-		b.ReportMetric(res.ScaledRatio["rql"], "rqlScaled/complx")
+		b.ReportMetric(res.ScaledRatio["simpl"], "simplScaled/complx")
 		b.ReportMetric(res.AvgPenalty["complx"], "complxPenalty%")
 	}
 }
@@ -171,7 +169,7 @@ func BenchmarkAblations(b *testing.B) {
 }
 
 // BenchmarkS3RuntimeScaling reproduces §S3's runtime claim: ComPLx scales
-// near-linearly with design size while FastPlace-CS grows faster.
+// near-linearly with design size, measured beside the SimPL schedule.
 func BenchmarkS3RuntimeScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.RuntimeScaling(io.Discard, benchCfg())
@@ -179,7 +177,7 @@ func BenchmarkS3RuntimeScaling(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.ComPLxExponent, "complxExponent")
-		b.ReportMetric(res.FastPlaceExponent, "fastplaceExponent")
+		b.ReportMetric(res.SimPLExponent, "simplExponent")
 	}
 }
 
@@ -196,8 +194,8 @@ func BenchmarkStructuredCircuits(b *testing.B) {
 			if r.Placer == "complx" {
 				b.ReportMetric(r.Ratio, "complxHPWL/manual")
 			}
-			if r.Placer == "fastplace-cs" {
-				b.ReportMetric(r.Ratio, "fastplaceHPWL/manual")
+			if r.Placer == "simpl" {
+				b.ReportMetric(r.Ratio, "simplHPWL/manual")
 			}
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"complx"
-	"complx/internal/baseline"
 	"complx/internal/core"
 )
 
@@ -222,26 +221,17 @@ func TestPlaceContextPortfolioCancelMidSearch(t *testing.T) {
 	}
 }
 
-// TestPlaceContextCancelledBaselines checks every baseline algorithm honors
-// a pre-cancelled context with the same best-so-far contract, both through
-// the facade and at the baseline package's own entry points, whose results
-// must report the cancellation too.
+// TestPlaceContextCancelledBaselines checks the SimPL yardstick honors a
+// pre-cancelled context with the same best-so-far contract, both through
+// the facade and at core's own entry point, whose result must report the
+// cancellation too.
 func TestPlaceContextCancelledBaselines(t *testing.T) {
 	for _, tc := range []struct {
 		alg    complx.Algorithm
 		direct func(ctx context.Context, nl *complx.Netlist) (*core.Result, error)
 	}{
 		{complx.AlgSimPL, func(ctx context.Context, nl *complx.Netlist) (*core.Result, error) {
-			return baseline.SimPLContext(ctx, nl, core.Options{})
-		}},
-		{complx.AlgFastPlaceCS, func(ctx context.Context, nl *complx.Netlist) (*core.Result, error) {
-			return baseline.FastPlaceCSContext(ctx, nl, core.Options{})
-		}},
-		{complx.AlgNLP, func(ctx context.Context, nl *complx.Netlist) (*core.Result, error) {
-			return baseline.NLPContext(ctx, nl, core.Options{})
-		}},
-		{complx.AlgRQL, func(ctx context.Context, nl *complx.Netlist) (*core.Result, error) {
-			return baseline.RQLContext(ctx, nl, core.Options{})
+			return core.PlaceContext(ctx, nl, core.Options{Schedule: core.ScheduleSimPL})
 		}},
 	} {
 		alg := tc.alg

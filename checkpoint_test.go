@@ -326,7 +326,7 @@ func TestPlaceMultilevelRejections(t *testing.T) {
 	t.Run("algorithm-gate", func(t *testing.T) {
 		nl := genCheckpointNetlist(t)
 		opt := base
-		opt.Algorithm = AlgFastPlaceCS
+		opt.Algorithm = Algorithm(9)
 		opt.Multilevel = MultilevelOptions{Enabled: true}
 		_, err := Place(nl, opt)
 		var pe *PlaceError
@@ -346,10 +346,6 @@ func TestPlaceMultilevelRejections(t *testing.T) {
 			o.Portfolio = PortfolioOptions{Enabled: true}
 			o.Multilevel = MultilevelOptions{Enabled: true}
 		}, perr.StageOptions},
-		{"portfolio-baseline", func(o *Options) {
-			o.Algorithm = AlgNLP
-			o.Portfolio = PortfolioOptions{Enabled: true}
-		}, perr.StageOptions},
 		{"portfolio-knob", func(o *Options) {
 			o.Portfolio = PortfolioOptions{Enabled: true, Members: 1}
 		}, perr.StageOptions},
@@ -359,10 +355,6 @@ func TestPlaceMultilevelRejections(t *testing.T) {
 		}, perr.StageCheckpoint},
 		{"bogus-precond", func(o *Options) { o.Precond = "bogus" }, perr.StageValidate},
 		{"lse-pnorm", func(o *Options) { o.UseLSE, o.UsePNorm = true, true }, perr.StageValidate},
-		{"clustered-baseline", func(o *Options) {
-			o.Algorithm = AlgNLP
-			o.Clustered = true
-		}, perr.StageValidate},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := base

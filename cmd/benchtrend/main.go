@@ -68,7 +68,7 @@ func main() {
 	var (
 		scale    = flag.Float64("scale", 0.05, "benchmark scale factor for emit mode")
 		designs  = flag.String("designs", "adaptec1,newblue1", "comma-separated synthetic designs to place (emit mode)")
-		placers  = flag.String("placers", "complx,simpl,fastplace-cs", "comma-separated placers to measure (emit mode)")
+		placers  = flag.String("placers", "complx,simpl", "comma-separated placers to measure (emit mode)")
 		precond  = flag.String("precond", "auto", "CG preconditioner for the quadratic placers (emit mode)")
 		out      = flag.String("out", "", "write the measured trajectory to this JSON file (emit mode)")
 		appendTo = flag.Bool("append", false, "merge into an existing -out baseline instead of replacing it (same machine assumed; entries with the same placer/design/scale/precond are replaced)")

@@ -1,5 +1,5 @@
-// Command complx places a design with the ComPLx flow (or one of the
-// baseline placers) and reports HPWL, scaled HPWL and runtimes.
+// Command complx places a design with the ComPLx flow (or its SimPL
+// special case) and reports HPWL, scaled HPWL and runtimes.
 //
 // Input is either an ISPD Bookshelf benchmark (-aux design.aux) or a named
 // synthetic ISPD-analog benchmark (-bench adaptec1, optionally scaled with
@@ -48,7 +48,7 @@ func main() {
 		aux       = flag.String("aux", "", "Bookshelf .aux file to place")
 		bench     = flag.String("bench", "", "named synthetic benchmark (e.g. adaptec1, newblue7)")
 		scale     = flag.Float64("scale", 1.0, "cell-count scale factor for -bench")
-		algo      = flag.String("algo", "complx", "placer: complx, simpl, fastplace-cs, nlp, rql")
+		algo      = flag.String("algo", "complx", "placer: complx, simpl")
 		precond   = flag.String("precond", "auto", "CG preconditioner: auto, jacobi, ssor, ic0")
 		target    = flag.Float64("target", 0, "target density gamma in (0,1]; 0 uses the benchmark default")
 		finest    = flag.Bool("finest", false, "use the finest projection grid on all iterations")
@@ -232,11 +232,6 @@ func run(ctx context.Context, cfg runCfg) error {
 	}
 	if cfg.verbose {
 		opt.OnIteration = func(it complx.IterStats) {
-			if it.PhiUpper == 0 {
-				// Overflow-loop record: no Lagrangian, no duality gap.
-				fmt.Printf("  iter %3d  overflow=%-7.4f HPWL=%.0f\n", it.Iter, it.Overflow, it.HPWL)
-				return
-			}
 			fmt.Printf("  iter %3d  lambda=%-9.4f Phi=%-12.0f Pi=%-12.0f gap=%.3f grid=%d\n",
 				it.Iter, it.Lambda, it.Phi, it.Pi, (it.PhiUpper-it.Phi)/it.PhiUpper, it.GridNX)
 		}

@@ -3,6 +3,8 @@ package main
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"complx"
@@ -110,7 +112,6 @@ func TestJobSpecPortfolioValidation(t *testing.T) {
 	// Structural conflicts are rejected by the same facade validator.
 	conflicts := []string{
 		`{"bench":"adaptec1","portfolio":true,"multilevel":true}`,
-		`{"bench":"adaptec1","algorithm":"nlp","portfolio":true}`,
 	}
 	for _, in := range conflicts {
 		var s JobSpec
@@ -121,6 +122,23 @@ func TestJobSpecPortfolioValidation(t *testing.T) {
 		var pe *complx.PlaceError
 		if !errors.As(err, &pe) || pe.Stage != "options" {
 			t.Errorf("conflicting spec %s: want *PlaceError stage options, got %T %v", in, err, err)
+		}
+	}
+
+	// The retired placer names are unknown algorithms, alone and combined
+	// with a driver.
+	for _, alg := range []string{"fastplace-cs", "fastplace", "nlp", "rql"} {
+		for _, in := range []string{
+			fmt.Sprintf(`{"bench":"adaptec1","algorithm":%q}`, alg),
+			fmt.Sprintf(`{"bench":"adaptec1","algorithm":%q,"portfolio":true}`, alg),
+		} {
+			var s JobSpec
+			if err := json.Unmarshal([]byte(in), &s); err != nil {
+				t.Fatalf("decode %s: %v", in, err)
+			}
+			if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "unknown algorithm") {
+				t.Errorf("retired algorithm %s: want an unknown-algorithm error, got %v", in, err)
+			}
 		}
 	}
 }

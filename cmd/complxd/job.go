@@ -53,8 +53,7 @@ type JobSpec struct {
 	// Gen generates a custom synthetic design instead of a named benchmark.
 	Gen *complx.BenchSpec `json:"gen,omitempty"`
 
-	// Algorithm is "complx" (default), "simpl", "fastplace-cs", "nlp" or
-	// "rql".
+	// Algorithm is "complx" (default) or "simpl".
 	Algorithm     string  `json:"algorithm,omitempty"`
 	TargetDensity float64 `json:"target_density,omitempty"`
 	MaxIterations int     `json:"max_iterations,omitempty"`

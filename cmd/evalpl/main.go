@@ -71,9 +71,8 @@ type levelScore struct {
 	// KernelSeconds is the level's kernel wall-clock (projection, assembly,
 	// solves, preconditioning) summed over its iterations.
 	KernelSeconds float64 `json:"kernel_seconds"`
-	// HPWL is the level's final wirelength: the last traced HPWL, falling
-	// back to the anchor-placement upper bound when the trace carries no
-	// HPWL samples.
+	// HPWL is the level's final wirelength: the anchor-placement upper
+	// bound of its last iteration that measured one.
 	HPWL float64 `json:"hpwl"`
 }
 
@@ -92,9 +91,7 @@ func levelBreakdown(trace []obs.IterStats) []levelScore {
 		}
 		ls.Iterations++
 		ls.KernelSeconds += s.ProjectTime.Seconds() + s.AssemblyTime.Seconds() + s.SolveTime.Seconds() + s.PrecondTime.Seconds()
-		if s.HPWL != 0 {
-			ls.HPWL = s.HPWL
-		} else if ls.HPWL == 0 && s.PhiUpper != 0 {
+		if s.PhiUpper != 0 {
 			ls.HPWL = s.PhiUpper
 		}
 	}

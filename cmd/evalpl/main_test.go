@@ -95,15 +95,16 @@ func TestEvalPlErrors(t *testing.T) {
 }
 
 // TestLevelBreakdown pins the V-cycle trace aggregation: grouped by level in
-// first-seen (descending) order, kernel seconds summed, last HPWL kept with
-// PhiUpper as the fallback, and flat (single-level) traces yielding nil so
-// flat score files are unchanged.
+// first-seen (descending) order, kernel seconds summed, the last non-zero
+// PhiUpper kept as the level's HPWL, and flat (single-level) traces yielding
+// nil so flat score files are unchanged.
 func TestLevelBreakdown(t *testing.T) {
 	trace := []obs.IterStats{
 		{Level: 2, ProjectTime: 1 * time.Second, AssemblyTime: 2 * time.Second, SolveTime: 3 * time.Second, PrecondTime: 4 * time.Second, PhiUpper: 500},
-		{Level: 2, SolveTime: 1 * time.Second, HPWL: 900},
+		{Level: 2, SolveTime: 1 * time.Second, PhiUpper: 900},
 		{Level: 1, AssemblyTime: 2 * time.Second, PhiUpper: 950},
-		{Level: 0, SolveTime: 3 * time.Second, HPWL: 1000},
+		{Level: 1},
+		{Level: 0, SolveTime: 3 * time.Second, PhiUpper: 1000},
 	}
 	got := levelBreakdown(trace)
 	if len(got) != 3 {
@@ -111,7 +112,7 @@ func TestLevelBreakdown(t *testing.T) {
 	}
 	want := []levelScore{
 		{Level: 2, Iterations: 2, KernelSeconds: 11, HPWL: 900},
-		{Level: 1, Iterations: 1, KernelSeconds: 2, HPWL: 950},
+		{Level: 1, Iterations: 2, KernelSeconds: 2, HPWL: 950},
 		{Level: 0, Iterations: 1, KernelSeconds: 3, HPWL: 1000},
 	}
 	for i := range want {
@@ -119,7 +120,7 @@ func TestLevelBreakdown(t *testing.T) {
 			t.Errorf("level[%d] = %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if flat := levelBreakdown(trace[3:]); flat != nil {
+	if flat := levelBreakdown(trace[4:]); flat != nil {
 		t.Errorf("single-level trace produced a breakdown: %+v", flat)
 	}
 	if empty := levelBreakdown(nil); empty != nil {

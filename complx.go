@@ -5,9 +5,9 @@
 // 2005/2006) I/O, Bound2Bound and log-sum-exp interconnect models, sparse
 // preconditioned CG, SimPL-style look-ahead legalization as the feasibility
 // projection, macro shredding, region constraints, a Tetris legalizer, a
-// FastPlace-DP-style detailed placer, an STA-lite timing analyzer, baseline
-// placers (SimPL, FastPlace-CS, NLP) and a synthetic ISPD-analog benchmark
-// generator.
+// FastPlace-DP-style detailed placer, an STA-lite timing analyzer, the SimPL
+// special case of the multiplier schedule and a synthetic ISPD-analog
+// benchmark generator.
 //
 // The simplest entry point:
 //
@@ -28,7 +28,6 @@ import (
 	"io"
 	"time"
 
-	"complx/internal/baseline"
 	"complx/internal/bookshelf"
 	"complx/internal/core"
 	"complx/internal/density"
@@ -228,13 +227,6 @@ const (
 	AlgComPLx Algorithm = iota
 	// AlgSimPL is the SimPL special case (linear λ schedule).
 	AlgSimPL
-	// AlgFastPlaceCS is the FastPlace-style cell-shifting baseline.
-	AlgFastPlaceCS
-	// AlgNLP is the nonlinear log-sum-exp penalty-method baseline.
-	AlgNLP
-	// AlgRQL is the RQL-style baseline: quadratic placement with local
-	// diffusion spreading and relaxed (thresholded) anchor forces.
-	AlgRQL
 )
 
 func (a Algorithm) String() string {
@@ -243,45 +235,18 @@ func (a Algorithm) String() string {
 		return "complx"
 	case AlgSimPL:
 		return "simpl"
-	case AlgFastPlaceCS:
-		return "fastplace-cs"
-	case AlgNLP:
-		return "nlp"
-	case AlgRQL:
-		return "rql"
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
 }
 
-// primalDual reports whether a runs on the primal-dual engine, the only
-// placers the Clustered, Multilevel and Portfolio drivers support.
-func (a Algorithm) primalDual() bool { return a == AlgComPLx || a == AlgSimPL }
-
-// globalPlacers maps each Algorithm to its global placer. Every placer
-// takes the one core.Options that PlaceContext builds.
-var globalPlacers = map[Algorithm]func(context.Context, *Netlist, core.Options) (*core.Result, error){
-	AlgComPLx:      core.PlaceContext,
-	AlgSimPL:       baseline.SimPLContext,
-	AlgFastPlaceCS: baseline.FastPlaceCSContext,
-	AlgNLP:         baseline.NLPContext,
-	AlgRQL:         baseline.RQLContext,
-}
-
-// ParseAlgorithm converts a name ("complx", "simpl", "fastplace-cs",
-// "nlp", "rql") into an Algorithm.
+// ParseAlgorithm converts a name ("complx", "simpl") into an Algorithm.
 func ParseAlgorithm(s string) (Algorithm, error) {
 	switch s {
 	case "complx":
 		return AlgComPLx, nil
 	case "simpl":
 		return AlgSimPL, nil
-	case "fastplace-cs", "fastplace":
-		return AlgFastPlaceCS, nil
-	case "nlp":
-		return AlgNLP, nil
-	case "rql":
-		return AlgRQL, nil
 	}
 	return 0, fmt.Errorf("complx: unknown algorithm %q", s)
 }
@@ -312,12 +277,12 @@ type Options struct {
 	// ProjectionDP post-processes every feasibility projection with
 	// legalization + detailed placement (Table 1 "P_C += FastPlace-DP").
 	ProjectionDP bool
-	// UseLSE switches ComPLx/SimPL to the log-sum-exp interconnect model;
-	// UsePNorm to the p,β-regularization of §S1. At most one may be set.
+	// UseLSE switches the primal step to the log-sum-exp interconnect
+	// model; UsePNorm to the p,β-regularization of §S1. At most one may be
+	// set.
 	UseLSE   bool
 	UsePNorm bool
-	// Model selects the quadratic net decomposition for ComPLx/SimPL
-	// (default ModelB2B).
+	// Model selects the quadratic net decomposition (default ModelB2B).
 	Model NetModel
 	// Precond selects the CG preconditioner for the quadratic primal step:
 	// "jacobi", "ssor", "ic0", or ""/"auto" for the size heuristic
@@ -342,11 +307,11 @@ type Options struct {
 	Routability      bool
 	RoutabilityAlpha float64
 
-	// Clustered runs core's two-level driver for ComPLx/SimPL: heavy-edge
-	// clustering halves the design, the coarse netlist is placed with the
-	// full budget, and the placement is expanded and refined on the full
-	// design (one initial solve, at most 25 iterations). Validate rejects
-	// it for the other algorithms and with Checkpoint. It trades time
+	// Clustered runs core's two-level driver: heavy-edge clustering halves
+	// the design, the coarse netlist is placed with the full budget, and
+	// the placement is expanded and refined on the full design (one
+	// initial solve, at most 25 iterations). Validate rejects it with
+	// Checkpoint. It trades time
 	// for quality: full flows on the 16 ISPD analogs at scale 1 and 2 (2
 	// threads on a 2-core x86-64 host) gave −0.71% geomean HPWL against
 	// flat at 1.3× the wall time, better than flat on 17 of 32. Multilevel
@@ -355,8 +320,7 @@ type Options struct {
 	// mutually exclusive.
 	Clustered bool
 
-	// Multilevel runs the full multilevel V-cycle for ComPLx/SimPL
-	// (DESIGN.md §13): the design is coarsened bottom-up by repeated
+	// Multilevel runs the full multilevel V-cycle (DESIGN.md §13): the design is coarsened bottom-up by repeated
 	// heavy-edge clustering to TargetCells movable cells, the coarsest
 	// level is placed with the full iteration budget, and each finer level
 	// is interpolated from the coarse placement and refined with a short
@@ -365,11 +329,11 @@ type Options struct {
 	// its wirelength. A design already at or under TargetCells has nothing
 	// to coarsen and runs exactly as flat. Supports Checkpoint (a
 	// mid-V-cycle snapshot resumes at the level it was taken on); not
-	// compatible with Clustered or the non-ComPLx/SimPL baselines.
+	// compatible with Clustered.
 	Multilevel MultilevelOptions
 
-	// Portfolio runs a competitive portfolio/restart search for ComPLx/SimPL
-	// (DESIGN.md §14): Members engine instances race under perturbed
+	// Portfolio runs a competitive portfolio/restart search (DESIGN.md
+	// §14): Members engine instances race under perturbed
 	// configurations (λ ramp/damp, LSE primal, preconditioner choice,
 	// jittered starting positions), meet at Rounds synchronization rounds
 	// where each is scored by overflow-weighted HPWL, and the worst
@@ -378,8 +342,7 @@ type Options struct {
 	// culled, so the winner can only match or beat the flat run. The search
 	// is deterministic for a fixed Seed at any Threads setting; Checkpoint
 	// persists the whole member table, so an interrupted search resumes
-	// bitwise. Mutually exclusive with Multilevel and Clustered; not
-	// available for the non-ComPLx/SimPL baselines.
+	// bitwise. Mutually exclusive with Multilevel and Clustered.
 	Portfolio PortfolioOptions
 
 	// CellPenalty weighs the Lagrangian penalty per movable cell
@@ -428,14 +391,12 @@ type PortfolioOptions = portfolio.Options
 // Validate checks the rules for combining options and returns the first
 // one broken as a *PlaceError:
 //
-//   - Algorithm names a known placer (stage "validate");
-//   - UseLSE excludes UsePNorm, and Clustered needs ComPLx or SimPL
-//     (stage "validate");
-//   - Multilevel excludes Clustered and needs ComPLx or SimPL (stage
-//     "validate");
-//   - Portfolio excludes Multilevel and Clustered and needs ComPLx or
-//     SimPL; with zero fields at their defaults, Members >= 2, Rounds >= 1
-//     and CullFraction in (0,1) (stage "options");
+//   - Algorithm is AlgComPLx or AlgSimPL (stage "validate");
+//   - UseLSE excludes UsePNorm (stage "validate");
+//   - Multilevel excludes Clustered (stage "validate");
+//   - Portfolio excludes Multilevel and Clustered; with zero fields at
+//     their defaults, Members >= 2, Rounds >= 1 and CullFraction in (0,1)
+//     (stage "options");
 //   - Checkpoint.Resume needs Checkpoint.Dir, and Clustered runs cannot
 //     checkpoint (stage "checkpoint");
 //   - Precond names a known preconditioner (stage "validate").
@@ -443,25 +404,15 @@ type PortfolioOptions = portfolio.Options
 // PlaceContext validates automatically; services can call Validate to
 // reject a configuration before queueing a run.
 func (o Options) Validate() error {
-	if _, ok := globalPlacers[o.Algorithm]; !ok {
+	if o.Algorithm != AlgComPLx && o.Algorithm != AlgSimPL {
 		return perr.New(perr.StageValidate, "complx: unknown algorithm %v", o.Algorithm)
 	}
 	if o.UseLSE && o.UsePNorm {
 		return perr.New(perr.StageValidate, "complx: UseLSE and UsePNorm are mutually exclusive")
 	}
-	if o.Clustered && !o.Algorithm.primalDual() {
+	if o.Multilevel.Enabled && o.Clustered {
 		return perr.New(perr.StageValidate,
-			"complx: Clustered requires the ComPLx or SimPL engine (got %v)", o.Algorithm)
-	}
-	if o.Multilevel.Enabled {
-		if o.Clustered {
-			return perr.New(perr.StageValidate,
-				"complx: Multilevel and Clustered are mutually exclusive")
-		}
-		if !o.Algorithm.primalDual() {
-			return perr.New(perr.StageValidate,
-				"complx: Multilevel requires the ComPLx or SimPL engine (got %v)", o.Algorithm)
-		}
+			"complx: Multilevel and Clustered are mutually exclusive")
 	}
 	if o.Portfolio.Enabled {
 		if o.Multilevel.Enabled {
@@ -471,10 +422,6 @@ func (o Options) Validate() error {
 		if o.Clustered {
 			return perr.New(perr.StageOptions,
 				"complx: Portfolio and Clustered are mutually exclusive")
-		}
-		if !o.Algorithm.primalDual() {
-			return perr.New(perr.StageOptions,
-				"complx: Portfolio requires the ComPLx or SimPL engine (got %v)", o.Algorithm)
 		}
 		po := o.Portfolio
 		po.Fill()
@@ -552,8 +499,8 @@ type Result struct {
 	DetailedTime, Total   time.Duration
 	// Kernel timing breakdown of the global placement stage, totalled like
 	// GlobalIterations: linear-system assembly, preconditioned-CG solves
-	// (zero for the nonlinear NLP, LSE and p-norm primal steps), and the
-	// feasibility projection (ComPLx and SimPL engines only).
+	// (zero for the nonlinear LSE and p-norm primal steps), and the
+	// feasibility projection.
 	AssemblyTime, SolveTime, ProjectionTime time.Duration
 	// Precond is the resolved CG preconditioner of the segment that
 	// produced the final placement, CGIterations the total CG inner
@@ -735,6 +682,9 @@ func PlaceContext(ctx context.Context, nl *Netlist, opt Options) (*Result, error
 		coreOpt.Resume = resumeState
 		coreOpt.PortfolioResume = pfResume
 	}
+	if opt.Algorithm == AlgSimPL {
+		coreOpt.Schedule = core.ScheduleSimPL
+	}
 	if opt.ProjectionDP {
 		coreOpt.ProjectionRefine = func(n *Netlist) error {
 			// Best-effort: a projection that cannot be legalized this early
@@ -747,7 +697,7 @@ func PlaceContext(ctx context.Context, nl *Netlist, opt Options) (*Result, error
 			return nil
 		}
 	}
-	r, err := globalPlacers[opt.Algorithm](ctx, nl, coreOpt)
+	r, err := core.PlaceContext(ctx, nl, coreOpt)
 	if r != nil {
 		res.setGlobal(r)
 	}

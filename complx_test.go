@@ -42,7 +42,7 @@ func TestEndToEndComPLx(t *testing.T) {
 }
 
 func TestEndToEndAllAlgorithms(t *testing.T) {
-	for _, alg := range []Algorithm{AlgComPLx, AlgSimPL, AlgFastPlaceCS, AlgNLP, AlgRQL} {
+	for _, alg := range []Algorithm{AlgComPLx, AlgSimPL} {
 		t.Run(alg.String(), func(t *testing.T) {
 			nl, err := Generate(smallSpec("alg-"+alg.String(), 300, 42))
 			if err != nil {
@@ -92,16 +92,16 @@ func TestParseAlgorithm(t *testing.T) {
 		want Algorithm
 	}{
 		{"complx", AlgComPLx}, {"simpl", AlgSimPL},
-		{"fastplace-cs", AlgFastPlaceCS}, {"fastplace", AlgFastPlaceCS}, {"nlp", AlgNLP},
-		{"rql", AlgRQL},
 	} {
 		got, err := ParseAlgorithm(tc.in)
 		if err != nil || got != tc.want {
 			t.Errorf("ParseAlgorithm(%q) = %v, %v", tc.in, got, err)
 		}
 	}
-	if _, err := ParseAlgorithm("magic"); err == nil {
-		t.Error("expected error")
+	for _, in := range []string{"magic", "fastplace-cs", "fastplace", "nlp", "rql"} {
+		if _, err := ParseAlgorithm(in); err == nil {
+			t.Errorf("ParseAlgorithm(%q): expected an error", in)
+		}
 	}
 	if AlgComPLx.String() != "complx" || Algorithm(9).String() != "Algorithm(9)" {
 		t.Error("String wrong")

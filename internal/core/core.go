@@ -106,7 +106,7 @@ type Options struct {
 	// (Jacobi below qp.AutoPrecondMinVars variables, IC(0) above).
 	Precond string
 	// OnIteration, when set, observes every iteration record of every
-	// global placer, the overflow-loop baselines included.
+	// segment of the run.
 	OnIteration func(IterStats)
 	// Obs, when non-nil, instruments the run (spans, metrics, iteration
 	// trace). Instrumentation only reads placement state, so observed runs

@@ -116,6 +116,39 @@ func TestSchedulesDiffer(t *testing.T) {
 	}
 }
 
+// TestSimPLRuns: the SimPL schedule places a design and spreads it.
+func TestSimPLRuns(t *testing.T) {
+	nl := genDesign(t, gen.Spec{Name: "b", NumCells: 600, Seed: 31, Utilization: 0.7})
+	res, err := Place(nl, Options{Schedule: ScheduleSimPL, MaxIterations: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.HPWL <= 0 {
+		t.Fatal("no placement")
+	}
+	if ov := overflowRatio(nl, 1.0); ov > 0.35 {
+		t.Errorf("SimPL overflow = %v", ov)
+	}
+}
+
+// TestComPLxMatchesSimPL: ComPLx's wirelength stays within 10% of SimPL's,
+// the yardstick that shares every kernel and differs only in the λ schedule.
+func TestComPLxMatchesSimPL(t *testing.T) {
+	run := func(s Schedule) float64 {
+		nl := genDesign(t, gen.Spec{Name: "b", NumCells: 800, Seed: 34, Utilization: 0.7})
+		res, err := Place(nl, Options{Schedule: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.HPWL
+	}
+	complx, simpl := run(ScheduleComPLx), run(ScheduleSimPL)
+	t.Logf("HPWL: complx=%.0f simpl=%.0f", complx, simpl)
+	if complx > 1.10*simpl {
+		t.Errorf("ComPLx (%v) much worse than SimPL (%v)", complx, simpl)
+	}
+}
+
 func TestMovableMacros2006Style(t *testing.T) {
 	nl := genDesign(t, gen.Spec{
 		Name: "t5", NumCells: 700, Seed: 15,

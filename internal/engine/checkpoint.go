@@ -32,11 +32,11 @@ type CheckpointSink interface {
 	IntervalOrDefault() int
 }
 
-// StateCodec is optionally implemented by projectors and dual steppers
+// StateCodec is optionally implemented by projectors and primal solvers
 // whose numeric per-run state must survive a checkpoint/resume cycle (for
 // example the routability extension's self-calibrated routing capacity, or
-// the overflow steppers' hold weights). CaptureState returns nil when the
-// component currently holds no state; RestoreState accepts exactly what
+// the quadratic solver's warm-start history). CaptureState returns nil when
+// the component currently holds no state; RestoreState accepts exactly what
 // CaptureState produced.
 type StateCodec interface {
 	CaptureState() []float64
@@ -141,12 +141,12 @@ func (l *Loop) primeResume(res *Result, s *loopState) error {
 	return nil
 }
 
-// checkpointer drives the pending-state snapshot protocol shared by both
-// engine loops: after every completed iteration the loop deposits a
-// complete state via set; every interval-th iteration (and best-effort on
-// cancellation) the pending state is flushed to the sink. A checkpoint
-// that fails to save never kills the run — the failure is recorded in the
-// recovery log and the loop continues.
+// checkpointer drives the loop's pending-state snapshot protocol: after
+// every completed iteration the loop deposits a complete state via set;
+// every interval-th iteration (and best-effort on cancellation) the pending
+// state is flushed to the sink. A checkpoint that fails to save never kills
+// the run — the failure is recorded in the recovery log and the loop
+// continues.
 type checkpointer struct {
 	sink     CheckpointSink
 	interval int
@@ -154,7 +154,7 @@ type checkpointer struct {
 	log      *resilience.Log
 }
 
-// newCheckpointer returns nil when sink is nil, so the loops pay a single
+// newCheckpointer returns nil when sink is nil, so the loop pays a single
 // nil-check per iteration when checkpointing is disabled.
 func newCheckpointer(sink CheckpointSink, log *resilience.Log) *checkpointer {
 	if sink == nil {

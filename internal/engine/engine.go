@@ -1,6 +1,5 @@
 // Package engine provides the pluggable primal-dual placement engine that
-// underlies both the ComPLx placer (internal/core) and the baseline placers
-// (internal/baseline).
+// underlies the ComPLx placer and its SimPL special case (internal/core).
 //
 // The package owns the iteration skeleton of the paper's Algorithm 1 —
 // dual step (feasibility projection), primal step (anchored interconnect
@@ -16,11 +15,8 @@
 //     linear ramp live in schedule.go);
 //   - Monitor observes the per-iteration record (IterStats).
 //
-// Loop is the full ComPLx-style loop with duality-gap convergence;
-// OverflowLoop (overflow.go) is the simpler overflow-driven skeleton shared
-// by the quadratic + local-spreading baselines (FastPlace-CS, RQL, NLP).
-//
-// Both loops are fully reentrant — all state lives in the loop value — and
+// Loop is the one global-placement loop, with duality-gap convergence. It
+// is fully reentrant — all state lives in the loop value — and
 // cancellable: the context is observed by the CG inner iterations, the
 // nonlinear line searches and the projection's per-region sweeps, so a run
 // stops within one inner sweep of cancellation. On cancellation Loop.Run
@@ -124,7 +120,7 @@ type Schedule interface {
 	Next(lambda, h, pi, piPrev float64) float64
 }
 
-// Monitor observes every iteration record of both engine loops, in order.
+// Monitor observes every iteration record of the loop, in order.
 type Monitor interface {
 	OnIteration(IterStats)
 }
@@ -144,7 +140,7 @@ func (f MonitorFunc) OnIteration(st IterStats) {
 // obs.IterStats for the fields.
 type IterStats = obs.IterStats
 
-// recorder is the one emit path of both engine loops: it fills a record's
+// recorder is the loop's one emit path: it fills a record's
 // kernel deltas from the primal solver's totals, appends the record to the
 // run's History, and hands it to the Monitor and the observer.
 type recorder struct {
@@ -191,38 +187,32 @@ func (s SelfConsistency) ConsistentFrac() float64 {
 }
 
 // Result summarizes a placement run. It is the one result contract of
-// every global placer: the primal-dual Loop, the OverflowLoop baselines
-// and, through Merge, the multi-segment drivers (V-cycle, portfolio,
-// two-level clustered placement).
+// every global placer: the primal-dual Loop and, through Merge, the
+// multi-segment drivers (V-cycle, portfolio, two-level clustered
+// placement).
 type Result struct {
 	// Iterations is the number of global iterations run. A single resumed
 	// segment reports the restored iteration number plus what it ran; a
 	// merged total counts every iteration once.
 	Iterations int
 	Converged  bool
-	// FinalLambda is the last multiplier: λ of the primal-dual loop, μ of
-	// the NLP penalty method (zero for the other overflow loops).
+	// FinalLambda is the last multiplier λ.
 	FinalLambda float64
 	// HPWL is the unweighted HPWL of the final placement; WHPWL the
-	// net-weighted value (zero for the overflow loops).
+	// net-weighted value.
 	HPWL, WHPWL float64
-	// Overflow is the final measured density overflow ratio of the
-	// overflow loops; zero for the primal-dual loop, whose History carries
-	// the per-iteration overflow.
-	Overflow float64
 	// GapFinal is the last relative duality gap; BestUpper the lowest
 	// anchor-placement Φ seen during the run.
 	GapFinal, BestUpper float64
 	// History is the per-iteration trajectory that produced the final
 	// placement: every V-cycle level, coarsest first, or the portfolio
-	// winner's lineage, for both loop families. A resumed segment's
+	// winner's lineage. A resumed segment's
 	// History starts with the records restored from its snapshot.
 	History  []IterStats
 	SelfCons SelfConsistency
 	// Kernel timing breakdown: system assembly, CG solves, and feasibility
 	// projection (grid build + spreading + interpolation). Zero for the
-	// LSE/PNorm primal steps, which do not use the quadratic solver, and
-	// ProjectionTime zero for the overflow loops.
+	// LSE/PNorm primal steps, which do not use the quadratic solver.
 	AssemblyTime, SolveTime, ProjectionTime time.Duration
 	// CGIters is the total CG inner iterations, PrecondTime the total
 	// preconditioner setup wall-clock, and Precond the resolved
@@ -305,7 +295,7 @@ func (r *Result) Restore(st *chkpt.State) {
 //   - Recovery events are concatenated; Resumed and Cancelled are set when
 //     any segment set them.
 //   - final marks seg as the producer of the run's placement so far: its
-//     final-state fields (HPWL, WHPWL, Overflow, Converged, FinalLambda,
+//     final-state fields (HPWL, WHPWL, Converged, FinalLambda,
 //     GapFinal, BestUpper, Precond) replace r's and its History extends
 //     r's. A resumed segment's History already carries its lineage.
 //
@@ -332,7 +322,7 @@ func (r *Result) Merge(seg *Result, final bool) {
 	r.Resumed = r.Resumed || seg.Resumed
 	r.Cancelled = r.Cancelled || seg.Cancelled
 	if final {
-		r.HPWL, r.WHPWL, r.Overflow = seg.HPWL, seg.WHPWL, seg.Overflow
+		r.HPWL, r.WHPWL = seg.HPWL, seg.WHPWL
 		r.Converged, r.FinalLambda = seg.Converged, seg.FinalLambda
 		r.GapFinal, r.BestUpper = seg.GapFinal, seg.BestUpper
 		r.Precond = seg.Precond

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"complx/internal/density"
 	"complx/internal/gen"
 	"complx/internal/netlist"
 	"complx/internal/perr"
@@ -126,36 +125,4 @@ func TestLoopCancelMidRun(t *testing.T) {
 	if seen > 4 {
 		t.Errorf("loop kept running %d iterations past the cancel", seen-3)
 	}
-}
-
-func TestOverflowLoopPreCancelled(t *testing.T) {
-	nl := genDesign(t, gen.Spec{Name: "e4", NumCells: 150, Seed: 10, Utilization: 0.7})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	l := &OverflowLoop{
-		Netlist:       nl,
-		Primal:        NewQuadraticPrimal(nl, qp.Options{}),
-		Dual:          dualNop{},
-		MaxIterations: 10,
-		StopOverflow:  0.0001,
-		TargetDensity: 1,
-		NX:            16, NY: 16,
-		InitialSolves: 1,
-	}
-	res, err := l.Run(ctx)
-	if err == nil {
-		t.Fatal("expected cancellation error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("error %v does not wrap context.Canceled", err)
-	}
-	if res == nil || !res.Cancelled {
-		t.Fatal("expected a Cancelled result")
-	}
-}
-
-type dualNop struct{}
-
-func (dualNop) Step(ctx context.Context, iter int, _ *density.Grid) (DualStep, error) {
-	return DualStep{Done: true}, nil
 }

@@ -86,45 +86,19 @@ func (q *QuadraticPrimal) RestoreState(state []float64) error {
 }
 
 // LSEPrimal minimizes the log-sum-exp instantiation of the Lagrangian
-// (paper §S1) by nonlinear Conjugate Gradient. By default a fresh objective
-// is built per solve (matching the historical core behavior); Reuse keeps
-// one objective alive across solves, as the NLP baseline's persistent
-// penalty method requires.
+// (paper §S1) by nonlinear Conjugate Gradient, with lse.NewObjective's
+// default smoothing. A fresh objective is built per solve.
 type LSEPrimal struct {
 	NL *netlist.Netlist
-	// Gamma is the LSE smoothing parameter (0 → 1% of core width).
-	Gamma float64
-	// MaxIter bounds each nonlinear CG solve (default 60).
-	MaxIter int
-	// InitMaxIter, when positive, bounds unconstrained solves (anchors ==
-	// nil) instead of MaxIter — the NLP baseline's longer initial solve.
-	InitMaxIter int
-	// Reuse keeps a single objective across solves.
-	Reuse bool
-
-	obj *lse.Objective
 }
 
 // Solve minimizes the LSE Lagrangian at the given anchors, writing the
 // optimized centers back to the netlist.
 func (p *LSEPrimal) Solve(ctx context.Context, anchors []geom.Point, lambdas []float64) error {
-	o := p.obj
-	if o == nil {
-		o = lse.NewObjective(p.NL, p.Gamma)
-		if p.Reuse {
-			p.obj = o
-		}
-	}
+	o := lse.NewObjective(p.NL, 0)
 	o.Anchors = anchors
 	o.Lambda = lambdas
-	maxIter := p.MaxIter
-	if maxIter <= 0 {
-		maxIter = nonlinearMaxIter
-	}
-	if anchors == nil && p.InitMaxIter > 0 {
-		maxIter = p.InitMaxIter
-	}
-	_, err := lse.SolveCtx(ctx, o, lse.MinimizeOptions{MaxIter: maxIter})
+	_, err := lse.Solve(ctx, p.NL, o, lse.MinimizeOptions{MaxIter: nonlinearMaxIter})
 	return err
 }
 
@@ -145,6 +119,6 @@ func (p *PNormPrimal) Solve(ctx context.Context, anchors []geom.Point, lambdas [
 	o := lse.NewPNorm(p.NL, 0)
 	o.Anchors = anchors
 	o.Lambda = lambdas
-	_, err := lse.SolveWithCtx(ctx, p.NL, o, lse.MinimizeOptions{MaxIter: nonlinearMaxIter})
+	_, err := lse.Solve(ctx, p.NL, o, lse.MinimizeOptions{MaxIter: nonlinearMaxIter})
 	return err
 }

@@ -70,9 +70,6 @@ func NewSpreadProjector(nl *netlist.Netlist, targetDensity float64) *SpreadProje
 	}
 }
 
-// FinestNX returns the finest grid resolution of the schedule.
-func (p *SpreadProjector) FinestNX() int { return p.finestNX }
-
 // CaptureState implements StateCodec: the only numeric per-run state is the
 // self-calibrated routing capacity of the routability extension (nil when
 // never calibrated), so a resumed run reuses the original calibration

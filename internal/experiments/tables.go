@@ -108,13 +108,16 @@ func printTable1(w io.Writer, res *Table1Result) {
 }
 
 // Table2Row is one ISPD-2006-analog comparison row (paper Table 2). The
-// paper compares NTUPlace3, mPL6 and RQL against ComPLx (SimPL cannot
-// handle the 2006 movable macros); our columns are the NLP proxy for the
-// nonlinear family, FastPlace-CS, the RQL-style placer, and ComPLx.
+// paper compares NTUPlace3, mPL6 and RQL against ComPLx; those contest
+// binaries are not reimplemented here, so the measured yardstick is SimPL,
+// which shares every kernel with ComPLx and differs only in the λ schedule
+// (it handles the 2006 movable macros through the same shredding). The
+// paper's competitor ratios are printed beside the measured rows as quoted
+// figures (published2006).
 type Table2Row struct {
-	Name                        string
-	Target                      float64
-	NLP, FastPlace, RQL, ComPLx flowResult
+	Name          string
+	Target        float64
+	SimPL, ComPLx flowResult
 }
 
 // Table2Result aggregates rows plus geomean scaled-HPWL ratios.
@@ -123,6 +126,13 @@ type Table2Result struct {
 	ScaledRatio map[string]float64
 	// AvgPenalty is the mean overflow penalty percentage per placer.
 	AvgPenalty map[string]float64
+}
+
+// published2006 holds the paper's Table 2 competitor results as ratios of
+// ComPLx's scaled HPWL. They are quoted, not measured by this code.
+var published2006 = []struct{ Placer, Ratio string }{
+	{"RQL", "~1.01"},
+	{"NTUPlace3, mPL6", "~1.01-1.03"},
 }
 
 // Table2 regenerates paper Table 2: scaled HPWL (with overflow penalty in
@@ -137,9 +147,7 @@ func Table2(w io.Writer, cfg Config) (*Table2Result, error) {
 		key string
 		alg complx.Algorithm
 	}{
-		{"nlp", complx.AlgNLP},
-		{"fastplace", complx.AlgFastPlaceCS},
-		{"rql", complx.AlgRQL},
+		{"simpl", complx.AlgSimPL},
 		{"complx", complx.AlgComPLx},
 	}
 	ratios := map[string][]float64{}
@@ -158,9 +166,7 @@ func Table2(w io.Writer, cfg Config) (*Table2Result, error) {
 			}
 			results[v.key] = fr
 		}
-		row.NLP = results["nlp"]
-		row.FastPlace = results["fastplace"]
-		row.RQL = results["rql"]
+		row.SimPL = results["simpl"]
 		row.ComPLx = results["complx"]
 		res.Rows = append(res.Rows, row)
 		for _, v := range variants {
@@ -185,22 +191,23 @@ func Table2(w io.Writer, cfg Config) (*Table2Result, error) {
 }
 
 func printTable2(w io.Writer, res *Table2Result) {
-	fmt.Fprintln(w, "Table 2: scaled HPWL (overflow penalty %) on ISPD 2006 analogs")
-	fmt.Fprintln(w, "(NLP ~ NTUPlace3/mPL6 family proxy; FastPlace-CS; RQL-style; ComPLx)")
-	fmt.Fprintf(w, "%-10s %6s | %14s | %14s | %14s | %14s\n",
-		"bench", "target", "NLP", "FastPlace-CS", "RQL", "ComPLx")
+	fmt.Fprintln(w, "Table 2: scaled HPWL (overflow penalty %) and global iterations on ISPD 2006 analogs")
+	fmt.Fprintln(w, "(measured: SimPL and ComPLx; the paper's competitors are quoted below)")
+	fmt.Fprintf(w, "%-10s %6s | %14s %5s | %14s %5s\n",
+		"bench", "target", "SimPL", "iters", "ComPLx", "iters")
 	cell := func(fr flowResult) string {
-		return fmt.Sprintf("%9.0f(%4.1f)", fr.Scaled, fr.Penalty)
+		return fmt.Sprintf("%9.0f(%4.1f) %5d", fr.Scaled, fr.Penalty, fr.Iterations)
 	}
 	for _, r := range res.Rows {
-		fmt.Fprintf(w, "%-10s %6.2f | %14s | %14s | %14s | %14s\n",
-			r.Name, r.Target, cell(r.NLP), cell(r.FastPlace), cell(r.RQL), cell(r.ComPLx))
+		fmt.Fprintf(w, "%-10s %6.2f | %s | %s\n", r.Name, r.Target, cell(r.SimPL), cell(r.ComPLx))
 	}
-	fmt.Fprintf(w, "%-10s %6s | %9.3f(%4.1f) | %9.3f(%4.1f) | %9.3f(%4.1f) | %9.3f(%4.1f)\n",
+	fmt.Fprintf(w, "%-10s %6s | %9.3f(%4.1f) %5s | %9.3f(%4.1f) %5s\n",
 		"geomean", "",
-		res.ScaledRatio["nlp"], res.AvgPenalty["nlp"],
-		res.ScaledRatio["fastplace"], res.AvgPenalty["fastplace"],
-		res.ScaledRatio["rql"], res.AvgPenalty["rql"],
-		res.ScaledRatio["complx"], res.AvgPenalty["complx"])
+		res.ScaledRatio["simpl"], res.AvgPenalty["simpl"], "",
+		res.ScaledRatio["complx"], res.AvgPenalty["complx"], "")
 	fmt.Fprintln(w, "(scaled-HPWL ratios normalized to ComPLx = 1.0; penalties are averages)")
+	fmt.Fprintf(w, "%-16s %12s  %s\n", "placer", "vs ComPLx", "source")
+	for _, p := range published2006 {
+		fmt.Fprintf(w, "%-16s %12s  %s\n", p.Placer, p.Ratio, "quoted from the paper's Table 2, not measured")
+	}
 }

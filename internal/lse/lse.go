@@ -218,18 +218,12 @@ type Function interface {
 	Gradient(xs, ys, gx, gy []float64)
 }
 
-// Minimize runs Polak–Ribière nonlinear CG with Armijo backtracking from the
-// given starting point, updating xs/ys in place.
-func Minimize(o Function, xs, ys []float64, opt MinimizeOptions) MinimizeResult {
-	res, _ := MinimizeCtx(context.Background(), o, xs, ys, opt)
-	return res
-}
-
-// MinimizeCtx is Minimize with cooperative cancellation: ctx is polled once
-// per outer nonlinear-CG iteration. On cancellation xs/ys hold the best
-// iterate reached so far (every accepted step is monotone non-increasing in
-// the objective) and the returned error wraps ctx.Err().
-func MinimizeCtx(ctx context.Context, o Function, xs, ys []float64, opt MinimizeOptions) (MinimizeResult, error) {
+// minimize runs Polak–Ribière nonlinear CG with Armijo backtracking from
+// the given starting point, updating xs/ys in place. ctx is polled once per
+// outer iteration; on cancellation xs/ys hold the best iterate reached so
+// far (every accepted step is monotone non-increasing in the objective) and
+// the returned error wraps ctx.Err().
+func minimize(ctx context.Context, o Function, xs, ys []float64, opt MinimizeOptions) (MinimizeResult, error) {
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = 100
 	}
@@ -324,30 +318,13 @@ func MinimizeCtx(ctx context.Context, o Function, xs, ys []float64, opt Minimize
 	return res, nil
 }
 
-// Solve minimizes the objective starting from the current netlist placement
-// and writes the optimized centers back into the netlist (clamped to the
-// core).
-func Solve(o *Objective, opt MinimizeOptions) MinimizeResult {
-	return SolveWith(o.NL, o, opt)
-}
-
-// SolveCtx is Solve with cooperative cancellation (see SolveWithCtx).
-func SolveCtx(ctx context.Context, o *Objective, opt MinimizeOptions) (MinimizeResult, error) {
-	return SolveWithCtx(ctx, o.NL, o, opt)
-}
-
-// SolveWith minimizes any Function over nl's movable-cell coordinates,
-// writing the optimized centers back (clamped to the core).
-func SolveWith(nl *netlist.Netlist, o Function, opt MinimizeOptions) MinimizeResult {
-	res, _ := SolveWithCtx(context.Background(), nl, o, opt)
-	return res
-}
-
-// SolveWithCtx is SolveWith with cooperative cancellation: ctx is polled
-// once per outer nonlinear-CG iteration. On cancellation the best iterate
-// reached so far is still written back to the netlist (it is usable as a
-// best-so-far placement) and the returned error wraps ctx.Err().
-func SolveWithCtx(ctx context.Context, nl *netlist.Netlist, o Function, opt MinimizeOptions) (MinimizeResult, error) {
+// Solve minimizes f over nl's movable-cell centers (Movables order),
+// starting from the current placement, and writes the optimized centers
+// back clamped to the core. ctx is polled once per outer nonlinear-CG
+// iteration. On cancellation the best iterate reached so far is still
+// written back (it is usable as a best-so-far placement) and the returned
+// error wraps ctx.Err().
+func Solve(ctx context.Context, nl *netlist.Netlist, f Function, opt MinimizeOptions) (MinimizeResult, error) {
 	mov := nl.Movables()
 	xs := make([]float64, len(mov))
 	ys := make([]float64, len(mov))
@@ -356,7 +333,7 @@ func SolveWithCtx(ctx context.Context, nl *netlist.Netlist, o Function, opt Mini
 		xs[k] = c.X
 		ys[k] = c.Y
 	}
-	res, err := MinimizeCtx(ctx, o, xs, ys, opt)
+	res, err := minimize(ctx, f, xs, ys, opt)
 	for k, i := range mov {
 		c := &nl.Cells[i]
 		hw, hh := c.W/2, c.H/2

@@ -1,6 +1,8 @@
 package lse
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -129,7 +131,10 @@ func TestMinimizeReducesValue(t *testing.T) {
 	o := NewObjective(nl, 1)
 	xs, ys := vars(nl)
 	before := o.Value(xs, ys)
-	res := Minimize(o, xs, ys, MinimizeOptions{MaxIter: 150})
+	res, err := Solve(context.Background(), nl, o, MinimizeOptions{MaxIter: 150})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Value >= before {
 		t.Errorf("minimize did not reduce: %v -> %v", before, res.Value)
 	}
@@ -147,7 +152,10 @@ func TestMinimizeTwoPinNetConverges(t *testing.T) {
 	nl, _ := b.Build()
 	nl.Cells[c].SetCenter(geom.Point{X: 80, Y: 10})
 	o := NewObjective(nl, 0.5)
-	res := Solve(o, MinimizeOptions{MaxIter: 300, GradTol: 1e-6})
+	res, err := Solve(context.Background(), nl, o, MinimizeOptions{MaxIter: 300, GradTol: 1e-6})
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := nl.Cells[c].Center()
 	if math.Abs(got.X-30) > 1 || math.Abs(got.Y-70) > 1 {
 		t.Errorf("cell at %v after %d iters, want (30, 70)", got, res.Iterations)
@@ -164,7 +172,9 @@ func TestAnchorPenaltyPullsTowardAnchor(t *testing.T) {
 		o.Anchors[k] = geom.Point{X: 90, Y: 90}
 		o.Lambda[k] = 50 // dominate wirelength
 	}
-	Solve(o, MinimizeOptions{MaxIter: 200})
+	if _, err := Solve(context.Background(), nl, o, MinimizeOptions{MaxIter: 200}); err != nil {
+		t.Fatal(err)
+	}
 	for _, i := range nl.Movables() {
 		c := nl.Cells[i].Center()
 		if c.L1(geom.Point{X: 90, Y: 90}) > 25 {
@@ -197,9 +207,29 @@ func TestSolveClampsToCore(t *testing.T) {
 	nl, _ := b.Build()
 	nl.Cells[c].SetCenter(geom.Point{X: 50, Y: 50})
 	o := NewObjective(nl, 0.5)
-	Solve(o, MinimizeOptions{MaxIter: 300})
+	if _, err := Solve(context.Background(), nl, o, MinimizeOptions{MaxIter: 300}); err != nil {
+		t.Fatal(err)
+	}
 	got := nl.Cells[c].Center()
 	if got.X < 12-1e-9 || got.Y < 12-1e-9 {
 		t.Errorf("cell at %v escaped core", got)
+	}
+}
+
+// TestSolveCancelled: a cancelled context stops the solve with an error
+// wrapping context.Canceled and still writes the (finite, in-core) iterate
+// back to the netlist.
+func TestSolveCancelled(t *testing.T) {
+	nl := design(t, 7, 10, 14)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Solve(ctx, nl, NewObjective(nl, 1), MinimizeOptions{}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	for _, i := range nl.Movables() {
+		c := nl.Cells[i]
+		if math.IsNaN(c.X) || math.IsNaN(c.Y) || c.X < nl.Core.XMin || c.X+c.W > nl.Core.XMax+1e-9 {
+			t.Fatalf("cell %q at (%v, %v) after a cancelled solve", c.Name, c.X, c.Y)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package lse
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -79,7 +80,9 @@ func TestPNormMinimizeConverges(t *testing.T) {
 	nl, _ := b.Build()
 	nl.Cells[c].SetCenter(geom.Point{X: 90, Y: 5})
 	o := NewPNorm(nl, 8)
-	SolveWith(nl, o, MinimizeOptions{MaxIter: 400, GradTol: 1e-7})
+	if _, err := Solve(context.Background(), nl, o, MinimizeOptions{MaxIter: 400, GradTol: 1e-7}); err != nil {
+		t.Fatal(err)
+	}
 	got := nl.Cells[c].Center()
 	if math.Abs(got.X-40) > 1.5 || math.Abs(got.Y-60) > 1.5 {
 		t.Errorf("cell at %v, want near (40, 60)", got)
@@ -90,7 +93,9 @@ func TestPNormReducesWirelength(t *testing.T) {
 	nl := design(t, 23, 12, 18)
 	before := netmodel.HPWL(nl)
 	o := NewPNorm(nl, 8)
-	SolveWith(nl, o, MinimizeOptions{MaxIter: 120})
+	if _, err := Solve(context.Background(), nl, o, MinimizeOptions{MaxIter: 120}); err != nil {
+		t.Fatal(err)
+	}
 	after := netmodel.HPWL(nl)
 	if after >= before {
 		t.Errorf("HPWL %v -> %v", before, after)

@@ -68,21 +68,6 @@ func (h *Hub) Get(name string) *Observer {
 	return nil
 }
 
-// Names returns the registered observer names, sorted.
-func (h *Hub) Names() []string {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make([]string, 0, len(h.entries))
-	for n := range h.entries {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Statuses snapshots every registered observer's live Status by name (the
 // per-run spans_dropped field makes truncated traces visible here).
 func (h *Hub) Statuses() map[string]Status {

@@ -7,10 +7,10 @@
 // in-flight run) and /debug/pprof.
 //
 // The package plugs into the engine's Monitor seam and is wired through the
-// whole stack — complx.Options.Observer, engine.Loop / engine.OverflowLoop,
-// qp (assembly + CG kernel spans), sparse (per-CG-iteration progress
-// callbacks), spread (region/sweep counters) and both legalizers — so every
-// placer (ComPLx and all baselines) is instrumented identically.
+// whole stack — complx.Options.Observer, engine.Loop, qp (assembly + CG
+// kernel spans), sparse (per-CG-iteration progress callbacks), spread
+// (region/sweep counters) and both legalizers — so every placer and driver
+// is instrumented identically.
 //
 // # Zero-cost when disabled
 //
@@ -25,8 +25,7 @@
 // Instrumentation only reads placement state (HPWL, overflow, λ) and
 // records wall-clock; it never reorders or alters a floating-point
 // operation, so placements with an observer attached are bitwise identical
-// to unobserved runs (pinned by the golden tests in internal/core and
-// internal/baseline).
+// to unobserved runs (pinned by the golden tests in internal/core).
 //
 // obs depends only on the standard library, so every internal package may
 // import it without cycles.
@@ -192,12 +191,10 @@ func (o *Observer) FinishRun(f FinalStats) {
 }
 
 // IterStats records one global placement iteration (the paper's Figure 1
-// data). It is the one per-iteration record of the run: both engine loops
-// emit it to Result.History, the Monitor and RecordIteration, and the
+// data). It is the one per-iteration record of the run: the engine loop
+// emits it to Result.History, the Monitor and RecordIteration, and the
 // report trace, the checkpoint history and complxd's SSE stream carry it
-// unchanged. The primal-dual loop fills the Lagrangian fields; the
-// overflow-driven baselines fill Iter, Overflow and HPWL. Both fill the
-// kernel deltas their primal solver measures.
+// unchanged, with the kernel deltas the primal solver measures.
 type IterStats struct {
 	Iter   int     `json:"iter"`
 	Lambda float64 `json:"lambda,omitempty"`
@@ -210,10 +207,6 @@ type IterStats struct {
 	L  float64 `json:"lagrangian,omitempty"`
 	// Overflow is the density overflow ratio of the lower-bound placement.
 	Overflow float64 `json:"overflow"`
-	// HPWL is the unweighted HPWL the overflow loops measure each
-	// iteration; zero for the primal-dual loop, whose Phi carries the
-	// wirelength.
-	HPWL float64 `json:"hpwl,omitempty"`
 	// GridNX is the projection grid resolution used.
 	GridNX int `json:"grid_nx,omitempty"`
 	// Level is the multilevel V-cycle level the iteration ran at (0 for
@@ -227,8 +220,7 @@ type IterStats struct {
 	CGIters int `json:"cg_iterations,omitempty"`
 
 	// ProjectTime is the wall-clock of this iteration's feasibility
-	// projection (grid build, spreading, interpolation, refinement); zero
-	// for the overflow loops.
+	// projection (grid build, spreading, interpolation, refinement).
 	ProjectTime time.Duration `json:"-"`
 	// AssemblyTime, SolveTime and PrecondTime are the system-assembly,
 	// linear-solve and preconditioner-setup wall-clock spent since the
@@ -293,14 +285,14 @@ func (o *Observer) RecordIteration(s IterStats) {
 	o.mu.Lock()
 	o.trace = append(o.trace, s)
 	o.status.Iteration = s.Iter
-	o.status.HPWL = s.Phi + s.HPWL // exactly one is set per loop family
+	o.status.HPWL = s.Phi
 	o.status.Overflow = s.Overflow
 	o.status.Lambda = s.Lambda
 	o.status.Updated = time.Now()
 	o.mu.Unlock()
 
 	o.Counter(MetricIterations).Add(1)
-	o.Gauge(MetricHPWL).Set(s.Phi + s.HPWL)
+	o.Gauge(MetricHPWL).Set(s.Phi)
 	o.Gauge(MetricOverflow).Set(s.Overflow)
 	o.Gauge(MetricLambda).Set(s.Lambda)
 	o.Gauge(MetricPi).Set(s.Pi)

@@ -362,16 +362,15 @@ func TestObserverConcurrency(t *testing.T) {
 }
 
 func TestIterSampleStatusHPWL(t *testing.T) {
-	// Lagrangian loops set Phi, overflow loops set HPWL; /status shows
-	// whichever is present.
+	// /status and the HPWL gauge show the latest iteration's Φ.
 	o := New()
 	o.RecordIteration(IterStats{Iter: 0, Phi: 42})
 	if got := o.Status().HPWL; got != 42 {
 		t.Fatalf("status HPWL from Phi = %v", got)
 	}
-	o.RecordIteration(IterStats{Iter: 1, HPWL: 99})
-	if got := o.Status().HPWL; got != 99 {
-		t.Fatalf("status HPWL from HPWL = %v", got)
+	o.RecordIteration(IterStats{Iter: 1, Phi: 99})
+	if got, gauge := o.Status().HPWL, o.Gauge(MetricHPWL).Value(); got != 99 || gauge != 99 {
+		t.Fatalf("status HPWL = %v, gauge = %v after Phi 99", got, gauge)
 	}
 }
 

@@ -80,7 +80,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 // configured runs are concatenated for plotting.
 var TraceCSVHeader = []string{
 	"iter", "lambda", "phi", "phi_upper", "pi", "lagrangian", "overflow",
-	"hpwl", "grid_nx", "cg_iters", "precond",
+	"grid_nx", "cg_iters", "precond",
 	"project_seconds", "assembly_seconds", "solve_seconds", "precond_seconds",
 	"level", "member",
 }
@@ -96,7 +96,7 @@ func (r *Report) WriteCSV(w io.Writer) error {
 	for _, s := range r.Trace {
 		rec := []string{
 			strconv.Itoa(s.Iter), f(s.Lambda), f(s.Phi), f(s.PhiUpper),
-			f(s.Pi), f(s.L), f(s.Overflow), f(s.HPWL),
+			f(s.Pi), f(s.L), f(s.Overflow),
 			strconv.Itoa(s.GridNX), strconv.Itoa(s.CGIters), r.Result.Precond,
 			f(s.ProjectTime.Seconds()), f(s.AssemblyTime.Seconds()), f(s.SolveTime.Seconds()), f(s.PrecondTime.Seconds()),
 			strconv.Itoa(s.Level), strconv.Itoa(s.Member),

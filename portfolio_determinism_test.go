@@ -12,8 +12,8 @@ import (
 // pfTraceRow is one observed member iteration with its float payloads
 // captured as raw bits, so comparisons are bitwise rather than approximate.
 type pfTraceRow struct {
-	member, iter, level        int
-	hpwl, overflow, lambdaBits uint64
+	member, iter, level       int
+	phi, overflow, lambdaBits uint64
 }
 
 // pfRun is everything a portfolio run must reproduce exactly: the winner,
@@ -65,7 +65,7 @@ func portfolioRun(t *testing.T, threads int) pfRun {
 	for _, s := range observer.Report().Trace {
 		run.trace = append(run.trace, pfTraceRow{
 			member: s.Member, iter: s.Iter, level: s.Level,
-			hpwl:       math.Float64bits(s.HPWL),
+			phi:        math.Float64bits(s.Phi),
 			overflow:   math.Float64bits(s.Overflow),
 			lambdaBits: math.Float64bits(s.Lambda),
 		})

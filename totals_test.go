@@ -23,9 +23,6 @@ func TestResultTotalsMatchObserver(t *testing.T) {
 	}{
 		{name: "complx"},
 		{name: "simpl", opt: complx.Options{Algorithm: complx.AlgSimPL}},
-		{name: "fastplace-cs", opt: complx.Options{Algorithm: complx.AlgFastPlaceCS}},
-		{name: "nlp", opt: complx.Options{Algorithm: complx.AlgNLP}},
-		{name: "rql", opt: complx.Options{Algorithm: complx.AlgRQL}},
 		{
 			name: "vcycle",
 			opt:  complx.Options{Multilevel: complx.MultilevelOptions{Enabled: true, TargetCells: 150, RefineIters: 6}},
