@@ -33,7 +33,6 @@ func Encode(st *State) []byte {
 	var p payload
 	p.str(st.Design)
 	p.str(st.Algorithm)
-	p.str(string(st.Kind))
 	p.bytes(st.Fingerprint[:])
 	p.i64(st.Iter)
 	p.i64(st.Level)
@@ -52,7 +51,6 @@ func Encode(st *State) []byte {
 		p.i64(v)
 	}
 	p.f64s(st.ProjectorState)
-	p.f64s(st.DualState)
 	p.f64s(st.PrimalState)
 	p.i64(len(st.History))
 	for _, h := range st.History {
@@ -65,7 +63,6 @@ func Encode(st *State) []byte {
 		p.f64(h.Overflow)
 		p.i64(h.GridNX)
 	}
-	p.blob(st.RNG)
 	return seal(magic, Version, p.b)
 }
 
@@ -80,7 +77,6 @@ func Decode(data []byte) (*State, error) {
 	st := &State{}
 	st.Design = r.str()
 	st.Algorithm = r.str()
-	st.Kind = Kind(r.str())
 	copy(st.Fingerprint[:], r.take(32))
 	st.Iter = r.i64()
 	st.Level = r.i64()
@@ -99,7 +95,6 @@ func Decode(data []byte) (*State, error) {
 		st.SelfCons[i] = r.i64()
 	}
 	st.ProjectorState = r.f64s()
-	st.DualState = r.f64s()
 	st.PrimalState = r.f64s()
 	nh := r.i64()
 	if r.err == nil && (nh < 0 || nh > r.remaining()/16) {
@@ -119,7 +114,6 @@ func Decode(data []byte) (*State, error) {
 			h.GridNX = r.i64()
 		}
 	}
-	st.RNG = r.blob()
 	if err := r.done(); err != nil {
 		return nil, err
 	}

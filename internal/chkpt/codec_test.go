@@ -18,7 +18,6 @@ func fullState() *State {
 	st := &State{
 		Design:    "adaptec-mini",
 		Algorithm: "complx",
-		Kind:      KindLoop,
 		Iter:      17,
 		Positions: []geom.Point{
 			{X: 0, Y: 0},
@@ -39,12 +38,10 @@ func fullState() *State {
 		RelaxCount:     3,
 		SelfCons:       [4]int{10, 7, 2, 1},
 		ProjectorState: []float64{1.25, -0.5},
-		DualState:      nil,
 		History: []obs.IterStats{
 			{Iter: 1, Lambda: 0.1, Phi: 10, PhiUpper: 11, Pi: 5, L: 9, Overflow: 0.4, GridNX: 8},
 			{Iter: 2, Lambda: 0.2, Phi: 9.5, PhiUpper: 10.5, Pi: 4, L: 8.5, Overflow: 0.3, GridNX: 16},
 		},
-		RNG: []byte{0xde, 0xad, 0xbe, 0xef},
 	}
 	st.Fingerprint = Fingerprint("algo=complx", "design=adaptec-mini")
 	return st
@@ -78,7 +75,7 @@ func TestNilVersusEmptySlices(t *testing.T) {
 	st.BestFineAnchors = nil
 	st.PrevAnchors = []geom.Point{}
 	st.ProjectorState = nil
-	st.DualState = []float64{}
+	st.PrimalState = []float64{}
 	got, err := Decode(Encode(st))
 	if err != nil {
 		t.Fatalf("Decode: %v", err)
@@ -92,8 +89,8 @@ func TestNilVersusEmptySlices(t *testing.T) {
 	if got.ProjectorState != nil {
 		t.Error("nil ProjectorState decoded non-nil")
 	}
-	if got.DualState == nil || len(got.DualState) != 0 {
-		t.Error("empty DualState did not survive")
+	if got.PrimalState == nil || len(got.PrimalState) != 0 {
+		t.Error("empty PrimalState did not survive")
 	}
 }
 

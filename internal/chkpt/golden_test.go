@@ -8,8 +8,8 @@ import (
 )
 
 const (
-	goldenFullState     = "91f6aa81ab871fafdac8a9e37b25a8021f9703e9281a840003dec6e23eb20677"
-	goldenFullPortfolio = "17ea68a0200c4e1bf4069d18f36d51bfac63a155aa95927fbf298802acfa601d"
+	goldenFullState     = "9283fc5b9b79466193f8db23bd1a71e58c34a136dcf06a2941bd2c4f67f5447e"
+	goldenFullPortfolio = "4a001cb10aff7fdb3713af01be375cb53428a5fe2b684512e567916c3f693c1d"
 )
 
 func sha256Hex(b []byte) string {
@@ -29,7 +29,7 @@ func TestEncodeGolden(t *testing.T) {
 		want string
 	}{
 		{"state/full", Encode(fullState()), goldenFullState},
-		{"state/zero", Encode(&State{}), "3f5044dccc828a9b31f265efa8d5750ed5e29e963a80fc9e819f3e0c34169550"},
+		{"state/zero", Encode(&State{}), "65563fa7f0e969d6c889c7f9162b4b63615d9f8377f904a3e925dc2623fc1638"},
 		{"portfolio/full", EncodePortfolio(fullPortfolioState()), goldenFullPortfolio},
 		{"portfolio/zero", EncodePortfolio(&PortfolioState{}), "60f6ba77ab65c525d2f52ccf8c4962428148aa6016ccad0b4c19688523fb5861"},
 	}

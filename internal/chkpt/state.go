@@ -7,7 +7,7 @@
 // schedule scalars. State captures exactly that — bit-for-bit, via the
 // float64 bit patterns — so a run resumed from a checkpoint is bitwise
 // identical to the uninterrupted run (pinned by the resume-determinism
-// golden tests in internal/core and internal/baseline).
+// golden tests in internal/core).
 //
 // # File format
 //
@@ -42,31 +42,21 @@ import (
 // versions (forward compatibility is explicit, never silent).
 //
 // Version history: 2 added per-solver PrimalState; 3 added the multilevel
-// Level field.
-const Version = 3
+// Level field; 4 dropped the loop kind tag, the retired second loop's
+// stepper state and the never-written RNG field.
+const Version = 4
 
 // magic identifies a complx checkpoint file.
 const magic = "CPLXCKP1"
 
-// Kind discriminates which engine loop produced the state.
-type Kind string
-
-const (
-	// KindLoop is the full ComPLx-style primal-dual loop (engine.Loop).
-	KindLoop Kind = "loop"
-	// KindOverflow is the overflow-driven baseline loop
-	// (engine.OverflowLoop).
-	KindOverflow Kind = "overflow"
-)
-
-// State is one complete, self-contained snapshot of an engine loop at an
-// iteration boundary. Every float64 survives encoding bit-for-bit.
+// State is one complete, self-contained snapshot of the engine loop
+// (engine.Loop) at an iteration boundary. Every float64 survives encoding
+// bit-for-bit.
 type State struct {
 	// Design and Algorithm describe the run for humans and error messages;
 	// Fingerprint is the binding check (see Fingerprint).
 	Design      string
 	Algorithm   string
-	Kind        Kind
 	Fingerprint [32]byte
 
 	// Iter is the last fully completed global placement iteration.
@@ -80,7 +70,7 @@ type State struct {
 	// included), in netlist order — netlist.SnapshotPositions format.
 	Positions []geom.Point
 
-	// Primal-dual schedule scalars (engine.Loop).
+	// Primal-dual schedule scalars.
 	Lambda, H, PiFirst, PiPrev float64
 	// Result-selection state: best upper bound and best finest-grid score
 	// seen so far, with the anchors that achieved it (nil when none).
@@ -100,9 +90,6 @@ type State struct {
 	// self-calibrated routing capacity of the routability extension); nil
 	// when the projector holds no numeric state.
 	ProjectorState []float64
-	// DualState carries the overflow-loop stepper's numeric state (hold
-	// weights, penalty multipliers); nil for engine.Loop checkpoints.
-	DualState []float64
 	// PrimalState carries the primal solver's cross-solve numerics
 	// (currently the qp solver's extrapolated warm-start history); nil when
 	// the solver holds no such state.
@@ -114,12 +101,6 @@ type State struct {
 	// would differ between a resumed and an uninterrupted run anyway, and
 	// the V-cycle level is the snapshot's Level.
 	History []obs.IterStats
-
-	// RNG is reserved for pseudo-random generator state. The placement
-	// loops are RNG-free today (all randomness lives in benchmark
-	// generation, before the loop), so it is always empty; the field keeps
-	// the format stable if a stochastic stage (restart perturbation) lands.
-	RNG []byte
 }
 
 // Fingerprint derives the options-plus-design fingerprint from an

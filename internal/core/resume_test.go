@@ -136,7 +136,6 @@ func TestResumeRejectsBadState(t *testing.T) {
 		name   string
 		mutate func(*chkpt.State)
 	}{
-		{"wrong-kind", func(st *chkpt.State) { st.Kind = chkpt.KindOverflow }},
 		{"wrong-position-count", func(st *chkpt.State) { st.Positions = st.Positions[:len(st.Positions)-1] }},
 		{"orphan-projector-state", func(st *chkpt.State) { st.ProjectorState = []float64{1, 2, 3} }},
 	}

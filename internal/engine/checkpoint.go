@@ -75,7 +75,6 @@ func (l *Loop) captureState(iter int, s *loopState, res *Result) *chkpt.State {
 	st := &chkpt.State{
 		Design:    l.Design,
 		Algorithm: l.Algorithm,
-		Kind:      chkpt.KindLoop,
 		Iter:      iter,
 		Level:     l.Level,
 		Positions: l.lastFinite,
@@ -102,10 +101,6 @@ func (l *Loop) captureState(iter int, s *loopState, res *Result) *chkpt.State {
 // history and the solver's relaxation level are all replayed.
 func (l *Loop) primeResume(res *Result, s *loopState) error {
 	st := l.Resume
-	if st.Kind != chkpt.KindLoop {
-		return perr.New(perr.StageCheckpoint,
-			"engine: checkpoint kind %q cannot resume a primal-dual loop", st.Kind)
-	}
 	if st.Level != l.Level {
 		return perr.New(perr.StageCheckpoint,
 			"engine: checkpoint from V-cycle level %d cannot resume level %d", st.Level, l.Level)

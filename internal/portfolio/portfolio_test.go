@@ -53,7 +53,6 @@ func fakeSolve(convergeAt map[int]int) func(context.Context, MemberRun) (*engine
 				c.X = clamp(c.X+drift, nl.Core.XMin, nl.Core.XMax-c.W)
 			}
 			if err := run.Checkpoint.Save(&chkpt.State{
-				Kind:      chkpt.KindLoop,
 				Design:    nl.Name,
 				Iter:      k,
 				Lambda:    float64(k),
