@@ -1,9 +1,11 @@
 package sparse
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -195,5 +197,22 @@ func TestIC0NotFiniteMatchesReference(t *testing.T) {
 	wantErr, gotErr := ref.setup(a), f.Setup(a)
 	if wantErr == nil || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("Setup error %v, reference %v", gotErr, wantErr)
+	}
+}
+
+// TestIC0SetupReportsNaN: a NaN in the matrix stops Setup at the row whose
+// pivot it reaches, with ErrNotFinite, instead of being mapped to the
+// pivot's finite fallback.
+func TestIC0SetupReportsNaN(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a := ic0Pattern(rng, 200)
+	if a.RowPtr[150] == a.RowPtr[151] {
+		t.Fatal("row 150 of the pattern is empty")
+	}
+	a.Val[a.RowPtr[150]] = math.NaN()
+	var f IC0
+	err := f.Setup(a)
+	if !errors.Is(err, ErrNotFinite) || !strings.Contains(fmt.Sprint(err), "row 150:") {
+		t.Fatalf("Setup error %v, want ErrNotFinite at row 150", err)
 	}
 }

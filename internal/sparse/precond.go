@@ -264,6 +264,12 @@ func (f *IC0) Setup(a *CSR) error {
 		for kk := ri0; kk < ri1; kk++ {
 			s -= val[kk] * val[kk]
 		}
+		// pivot maps a NaN to a finite fallback, so catch it here; +Inf
+		// passes through pivot and fails the finiteness check below.
+		if math.IsNaN(s) || math.IsNaN(aii) {
+			f.col, f.val = col, val
+			return fmt.Errorf("sparse: IC(0) row %d: %w", i, ErrNotFinite)
+		}
 		d[i] = pivot(s, aii)
 		if !isFinite(d[i]) {
 			f.col, f.val = col, val
