@@ -311,20 +311,19 @@ type Options struct {
 	// the design, the coarse netlist is placed with the full budget, and
 	// the placement is expanded and refined on the full design (one
 	// initial solve, at most 25 iterations). Validate rejects it with
-	// Checkpoint. It trades time
-	// for quality: full flows on the 16 ISPD analogs at scale 1 and 2 (2
-	// threads on a 2-core x86-64 host) gave −0.71% geomean HPWL against
-	// flat at 1.3× the wall time, better than flat on 17 of 32. Multilevel
-	// is the fast path; a one-pass V-cycle gave +1.62% at 0.64× and was
-	// worse than Clustered on 28 of 32 (DESIGN.md §13). The two are
-	// mutually exclusive.
+	// Checkpoint. It trades time for quality: full flows on the 16 ISPD
+	// analogs at scale 1 and 2 (2 threads on a 2-core x86-64 host) gave
+	// −0.71% geomean HPWL against flat at 1.3× the wall time, better than
+	// flat on 17 of 32. Multilevel is the fast path; a one-pass V-cycle
+	// gave +1.62% at 0.64× and was worse than Clustered on 28 of 32
+	// (DESIGN.md §13). The two are mutually exclusive.
 	Clustered bool
 
-	// Multilevel runs the full multilevel V-cycle (DESIGN.md §13): the design is coarsened bottom-up by repeated
-	// heavy-edge clustering to TargetCells movable cells, the coarsest
-	// level is placed with the full iteration budget, and each finer level
-	// is interpolated from the coarse placement and refined with a short
-	// warm-started schedule. This is the path to million-cell designs:
+	// Multilevel runs the full multilevel V-cycle (DESIGN.md §13): the
+	// design is coarsened bottom-up by repeated heavy-edge clustering to
+	// TargetCells movable cells, the coarsest level is placed with the full
+	// iteration budget, and each finer level is interpolated from the
+	// coarse placement and refined with a short warm-started schedule. This is the path to million-cell designs:
 	// expect a multiple-× speedup over a flat run within a few percent of
 	// its wirelength. A design already at or under TargetCells has nothing
 	// to coarsen and runs exactly as flat. Supports Checkpoint (a
@@ -333,11 +332,11 @@ type Options struct {
 	Multilevel MultilevelOptions
 
 	// Portfolio runs a competitive portfolio/restart search (DESIGN.md
-	// §14): Members engine instances race under perturbed
-	// configurations (λ ramp/damp, LSE primal, preconditioner choice,
-	// jittered starting positions), meet at Rounds synchronization rounds
-	// where each is scored by overflow-weighted HPWL, and the worst
-	// CullFraction are reseeded by forking the leader's checkpoint state.
+	// §14): Members engine instances race under perturbed configurations
+	// (λ ramp/damp, LSE primal, preconditioner choice, jittered starting
+	// positions), meet at Rounds synchronization rounds where each is
+	// scored by overflow-weighted HPWL, and the worst CullFraction are
+	// reseeded by forking the leader's checkpoint state.
 	// Member 0 always runs the unperturbed configuration and is never
 	// culled, so the winner can only match or beat the flat run. The search
 	// is deterministic for a fixed Seed at any Threads setting; Checkpoint

@@ -201,10 +201,10 @@ func printTable2(w io.Writer, res *Table2Result) {
 	for _, r := range res.Rows {
 		fmt.Fprintf(w, "%-10s %6.2f | %s | %s\n", r.Name, r.Target, cell(r.SimPL), cell(r.ComPLx))
 	}
-	fmt.Fprintf(w, "%-10s %6s | %9.3f(%4.1f) %5s | %9.3f(%4.1f) %5s\n",
+	fmt.Fprintf(w, "%-10s %6s | %9.3f(%4.1f) %5s | %9.3f(%4.1f)\n",
 		"geomean", "",
 		res.ScaledRatio["simpl"], res.AvgPenalty["simpl"], "",
-		res.ScaledRatio["complx"], res.AvgPenalty["complx"], "")
+		res.ScaledRatio["complx"], res.AvgPenalty["complx"])
 	fmt.Fprintln(w, "(scaled-HPWL ratios normalized to ComPLx = 1.0; penalties are averages)")
 	fmt.Fprintf(w, "%-16s %12s  %s\n", "placer", "vs ComPLx", "source")
 	for _, p := range published2006 {
