@@ -136,6 +136,7 @@ func TestResumeRejectsBadState(t *testing.T) {
 		name   string
 		mutate func(*chkpt.State)
 	}{
+		{"wrong-level", func(st *chkpt.State) { st.Level = 1 }},
 		{"wrong-position-count", func(st *chkpt.State) { st.Positions = st.Positions[:len(st.Positions)-1] }},
 		{"orphan-projector-state", func(st *chkpt.State) { st.ProjectorState = []float64{1, 2, 3} }},
 	}
