@@ -169,58 +169,6 @@ func TestPlaceContextCancelMidRun(t *testing.T) {
 	}
 }
 
-// TestPlaceContextPortfolioCancelMidSearch cancels a portfolio run from the
-// iteration callback while the members are racing and checks the best
-// member found so far is returned with the full cancellation contract:
-// Result.Cancelled set, portfolio stats attached, a legal placement, and a
-// *PlaceError wrapping context.Canceled. The callback fires concurrently
-// from all members, so under -race this also proves cancellation does not
-// race with the member fan-out.
-func TestPlaceContextPortfolioCancelMidSearch(t *testing.T) {
-	nl := genOrDie(t, "pfc", 420, 8)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var once sync.Once
-	opt := complx.Options{
-		MaxIterations: 40,
-		Portfolio:     complx.PortfolioOptions{Enabled: true, Members: 3, Rounds: 4, Seed: 3},
-		OnIteration: func(st complx.IterStats) {
-			if st.Iter >= 3 {
-				once.Do(cancel)
-			}
-		},
-	}
-	res, err := complx.PlaceContext(ctx, nl, opt)
-	if err == nil {
-		t.Fatal("expected cancellation error")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("error %v does not wrap context.Canceled", err)
-	}
-	var pe *complx.PlaceError
-	if !errors.As(err, &pe) {
-		t.Errorf("error %v is not a *PlaceError", err)
-	}
-	if res == nil || !res.Cancelled {
-		t.Fatal("expected a Cancelled best-so-far result")
-	}
-	if res.Portfolio == nil {
-		t.Fatal("cancelled portfolio run carries no portfolio stats")
-	}
-	if w := res.Portfolio.Winner; w < 0 || w >= res.Portfolio.Members {
-		t.Errorf("winner %d out of range [0,%d)", w, res.Portfolio.Members)
-	}
-	if !res.Legalized || res.LegalViolations != 0 {
-		t.Errorf("cancelled run not finished legally: legalized=%v violations=%d",
-			res.Legalized, res.LegalViolations)
-	}
-	for i := range nl.Cells {
-		if math.IsNaN(nl.Cells[i].X) || math.IsNaN(nl.Cells[i].Y) {
-			t.Fatalf("cell %d has NaN position after cancellation", i)
-		}
-	}
-}
-
 // TestPlaceContextCancelledBaselines checks the SimPL yardstick honors a
 // pre-cancelled context with the same best-so-far contract, both through
 // the facade and at core's own entry point, whose result must report the

@@ -77,26 +77,17 @@ func checkpointFingerprint(nl *Netlist, opt Options) [32]byte {
 		fmt.Sprintf("multilevel=%t target=%d levels=%d refine=%d",
 			opt.Multilevel.Enabled, opt.Multilevel.TargetCells,
 			opt.Multilevel.MaxLevels, opt.Multilevel.RefineIters),
-		// The portfolio shape determines the member table and RNG streams a
-		// snapshot carries, and the seed every perturbation derives from; a
-		// portfolio checkpoint is only resumable under the same search.
-		fmt.Sprintf("portfolio=%t members=%d rounds=%d cull=%g seed=%d",
-			opt.Portfolio.Enabled, opt.Portfolio.Members, opt.Portfolio.Rounds,
-			opt.Portfolio.CullFraction, opt.Portfolio.Seed),
 	}
 	return chkpt.Fingerprint(parts...)
 }
 
 // setupCheckpoint builds the persistent checkpoint manager (and, with
 // Resume, loads the saved state) for a run. A nil manager means
-// checkpointing is disabled. Portfolio runs persist and resume the
-// portfolio state (Dir/portfolio.ckpt, the whole member table) instead of a
-// single-engine snapshot — the two never mix: a flat run ignores
-// portfolio.ckpt and a portfolio run ignores complx.ckpt.
-func setupCheckpoint(nl *Netlist, opt Options) (*chkpt.Manager, *chkpt.State, *chkpt.PortfolioState, error) {
+// checkpointing is disabled.
+func setupCheckpoint(nl *Netlist, opt Options) (*chkpt.Manager, *chkpt.State, error) {
 	co := opt.Checkpoint
 	if co.Dir == "" {
-		return nil, nil, nil, nil
+		return nil, nil, nil
 	}
 	m := &chkpt.Manager{
 		Dir:         co.Dir,
@@ -105,20 +96,11 @@ func setupCheckpoint(nl *Netlist, opt Options) (*chkpt.Manager, *chkpt.State, *c
 		Obs:         opt.Observer,
 	}
 	var st *chkpt.State
-	var pf *chkpt.PortfolioState
-	if co.Resume {
+	if co.Resume && m.Exists() {
 		var err error
-		switch {
-		case opt.Portfolio.Enabled:
-			if m.PortfolioExists() {
-				pf, err = m.LoadPortfolio()
-			}
-		case m.Exists():
-			st, err = m.Load()
-		}
-		if err != nil {
-			return nil, nil, nil, err
+		if st, err = m.Load(); err != nil {
+			return nil, nil, err
 		}
 	}
-	return m, st, pf, nil
+	return m, st, nil
 }

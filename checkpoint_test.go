@@ -306,7 +306,7 @@ func TestPlaceCheckpointResumeMidVCycle(t *testing.T) {
 }
 
 // TestPlaceMultilevelRejections covers the facade's option validation:
-// the multilevel, clustered and portfolio driver rules and the rest of
+// the multilevel and clustered driver rules and the rest of
 // Options.Validate.
 func TestPlaceMultilevelRejections(t *testing.T) {
 	base := Options{MaxIterations: 6, SkipLegalize: true, SkipDetailed: true}
@@ -342,18 +342,12 @@ func TestPlaceMultilevelRejections(t *testing.T) {
 		edit  func(*Options)
 		stage string
 	}{
-		{"portfolio-multilevel", func(o *Options) {
-			o.Portfolio = PortfolioOptions{Enabled: true}
-			o.Multilevel = MultilevelOptions{Enabled: true}
-		}, perr.StageOptions},
-		{"portfolio-knob", func(o *Options) {
-			o.Portfolio = PortfolioOptions{Enabled: true, Members: 1}
-		}, perr.StageOptions},
 		{"clustered-checkpoint", func(o *Options) {
 			o.Clustered = true
 			o.Checkpoint = CheckpointOptions{Dir: t.TempDir()}
 		}, perr.StageCheckpoint},
 		{"bogus-precond", func(o *Options) { o.Precond = "bogus" }, perr.StageValidate},
+		{"ssor-precond", func(o *Options) { o.Precond = "ssor" }, perr.StageValidate},
 		{"lse-pnorm", func(o *Options) { o.UseLSE, o.UsePNorm = true, true }, perr.StageValidate},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

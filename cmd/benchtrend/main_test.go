@@ -223,3 +223,25 @@ func TestUpsertEntryReplacesInPlace(t *testing.T) {
 		t.Errorf("new scale should append: %+v", es)
 	}
 }
+
+// TestMedianEntry pins emit mode's per-entry record: the run with the
+// median wall, and an error when repeated runs disagree on a deterministic
+// count.
+func TestMedianEntry(t *testing.T) {
+	run := func(wall, hpwl float64, cg int) Entry {
+		return Entry{Placer: "complx", Design: "a", Scale: 1, HPWL: hpwl, CGIters: cg, WallSeconds: wall}
+	}
+	got, err := medianEntry([]Entry{run(0.45, 10, 7), run(0.26, 10, 7), run(0.30, 10, 7)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.WallSeconds != 0.30 {
+		t.Errorf("median wall %v, want 0.30", got.WallSeconds)
+	}
+	if _, err := medianEntry([]Entry{run(0.3, 10, 7), run(0.3, 11, 7), run(0.3, 10, 7)}); err == nil {
+		t.Error("runs with different HPWL accepted")
+	}
+	if _, err := medianEntry([]Entry{run(0.3, 10, 7), run(0.3, 10, 7), run(0.3, 10, 8)}); err == nil {
+		t.Error("runs with different CG iterations accepted")
+	}
+}

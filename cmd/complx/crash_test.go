@@ -43,20 +43,7 @@ func TestCrashSIGKILLResume(t *testing.T) {
 	// mid-run, short enough for a test. Legalization stays on — the
 	// recovered run must end in a *legal* placement — only detailed
 	// placement is skipped for speed.
-	crashDrill(t, []string{"-bench", "bigblue3", "-skip-detailed"}, chkpt.FileName)
-}
-
-// TestCrashSIGKILLResumePortfolio runs the drill through the portfolio
-// search: the kill lands mid-round (after the first round's portfolio
-// snapshot hits the disk), and the resume must rebuild the member table —
-// forking every member back from its encoded state — replay the remaining
-// rounds and crown the same winner. The driver-level contract is bitwise,
-// so the recovered HPWL matches the uninterrupted run exactly.
-func TestCrashSIGKILLResumePortfolio(t *testing.T) {
-	crashDrill(t, []string{
-		"-bench", "bigblue3", "-skip-detailed",
-		"-portfolio", "-pf-members", "3", "-pf-rounds", "3",
-	}, chkpt.PortfolioFileName)
+	crashDrill(t, []string{"-bench", "bigblue3", "-skip-detailed"})
 }
 
 // TestCrashSIGKILLResumeMultilevel runs the same drill through the V-cycle:
@@ -67,13 +54,12 @@ func TestCrashSIGKILLResumeMultilevel(t *testing.T) {
 	crashDrill(t, []string{
 		"-bench", "bigblue3", "-skip-detailed",
 		"-multilevel", "-ml-target-cells", "2000", "-ml-refine-iters", "6",
-	}, chkpt.FileName)
+	})
 }
 
-// crashDrill is the shared SIGKILL drill body. ckptName is the snapshot
-// file the drill waits for before killing — flat and multilevel runs write
-// chkpt.FileName, portfolio runs write chkpt.PortfolioFileName.
-func crashDrill(t *testing.T, args []string, ckptName string) {
+// crashDrill is the shared SIGKILL drill body: it waits for the first
+// snapshot (chkpt.FileName) before killing.
+func crashDrill(t *testing.T, args []string) {
 	if runtime.GOOS == "windows" {
 		t.Skip("SIGKILL semantics are POSIX-only")
 	}
@@ -101,7 +87,7 @@ func crashDrill(t *testing.T, args []string, ckptName string) {
 	if err := victim.Start(); err != nil {
 		t.Fatalf("starting victim: %v", err)
 	}
-	ckptFile := filepath.Join(ckptDir, ckptName)
+	ckptFile := filepath.Join(ckptDir, chkpt.FileName)
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
 		if _, err := os.Stat(ckptFile); err == nil {

@@ -14,7 +14,6 @@
 //	complx -bench adaptec1 -checkpoint ./ckpt            # crash-safe snapshots
 //	complx -bench adaptec1 -checkpoint ./ckpt -resume    # continue after a crash
 //	complx -bench bigblue3 -scale 82 -multilevel         # ~1M cells via the V-cycle
-//	complx -bench adaptec1 -portfolio -pf-members 4      # competitive portfolio search
 //
 // A -timeout budget or an interrupt (Ctrl-C) does not abort the run: the
 // flow stops at the best placement found so far, finishes legalization on
@@ -49,7 +48,7 @@ func main() {
 		bench     = flag.String("bench", "", "named synthetic benchmark (e.g. adaptec1, newblue7)")
 		scale     = flag.Float64("scale", 1.0, "cell-count scale factor for -bench")
 		algo      = flag.String("algo", "complx", "placer: complx, simpl")
-		precond   = flag.String("precond", "auto", "CG preconditioner: auto, jacobi, ssor, ic0")
+		precond   = flag.String("precond", "auto", "CG preconditioner: auto, jacobi, ic0")
 		target    = flag.Float64("target", 0, "target density gamma in (0,1]; 0 uses the benchmark default")
 		finest    = flag.Bool("finest", false, "use the finest projection grid on all iterations")
 		projDP    = flag.Bool("projection-dp", false, "post-process every projection with legalization+DP (Table 1 ablation)")
@@ -66,11 +65,6 @@ func main() {
 		mlTarget  = flag.Int("ml-target-cells", 0, "movable-cell count the V-cycle coarsens to (0 = default 10000)")
 		mlLevels  = flag.Int("ml-max-levels", 0, "max coarsening passes of the V-cycle (0 = default 6)")
 		mlRefine  = flag.Int("ml-refine-iters", 0, "iteration budget per V-cycle refinement level (0 = default 8)")
-		pf        = flag.Bool("portfolio", false, "competitive portfolio search: -pf-members engine variants race in -pf-rounds rounds, losers reseed from the leader's checkpoint")
-		pfMembers = flag.Int("pf-members", 0, "portfolio members K (0 = default 4)")
-		pfRounds  = flag.Int("pf-rounds", 0, "portfolio synchronization rounds (0 = default 4)")
-		pfCull    = flag.Float64("pf-cull", 0, "fraction of members culled per round, in (0,1) (0 = default 0.25)")
-		pfSeed    = flag.Int64("pf-seed", 0, "portfolio perturbation seed (0 = default 1)")
 		abacus    = flag.Bool("abacus", false, "use the Abacus legalizer instead of Tetris")
 		routab    = flag.Bool("routability", false, "congestion-driven cell inflation (SimPLR-style)")
 		threads   = flag.Int("threads", 0, "worker-pool size for the parallel kernels (0 = GOMAXPROCS)")
@@ -96,7 +90,6 @@ func main() {
 		plOut: *plOut, outDir: *outDir, verbose: *verbose, plot: *plot,
 		clustered: *clustered, abacus: *abacus, routability: *routab,
 		multilevel: *mlevel, mlTarget: *mlTarget, mlLevels: *mlLevels, mlRefine: *mlRefine,
-		portfolio: *pf, pfMembers: *pfMembers, pfRounds: *pfRounds, pfCull: *pfCull, pfSeed: *pfSeed,
 		timeout: *timeout, obsAddr: *obsAddr, reportBase: *report,
 		ckptDir: *ckptDir, ckptEvery: *ckptEvery, resume: *resume,
 	}); err != nil {
@@ -115,10 +108,6 @@ type runCfg struct {
 	verbose, plot, clustered, abacus, routability bool
 	resume, multilevel                            bool
 	mlTarget, mlLevels, mlRefine                  int
-	portfolio                                     bool
-	pfMembers, pfRounds                           int
-	pfCull                                        float64
-	pfSeed                                        int64
 	maxIter, ckptEvery                            int
 	timeout                                       time.Duration
 }
@@ -213,13 +202,6 @@ func run(ctx context.Context, cfg runCfg) error {
 			MaxLevels:   cfg.mlLevels,
 			RefineIters: cfg.mlRefine,
 		},
-		Portfolio: complx.PortfolioOptions{
-			Enabled:      cfg.portfolio,
-			Members:      cfg.pfMembers,
-			Rounds:       cfg.pfRounds,
-			CullFraction: cfg.pfCull,
-			Seed:         cfg.pfSeed,
-		},
 		AbacusLegalizer: cfg.abacus,
 		Routability:     cfg.routability,
 		Precond:         cfg.precond,
@@ -250,15 +232,6 @@ func run(ctx context.Context, cfg runCfg) error {
 	fmt.Printf("algorithm:        %s\n", alg)
 	if res.Resumed {
 		fmt.Printf("resumed:          from checkpoint in %s\n", cfg.ckptDir)
-	}
-	if pf := res.Portfolio; pf != nil {
-		fmt.Printf("portfolio:        winner member %d (%s) of %d, %d rounds, %d culled / %d reseeded\n",
-			pf.Winner, pf.WinnerVariant, pf.Members, pf.Rounds, pf.Culls, pf.Reseeds)
-		if cfg.verbose {
-			for i, s := range pf.Scores {
-				fmt.Printf("  member %d  score=%.0f\n", i, s)
-			}
-		}
 	}
 	if n := len(res.Recovery); n > 0 {
 		fmt.Printf("recovery:         %d fallback event(s)\n", n)

@@ -103,13 +103,3 @@ func (a *admission) allowRate() bool {
 	a.tokens--
 	return true
 }
-
-// setWatermark re-arms (or disables, with 0) the memory watermark at
-// runtime; the next monitor sample applies it. Tests use this to trip the
-// overload path deterministically.
-func (a *admission) setWatermark(bytes uint64) {
-	a.watermark.Store(bytes)
-	if bytes == 0 {
-		a.paused.Store(false)
-	}
-}

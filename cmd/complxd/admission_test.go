@@ -132,7 +132,7 @@ func TestMemoryWatermarkPausesAndSheds(t *testing.T) {
 	waitRunning(t, srv, blocker.ID, time.Minute)
 	queued := submit(t, srv, testSpec(431, 1, 0))
 
-	sched.adm.setWatermark(1) // any heap exceeds 1 byte
+	sched.adm.watermark.Store(1) // any heap exceeds 1 byte; the next sample applies it
 
 	// Intake pauses within a few monitor ticks.
 	deadline := time.Now().Add(5 * time.Second)
@@ -164,7 +164,8 @@ func TestMemoryWatermarkPausesAndSheds(t *testing.T) {
 	}
 
 	// Clearing the watermark resumes intake on the next tick.
-	sched.adm.setWatermark(0)
+	sched.adm.watermark.Store(0)
+	sched.adm.paused.Store(false)
 	deadline = time.Now().Add(5 * time.Second)
 	for {
 		resp := postRaw(t, srv, testSpec(433, 1, 0))

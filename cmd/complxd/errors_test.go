@@ -45,12 +45,12 @@ func TestErrorStatusTable(t *testing.T) {
 			},
 		},
 		{
-			name: "options stage from PlaceError", wantCode: 400, wantStage: "options",
+			name: "validate stage from PlaceError", wantCode: 400, wantStage: "validate",
+			wantMsg: "unknown preconditioner",
 			do: func(t *testing.T) *http.Response {
 				srv, _ := startTestServer(t, t.TempDir(), 1)
 				bad := testSpec(600, 1, 0)
-				bad.Portfolio = true
-				bad.PFCullFraction = 7.0
+				bad.Precond = "ssor"
 				return postRaw(t, srv, bad)
 			},
 		},

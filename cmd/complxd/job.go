@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -69,16 +70,6 @@ type JobSpec struct {
 	MLMaxLevels   int  `json:"ml_max_levels,omitempty"`
 	MLRefineIters int  `json:"ml_refine_iters,omitempty"`
 
-	// Portfolio runs the competitive portfolio search
-	// (complx.Options.Portfolio) with the given knobs; zero knobs select
-	// the driver defaults. ComPLx and SimPL only, exclusive with
-	// Multilevel.
-	Portfolio      bool    `json:"portfolio,omitempty"`
-	PFMembers      int     `json:"pf_members,omitempty"`
-	PFRounds       int     `json:"pf_rounds,omitempty"`
-	PFCullFraction float64 `json:"pf_cull_fraction,omitempty"`
-	PFSeed         int64   `json:"pf_seed,omitempty"`
-
 	// Threads caps the parallel-kernel helpers this job may occupy
 	// (complx.Options.Threads); 0 leaves the job uncapped up to the
 	// process-wide pool. Budgets only change scheduling, never results.
@@ -92,6 +83,18 @@ type JobSpec struct {
 	// stage-"deadline" error (best-so-far result attached when one
 	// exists). 0 = no deadline.
 	DeadlineSeconds float64 `json:"deadline_seconds,omitempty"`
+}
+
+// decodeSpec decodes a submitted job spec. A field JobSpec does not know
+// is an error, so a misspelled or retired knob fails the submission
+// instead of silently running the job at its defaults. Persisted job
+// records are decoded leniently by store.Load.
+func decodeSpec(r io.Reader) (JobSpec, error) {
+	var s JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&s)
+	return s, err
 }
 
 // Validate rejects specs the scheduler could not run.
@@ -143,13 +146,6 @@ func (s *JobSpec) options() (complx.Options, error) {
 			TargetCells: s.MLTargetCells,
 			MaxLevels:   s.MLMaxLevels,
 			RefineIters: s.MLRefineIters,
-		},
-		Portfolio: complx.PortfolioOptions{
-			Enabled:      s.Portfolio,
-			Members:      s.PFMembers,
-			Rounds:       s.PFRounds,
-			CullFraction: s.PFCullFraction,
-			Seed:         s.PFSeed,
 		},
 		Threads: s.Threads,
 	}, nil

@@ -92,8 +92,8 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.maxBody > 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.maxBody)
 	}
-	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	spec, err := decodeSpec(r.Body)
+	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge, &apiError{

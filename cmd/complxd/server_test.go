@@ -403,7 +403,8 @@ func TestDaemonValidation(t *testing.T) {
 		{Bench: "adaptec1", Algorithm: "no-such-algo"},
 		{Bench: "adaptec1", Threads: -2},
 		{Bench: "adaptec1", Precond: "bogus"},
-		{Bench: "adaptec1", Precond: "mg"}, // removed kind
+		{Bench: "adaptec1", Precond: "mg"},   // removed kind
+		{Bench: "adaptec1", Precond: "ssor"}, // removed kind
 	} {
 		body, _ := json.Marshal(bad)
 		resp, err := srv.Client().Post(srv.URL+"/jobs", "application/json", bytes.NewReader(body))
@@ -425,5 +426,32 @@ func TestDaemonValidation(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Errorf("unknown job: %d, want 404", resp.StatusCode)
 		}
+	}
+}
+
+// TestDaemonRejectsUnknownFields pins strict decoding of submissions: a
+// misspelled knob or a retired one is a 400 naming the field, and nothing
+// is queued — the job never runs at defaults the client did not ask for.
+func TestDaemonRejectsUnknownFields(t *testing.T) {
+	srv, sched := startTestServer(t, t.TempDir(), 1)
+	for _, body := range []string{
+		`{"bench":"adaptec1","max_iteration":5}`,
+		`{"bench":"adaptec1","portfolio":true}`,
+	} {
+		resp, err := srv.Client().Post(srv.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			resp.Body.Close()
+			t.Errorf("%s: status %d, want 400", body, resp.StatusCode)
+			continue
+		}
+		if e := decodeError(t, resp); !strings.Contains(e.Message, "unknown field") {
+			t.Errorf("%s: error %q does not name the unknown field", body, e.Message)
+		}
+	}
+	if jobs := sched.List(); len(jobs) != 0 {
+		t.Errorf("%d jobs queued after rejected submits, want 0", len(jobs))
 	}
 }

@@ -41,7 +41,6 @@ import (
 	"complx/internal/obs"
 	"complx/internal/par"
 	"complx/internal/perr"
-	"complx/internal/portfolio"
 	"complx/internal/qp"
 	"complx/internal/sparse"
 	"complx/internal/timing"
@@ -252,8 +251,8 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 }
 
 // ParsePrecond checks a CG preconditioner name for Options.Precond: "" or
-// "auto" (the size heuristic), "jacobi", "ssor" or "ic0". It returns the
-// name unchanged.
+// "auto" (the size heuristic), "jacobi" or "ic0". It returns the name
+// unchanged.
 func ParsePrecond(s string) (string, error) {
 	if _, err := qp.ResolvePrecond(s, 0); err != nil {
 		return "", err
@@ -285,10 +284,10 @@ type Options struct {
 	// Model selects the quadratic net decomposition (default ModelB2B).
 	Model NetModel
 	// Precond selects the CG preconditioner for the quadratic primal step:
-	// "jacobi", "ssor", "ic0", or ""/"auto" for the size heuristic
-	// (Jacobi on small designs, IC(0) at scale). Jacobi reproduces the
-	// historical solver bit for bit; the others trade a cheap setup for
-	// fewer CG iterations per solve.
+	// "jacobi", "ic0", or ""/"auto" for the size heuristic (Jacobi on
+	// small designs, IC(0) at scale). Jacobi reproduces the historical
+	// solver bit for bit; IC(0) trades a costlier setup for fewer CG
+	// iterations per solve.
 	Precond string
 
 	// SkipLegalize and SkipDetailed end the flow after global placement or
@@ -331,27 +330,12 @@ type Options struct {
 	// compatible with Clustered.
 	Multilevel MultilevelOptions
 
-	// Portfolio runs a competitive portfolio/restart search (DESIGN.md
-	// §14): Members engine instances race under perturbed configurations
-	// (λ ramp/damp, LSE primal, preconditioner choice, jittered starting
-	// positions), meet at Rounds synchronization rounds where each is
-	// scored by overflow-weighted HPWL, and the worst CullFraction are
-	// reseeded by forking the leader's checkpoint state.
-	// Member 0 always runs the unperturbed configuration and is never
-	// culled, so the winner can only match or beat the flat run. The search
-	// is deterministic for a fixed Seed at any Threads setting; Checkpoint
-	// persists the whole member table, so an interrupted search resumes
-	// bitwise. Mutually exclusive with Multilevel and Clustered.
-	Portfolio PortfolioOptions
-
 	// CellPenalty weighs the Lagrangian penalty per movable cell
 	// (timing/power criticalities γ⃗ of Formula 13).
 	CellPenalty []float64
 
 	// OnIteration observes every global placement iteration record, for
-	// every algorithm, V-cycle level, portfolio member and clustered pass.
-	// Portfolio members run concurrently, so with Portfolio enabled it
-	// must be safe for concurrent use.
+	// every algorithm, V-cycle level and clustered pass.
 	OnIteration func(IterStats)
 
 	// Checkpoint enables persistent checkpoint/resume for the global
@@ -381,21 +365,12 @@ type Options struct {
 // RefineIters (default 8). Zero values select the driver defaults.
 type MultilevelOptions = multilevel.Options
 
-// PortfolioOptions configures the competitive portfolio search
-// (Options.Portfolio): Enabled, Members (default 4), Rounds (default 4),
-// CullFraction (default 0.25) and Seed (default 1). Zero values select the
-// driver defaults; Options.Validate rejects out-of-range values.
-type PortfolioOptions = portfolio.Options
-
 // Validate checks the rules for combining options and returns the first
 // one broken as a *PlaceError:
 //
 //   - Algorithm is AlgComPLx or AlgSimPL (stage "validate");
 //   - UseLSE excludes UsePNorm (stage "validate");
 //   - Multilevel excludes Clustered (stage "validate");
-//   - Portfolio excludes Multilevel and Clustered; with zero fields at
-//     their defaults, Members >= 2, Rounds >= 1 and CullFraction in (0,1)
-//     (stage "options");
 //   - Checkpoint.Resume needs Checkpoint.Dir, and Clustered runs cannot
 //     checkpoint (stage "checkpoint");
 //   - Precond names a known preconditioner (stage "validate").
@@ -413,21 +388,6 @@ func (o Options) Validate() error {
 		return perr.New(perr.StageValidate,
 			"complx: Multilevel and Clustered are mutually exclusive")
 	}
-	if o.Portfolio.Enabled {
-		if o.Multilevel.Enabled {
-			return perr.New(perr.StageOptions,
-				"complx: Portfolio and Multilevel are mutually exclusive")
-		}
-		if o.Clustered {
-			return perr.New(perr.StageOptions,
-				"complx: Portfolio and Clustered are mutually exclusive")
-		}
-		po := o.Portfolio
-		po.Fill()
-		if err := po.Validate(); err != nil {
-			return err
-		}
-	}
 	if o.Checkpoint.Dir == "" && o.Checkpoint.Resume {
 		return perr.New(perr.StageCheckpoint,
 			"complx: Checkpoint.Resume requires Checkpoint.Dir")
@@ -442,12 +402,6 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// PortfolioStats reports a portfolio search (Result.Portfolio): the winning
-// member, its variant name, cull/reseed totals and the final per-member
-// scores (overflow-weighted HPWL, +Inf for members that never completed a
-// round).
-type PortfolioStats = core.PortfolioStats
-
 // Result reports a full placement run.
 type Result struct {
 	// HPWL and WHPWL are the final (legal, when legalization ran)
@@ -459,14 +413,13 @@ type Result struct {
 	OverflowPercent float64
 
 	// Global placement diagnostics. GlobalIterations is the total number
-	// of global iterations run, counting every V-cycle level, portfolio
-	// member round and clustered pass once. Converged, FinalLambda and
-	// DualityGap describe the segment that produced the final placement
-	// (the finest level, the portfolio winner, the fine clustered pass);
-	// History is that placement's trajectory, one record per iteration for
-	// every algorithm: every V-cycle level coarsest first, the portfolio
-	// winner's lineage, or the clustered coarse pass followed by the fine
-	// pass. A resumed run's History starts with the checkpointed records.
+	// of global iterations run, counting every V-cycle level and clustered
+	// pass once. Converged, FinalLambda and DualityGap describe the segment
+	// that produced the final placement (the finest level, the fine
+	// clustered pass); History is that placement's trajectory, one record
+	// per iteration for every algorithm: every V-cycle level coarsest
+	// first, or the clustered coarse pass followed by the fine pass. A
+	// resumed run's History starts with the checkpointed records.
 	GlobalIterations int
 	Converged        bool
 	FinalLambda      float64
@@ -484,9 +437,6 @@ type Result struct {
 	// Resumed reports that global placement was primed from a checkpoint
 	// (Options.Checkpoint.Resume with a matching snapshot on disk).
 	Resumed bool
-	// Portfolio reports the portfolio search when Options.Portfolio was
-	// enabled; nil otherwise.
-	Portfolio *PortfolioStats
 	// Recovery is the structured solver-recovery log: one event per
 	// fallback-ladder attempt and per failed checkpoint save. Empty on a
 	// clean run.
@@ -537,12 +487,6 @@ func (res *Result) Summary() obs.FinalStats {
 		CGIters:         res.CGIterations,
 		Resumed:         res.Resumed,
 	}
-	if pf := res.Portfolio; pf != nil {
-		winner := pf.Winner
-		f.PortfolioWinner = &winner
-		f.PortfolioVariant = pf.WinnerVariant
-		f.PortfolioCulls, f.PortfolioReseeds = pf.Culls, pf.Reseeds
-	}
 	return f
 }
 
@@ -557,7 +501,6 @@ func (res *Result) setGlobal(r *core.Result) {
 	res.AssemblyTime, res.SolveTime, res.ProjectionTime = r.AssemblyTime, r.SolveTime, r.ProjectionTime
 	res.Precond, res.CGIterations, res.PrecondTime = r.Precond, r.CGIters, r.PrecondTime
 	res.Resumed = r.Resumed
-	res.Portfolio = r.Portfolio
 	if r.Recovery != nil {
 		res.Recovery = r.Recovery.Events
 	}
@@ -584,7 +527,6 @@ func coreOptions(opt Options) core.Options {
 		Precond:          opt.Precond,
 		Clustered:        opt.Clustered,
 		Multilevel:       opt.Multilevel,
-		Portfolio:        opt.Portfolio,
 	}
 }
 
@@ -638,14 +580,9 @@ func PlaceContext(ctx context.Context, nl *Netlist, opt Options) (*Result, error
 	if opt.TargetDensity <= 0 || opt.TargetDensity > 1 {
 		opt.TargetDensity = 1
 	}
-	if opt.Portfolio.Enabled {
-		// Normalize to the filled values before the checkpoint fingerprint
-		// is taken, so explicit defaults and zero values are the same run.
-		opt.Portfolio.Fill()
-	}
 	// Persistent checkpointing (after the density normalization above, so
 	// the fingerprint sees canonical option values).
-	ckptMgr, resumeState, pfResume, ckptErr := setupCheckpoint(nl, opt)
+	ckptMgr, resumeState, ckptErr := setupCheckpoint(nl, opt)
 	if ckptErr != nil {
 		return nil, ckptErr
 	}
@@ -679,7 +616,6 @@ func PlaceContext(ctx context.Context, nl *Netlist, opt Options) (*Result, error
 		// the interface field would defeat the engine's `!= nil` guards.
 		coreOpt.Checkpoint = ckptMgr
 		coreOpt.Resume = resumeState
-		coreOpt.PortfolioResume = pfResume
 	}
 	if opt.Algorithm == AlgSimPL {
 		coreOpt.Schedule = core.ScheduleSimPL

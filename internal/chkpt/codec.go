@@ -63,14 +63,14 @@ func Encode(st *State) []byte {
 		p.f64(h.Overflow)
 		p.i64(h.GridNX)
 	}
-	return seal(magic, Version, p.b)
+	return seal(p.b)
 }
 
 // Decode parses and verifies a checkpoint file image. It returns typed
 // sentinel errors (ErrBadMagic, ErrBadVersion, ErrCorrupt) on malformed
 // input; fingerprint validation is the caller's job (Manager.Load).
 func Decode(data []byte) (*State, error) {
-	r, err := open(data, magic, Version)
+	r, err := open(data)
 	if err != nil {
 		return nil, err
 	}
@@ -123,21 +123,21 @@ func Decode(data []byte) (*State, error) {
 // seal frames a payload as one checkpoint file image: magic, version
 // (uint32 LE), payload length (uint64 LE), the payload, and a SHA-256 over
 // everything before it.
-func seal(magic string, version uint32, payload []byte) []byte {
+func seal(payload []byte) []byte {
 	out := make([]byte, 0, len(magic)+4+8+len(payload)+sha256.Size)
 	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint32(out, version)
+	out = binary.LittleEndian.AppendUint32(out, Version)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
 	out = append(out, payload...)
 	sum := sha256.Sum256(out)
 	return append(out, sum[:]...)
 }
 
-// open verifies a seal image against magic and version and returns a
+// open verifies a seal image against magic and Version and returns a
 // reader over its payload. It fails with ErrCorrupt on truncation, a
 // length mismatch or a checksum mismatch, ErrBadMagic on a foreign file and
 // ErrBadVersion on another format version.
-func open(data []byte, magic string, version uint32) (*reader, error) {
+func open(data []byte) (*reader, error) {
 	head := len(magic) + 4 + 8
 	if len(data) < head+sha256.Size {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the fixed header", ErrCorrupt, len(data))
@@ -146,8 +146,8 @@ func open(data []byte, magic string, version uint32) (*reader, error) {
 		return nil, ErrBadMagic
 	}
 	ver := binary.LittleEndian.Uint32(data[len(magic):])
-	if ver != version {
-		return nil, fmt.Errorf("%w: file version %d, supported %d", ErrBadVersion, ver, version)
+	if ver != Version {
+		return nil, fmt.Errorf("%w: file version %d, supported %d", ErrBadVersion, ver, Version)
 	}
 	plen := binary.LittleEndian.Uint64(data[len(magic)+4:])
 	if uint64(len(data)) != uint64(head)+plen+sha256.Size {

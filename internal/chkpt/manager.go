@@ -53,37 +53,14 @@ func (m *Manager) Path() string { return filepath.Join(m.Dir, FileName) }
 // Save persists st atomically: the fingerprint is stamped, the encoded
 // image is staged to a temp file, fsynced and renamed over the previous
 // checkpoint, so a crash at any instant leaves the old snapshot readable.
-// Save implements the engine.CheckpointSink seam.
+// The save (or its failure) and the snapshot's iteration are recorded on
+// m.Obs; failures are *perr.Error at the checkpoint stage. Save implements
+// the engine.CheckpointSink seam.
 func (m *Manager) Save(st *State) error {
 	st.Fingerprint = m.Fingerprint
-	return m.write("checkpoint", m.Path(), st.Iter, func() []byte { return Encode(st) })
-}
-
-// Load reads, decodes and validates the directory's checkpoint. Corruption,
-// version and fingerprint failures return a *perr.Error (stage
-// "checkpoint") wrapping the typed sentinel, so callers can errors.Is
-// against ErrCorrupt / ErrBadVersion / ErrFingerprint.
-func (m *Manager) Load() (*State, error) {
-	var st *State
-	err := m.read(m.Path(), "checkpoint", func(data []byte) (fp [32]byte, desc string, err error) {
-		if st, err = Decode(data); err != nil {
-			return fp, "", err
-		}
-		return st.Fingerprint, fmt.Sprintf("design %q, algorithm %q", st.Design, st.Algorithm), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// write persists the image that encode returns to path atomically, under a
-// span of the given name, and records the save (or its failure) and the
-// snapshot's iteration on m.Obs. Failures are *perr.Error at the
-// checkpoint stage.
-func (m *Manager) write(span, path string, iter int, encode func() []byte) error {
-	sp := m.Obs.StartSpan(span)
+	sp := m.Obs.StartSpan("checkpoint")
 	defer sp.End()
+	path := m.Path()
 	err := func() error {
 		if m.Dir == "" {
 			return fmt.Errorf("chkpt: Manager.Dir is empty")
@@ -94,7 +71,7 @@ func (m *Manager) write(span, path string, iter int, encode func() []byte) error
 		if err := os.MkdirAll(m.Dir, 0o755); err != nil {
 			return err
 		}
-		data := encode()
+		data := Encode(st)
 		if err := fsatomic.WriteFile(path, 0o644, func(w io.Writer) error {
 			_, werr := w.Write(data)
 			return werr
@@ -109,29 +86,30 @@ func (m *Manager) write(span, path string, iter int, encode func() []byte) error
 		return perr.Wrap(perr.StageCheckpoint, err)
 	}
 	m.Obs.AddCount(obs.MetricCheckpointSaves, 1)
-	m.Obs.SetGauge(obs.MetricCheckpointIter, float64(iter))
+	m.Obs.SetGauge(obs.MetricCheckpointIter, float64(st.Iter))
 	return nil
 }
 
-// read loads the file at path and decodes it; decode returns the decoded
-// fingerprint and a description of the file's owner for the mismatch
-// message. what names the file in errors. Read, decode and fingerprint
-// failures are *perr.Error at the checkpoint stage; the last two carry
-// path.
-func (m *Manager) read(path, what string, decode func([]byte) (fp [32]byte, desc string, err error)) error {
+// Load reads, decodes and validates the directory's checkpoint. Corruption,
+// version and fingerprint failures return a *perr.Error (stage
+// "checkpoint", carrying the file path) wrapping the typed sentinel, so
+// callers can errors.Is against ErrCorrupt / ErrBadVersion /
+// ErrFingerprint.
+func (m *Manager) Load() (*State, error) {
+	path := m.Path()
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return perr.Wrap(perr.StageCheckpoint, fmt.Errorf("chkpt: read %s: %w", what, err))
+		return nil, perr.Wrap(perr.StageCheckpoint, fmt.Errorf("chkpt: read checkpoint: %w", err))
 	}
-	fp, desc, err := decode(data)
+	st, err := Decode(data)
 	if err != nil {
-		return perr.WithFile(perr.Wrap(perr.StageCheckpoint, err), path)
+		return nil, perr.WithFile(perr.Wrap(perr.StageCheckpoint, err), path)
 	}
-	if fp != m.Fingerprint {
-		return perr.WithFile(perr.Wrap(perr.StageCheckpoint,
-			fmt.Errorf("%w (%s %s)", ErrFingerprint, what, desc)), path)
+	if st.Fingerprint != m.Fingerprint {
+		return nil, perr.WithFile(perr.Wrap(perr.StageCheckpoint,
+			fmt.Errorf("%w (checkpoint design %q, algorithm %q)", ErrFingerprint, st.Design, st.Algorithm)), path)
 	}
-	return nil
+	return st, nil
 }
 
 // Exists reports whether the directory holds a checkpoint file (readable or

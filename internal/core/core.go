@@ -22,9 +22,9 @@
 // p-norm primal solvers, the spreading projector (optionally decorated with
 // a refinement hook), and the ComPLx / SimPL multiplier schedules — and
 // keeps the public Place API stable. It also holds the drivers that run
-// several engine segments as one run: the multilevel V-cycle, the
-// two-level clustered pass and the portfolio search. PlaceContext adds
-// cooperative cancellation on the same engine.
+// several engine segments as one run: the multilevel V-cycle and the
+// two-level clustered pass. PlaceContext adds cooperative cancellation on
+// the same engine.
 package core
 
 import (
@@ -38,7 +38,6 @@ import (
 	"complx/internal/netlist"
 	"complx/internal/obs"
 	"complx/internal/perr"
-	"complx/internal/portfolio"
 	"complx/internal/qp"
 	"complx/internal/sparse"
 
@@ -102,7 +101,7 @@ type Options struct {
 	NoMacroLambdaScale bool
 
 	// Precond selects the CG preconditioner: one of sparse.PrecondKinds
-	// ("jacobi", "ssor", "ic0"), or ""/"auto" for the size heuristic
+	// ("jacobi", "ic0"), or ""/"auto" for the size heuristic
 	// (Jacobi below qp.AutoPrecondMinVars variables, IC(0) above).
 	Precond string
 	// OnIteration, when set, observes every iteration record of every
@@ -126,8 +125,7 @@ type Options struct {
 	// the cluster netlist is placed with the full budget, and the expanded
 	// placement is refined on the design with one initial solve and at most
 	// 25 iterations. It does not checkpoint (complx.Options.Validate rejects
-	// Checkpoint with Clustered) and is exclusive with Multilevel and
-	// Portfolio.
+	// Checkpoint with Clustered) and is exclusive with Multilevel.
 	Clustered bool
 
 	// Multilevel, when Enabled, routes the run through the V-cycle driver
@@ -136,36 +134,11 @@ type Options struct {
 	// warm-start-refine each finer level with RefineIters iterations. The
 	// flat path (Enabled false) is bitwise untouched.
 	Multilevel MultilevelOptions
-
-	// Portfolio, when Enabled, routes the run through the competitive
-	// portfolio driver (DESIGN.md §14): Members perturbed engine instances
-	// race in Rounds synchronization rounds, losers are culled and reseeded
-	// from the leader's forked checkpoint, and the best-scoring member's
-	// placement wins. It takes precedence over Multilevel
-	// (complx.Options.Validate rejects the pair). The flat path (Enabled
-	// false) is bitwise untouched.
-	Portfolio PortfolioOptions
-	// PortfolioResume, when non-nil, resumes a portfolio search from its
-	// round-boundary checkpoint (member table, RNG streams, round index).
-	PortfolioResume *chkpt.PortfolioState
 }
 
 // MultilevelOptions configures the multilevel V-cycle; zero values select
 // the driver defaults.
 type MultilevelOptions = multilevel.Options
-
-// PortfolioOptions configures the portfolio search; zero values select the
-// driver defaults.
-type PortfolioOptions = portfolio.Options
-
-func (o *Options) fill() {
-	if o.TargetDensity <= 0 || o.TargetDensity > 1 {
-		o.TargetDensity = 1
-	}
-	if o.MaxIterations <= 0 {
-		o.MaxIterations = engine.DefaultMaxIterations
-	}
-}
 
 // IterStats records one global placement iteration (Figure 1 data); see
 // obs.IterStats for the fields.
@@ -176,9 +149,6 @@ type SelfConsistency = engine.SelfConsistency
 
 // Result summarizes a placement run.
 type Result = engine.Result
-
-// PortfolioStats summarizes a portfolio search (Result.Portfolio).
-type PortfolioStats = engine.PortfolioStats
 
 // Place runs ComPLx global placement on nl in place. The final placement is
 // the best C-feasible (anchor) placement found; it is nearly overlap-free
@@ -205,9 +175,6 @@ func Place(nl *netlist.Netlist, opt Options) (*Result, error) {
 // Result.Cancelled is set, and the returned error wraps ctx.Err() in a
 // *perr.Error carrying the stage and iteration.
 func PlaceContext(ctx context.Context, nl *netlist.Netlist, opt Options) (*Result, error) {
-	if opt.Portfolio.Enabled {
-		return placePortfolio(ctx, nl, opt)
-	}
 	if opt.Multilevel.Enabled {
 		return placeMultilevel(ctx, nl, opt)
 	}
@@ -406,12 +373,11 @@ func placeMultilevel(ctx context.Context, nl *netlist.Netlist, opt Options) (*Re
 
 // segment is the driver state one placeSingle run starts from: the whole
 // run when no driver is on (the zero value: level 0, cold start, engine
-// defaults), one V-cycle level, one clustered pass or one portfolio member
-// segment otherwise.
+// defaults), one V-cycle level or one clustered pass otherwise.
 type segment struct {
-	// level is the V-cycle level and member the portfolio member index,
-	// both stamped into the iteration statistics (0 for flat runs).
-	level, member int
+	// level is the V-cycle level, stamped into the iteration statistics (0
+	// for flat runs).
+	level int
 	// warm skips the initial interconnect solves so the loop starts from
 	// nl's current (interpolated) placement.
 	warm bool
@@ -533,7 +499,6 @@ func placeSingle(ctx context.Context, nl *netlist.Netlist, opt Options, seg segm
 		Design:        nl.Name,
 		Algorithm:     opt.Schedule.String(),
 		Level:         seg.level,
-		Member:        seg.member,
 		WarmStart:     seg.warm,
 		Checkpoint:    opt.Checkpoint,
 		Resume:        opt.Resume,

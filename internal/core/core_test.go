@@ -92,7 +92,7 @@ func TestSelfConsistencyHigh(t *testing.T) {
 	if res.SelfCons.Total == 0 {
 		t.Fatal("no consistency checks ran")
 	}
-	if f := res.SelfCons.ConsistentFrac(); f < 0.5 {
+	if f := float64(res.SelfCons.Consistent) / float64(res.SelfCons.Total); f < 0.5 {
 		t.Errorf("self-consistency %v too low: %+v", f, res.SelfCons)
 	}
 }

@@ -93,7 +93,10 @@ func TestFaultLadderExhaustion(t *testing.T) {
 	if !errors.As(err, &pe) || pe.Stage != perr.StageRecover {
 		t.Fatalf("want *perr.Error at stage %q, got %v", perr.StageRecover, err)
 	}
-	want := resilience.DefaultPolicy().MaxAttempts()
+	want := 0
+	for _, s := range resilience.DefaultPolicy().Steps {
+		want += s.Budget
+	}
 	if got := inj.Fired(faultinject.QPSolve); got != want+1 {
 		t.Errorf("solver fired %d times, want %d (initial + %d ladder attempts)", got, want+1, want)
 	}

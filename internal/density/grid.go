@@ -307,21 +307,3 @@ func (g *Grid) PenaltyPercent() float64 { return 100 * g.OverflowRatio() }
 func (g *Grid) ScaledHPWL(hpwl float64) float64 {
 	return hpwl * (1 + g.OverflowRatio())
 }
-
-// TotalCapacity returns the summed capacity of all bins.
-func (g *Grid) TotalCapacity() float64 {
-	var s float64
-	for _, c := range g.capacity {
-		s += c
-	}
-	return s
-}
-
-// TotalUsage returns the summed usage of all bins.
-func (g *Grid) TotalUsage() float64 {
-	var s float64
-	for _, u := range g.usage {
-		s += u
-	}
-	return s
-}

@@ -90,21 +90,21 @@ func TestAddUsageSplitsAcrossBins(t *testing.T) {
 			t.Errorf("usage(%v) = %v, want 25", c, got)
 		}
 	}
-	if g.TotalUsage() != 100 {
-		t.Errorf("TotalUsage = %v", g.TotalUsage())
+	if sumBins(g.usage) != 100 {
+		t.Errorf("total usage = %v", sumBins(g.usage))
 	}
 }
 
 func TestUsageOutsideCoreIsClipped(t *testing.T) {
 	g := mustGrid(NewGrid(core100(), 10, 10, 1.0))
 	g.AddUsage(geom.Rect{XMin: -20, YMin: -20, XMax: -10, YMax: -10})
-	if g.TotalUsage() != 0 {
-		t.Errorf("usage from outside rect = %v", g.TotalUsage())
+	if sumBins(g.usage) != 0 {
+		t.Errorf("usage from outside rect = %v", sumBins(g.usage))
 	}
 	// Partially outside: only inside part counts.
 	g.AddUsage(geom.Rect{XMin: -5, YMin: 0, XMax: 5, YMax: 10})
-	if g.TotalUsage() != 50 {
-		t.Errorf("clipped usage = %v", g.TotalUsage())
+	if sumBins(g.usage) != 50 {
+		t.Errorf("clipped usage = %v", sumBins(g.usage))
 	}
 }
 
@@ -166,13 +166,13 @@ func TestNewGridForNetlist(t *testing.T) {
 	}
 	nl.Cells[c].SetCenter(geom.Point{X: 55, Y: 55})
 	g.AccumulateMovable(nl)
-	if g.TotalUsage() != 4 {
-		t.Errorf("TotalUsage = %v", g.TotalUsage())
+	if sumBins(g.usage) != 4 {
+		t.Errorf("total usage = %v", sumBins(g.usage))
 	}
 	// Re-accumulating resets first.
 	g.AccumulateMovable(nl)
-	if g.TotalUsage() != 4 {
-		t.Errorf("TotalUsage after repeat = %v", g.TotalUsage())
+	if sumBins(g.usage) != 4 {
+		t.Errorf("total usage after repeat = %v", sumBins(g.usage))
 	}
 }
 
@@ -197,8 +197,8 @@ func TestAutoResolution(t *testing.T) {
 
 func TestTotalCapacityWithTarget(t *testing.T) {
 	g := mustGrid(NewGrid(core100(), 4, 4, 0.25))
-	if math.Abs(g.TotalCapacity()-2500) > 1e-9 {
-		t.Errorf("TotalCapacity = %v", g.TotalCapacity())
+	if math.Abs(sumBins(g.capacity)-2500) > 1e-9 {
+		t.Errorf("total capacity = %v", sumBins(g.capacity))
 	}
 }
 
@@ -219,4 +219,13 @@ func TestContestGrid(t *testing.T) {
 	if g.Target != 0.9 {
 		t.Errorf("target = %v", g.Target)
 	}
+}
+
+// sumBins returns the sum of a per-bin slice (usage or capacity).
+func sumBins(v []float64) float64 {
+	var s float64
+	for _, x := range v {
+		s += x
+	}
+	return s
 }

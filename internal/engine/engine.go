@@ -178,18 +178,9 @@ type SelfConsistency struct {
 	PremiseFailed int
 }
 
-// ConsistentFrac returns the fraction of checks that were self-consistent.
-func (s SelfConsistency) ConsistentFrac() float64 {
-	if s.Total == 0 {
-		return 1
-	}
-	return float64(s.Consistent) / float64(s.Total)
-}
-
 // Result summarizes a placement run. It is the one result contract of
 // every global placer: the primal-dual Loop and, through Merge, the
-// multi-segment drivers (V-cycle, portfolio, two-level clustered
-// placement).
+// multi-segment drivers (V-cycle, two-level clustered placement).
 type Result struct {
 	// Iterations is the number of global iterations run. A single resumed
 	// segment reports the restored iteration number plus what it ran; a
@@ -205,8 +196,7 @@ type Result struct {
 	// anchor-placement Φ seen during the run.
 	GapFinal, BestUpper float64
 	// History is the per-iteration trajectory that produced the final
-	// placement: every V-cycle level, coarsest first, or the portfolio
-	// winner's lineage. A resumed segment's
+	// placement: every V-cycle level, coarsest first. A resumed segment's
 	// History starts with the records restored from its snapshot.
 	History  []IterStats
 	SelfCons SelfConsistency
@@ -216,7 +206,7 @@ type Result struct {
 	AssemblyTime, SolveTime, ProjectionTime time.Duration
 	// CGIters is the total CG inner iterations, PrecondTime the total
 	// preconditioner setup wall-clock, and Precond the resolved
-	// preconditioner name ("jacobi", "ssor", "ic0") of the segment that
+	// preconditioner name ("jacobi", "ic0") of the segment that
 	// produced the final placement. Zero/empty when the primal solver does
 	// not implement primalProbe.
 	CGIters     int
@@ -233,9 +223,6 @@ type Result struct {
 	// recovery attempt (and per failed checkpoint save). Never nil; empty
 	// when no recovery was needed.
 	Recovery *resilience.Log
-	// Portfolio summarizes the portfolio search that produced this result;
-	// nil for flat (single-member) runs. Filled by internal/portfolio.
-	Portfolio *PortfolioStats
 
 	// restoredIters and restoredSelfCons are the counts a resumed segment
 	// inherited from its snapshot; Merge does not count them again.
@@ -285,8 +272,8 @@ func (r *Result) Restore(st *chkpt.State) {
 }
 
 // Merge folds one engine segment into the run total r. It is the one rule
-// by which the multi-segment drivers — V-cycle levels, portfolio member
-// rounds, the two-level clustered pass — build their Result:
+// by which the multi-segment drivers — V-cycle levels and the two-level
+// clustered pass — build their Result:
 //
 //   - Counts and kernel times (Iterations, CGIters, SelfCons and the four
 //     kernel durations) are summed, each segment contributing only what it
@@ -330,19 +317,6 @@ func (r *Result) Merge(seg *Result, final bool) {
 	}
 }
 
-// PortfolioStats summarizes a portfolio/restart search: how many members
-// ran, which one won, and how much culling/reseeding the synchronization
-// rounds performed. Scores are the final scalarized overflow-weighted HPWL
-// per member (lower is better; +Inf for members that never produced a
-// placement).
-type PortfolioStats struct {
-	Members, Rounds int
-	Winner          int
-	WinnerVariant   string
-	Culls, Reseeds  int
-	Scores          []float64
-}
-
 // Loop is the pluggable ComPLx-style primal-dual loop. Every field with a
 // zero default is filled by Run; Netlist, Primal, Projector and Schedule
 // are required. A Loop value holds all run state, so distinct Loop values
@@ -384,11 +358,6 @@ type Loop struct {
 	// flat). It is stamped into every IterStats record and checkpoint, and
 	// a Resume snapshot must carry the same level.
 	Level int
-	// Member is the portfolio member index this loop runs as (0 outside a
-	// portfolio). Stamped into every IterStats record; unlike
-	// Level it is pure observability metadata and is not checkpointed —
-	// the portfolio's member table owns that association.
-	Member int
 	// WarmStart skips the initial interconnect-only solves and instead
 	// starts the primal-dual iterations directly from the netlist's current
 	// placement — the multilevel refinement entry point, where the
@@ -676,7 +645,6 @@ func (l *Loop) Run(ctx context.Context) (*Result, error) {
 			Overflow:    pr.Overflow(),
 			GridNX:      pr.GridNX,
 			Level:       l.Level,
-			Member:      l.Member,
 			ProjectTime: projTime,
 		})
 

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"complx/internal/engine"
 )
 
 // tiny keeps experiment tests fast: ~400-cell designs, two benchmarks per
@@ -144,6 +146,20 @@ func TestFigure3(t *testing.T) {
 		if res.Rows[i].Nets < res.Rows[i-1].Nets {
 			t.Error("rows not sorted")
 		}
+	}
+	// §S3: the iteration count stays flat with design size. Every row
+	// converges before the iteration cap, and the spread between the
+	// largest and the smallest count stays within 1.5×. The counts are
+	// deterministic (31, 35, 34 and 27 at this config).
+	lo, hi := res.Rows[0].Iterations, res.Rows[0].Iterations
+	for _, r := range res.Rows {
+		if r.Iterations >= engine.DefaultMaxIterations {
+			t.Errorf("%s: %d iterations, want fewer than the %d cap", r.Benchmark, r.Iterations, engine.DefaultMaxIterations)
+		}
+		lo, hi = min(lo, r.Iterations), max(hi, r.Iterations)
+	}
+	if float64(hi) > 1.5*float64(lo) {
+		t.Errorf("iterations range %d..%d: ratio %.2f exceeds 1.5", lo, hi, float64(hi)/float64(lo))
 	}
 }
 

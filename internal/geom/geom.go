@@ -31,29 +31,12 @@ func (p Point) L1(q Point) float64 {
 	return math.Abs(p.X-q.X) + math.Abs(p.Y-q.Y)
 }
 
-// L2 returns the Euclidean distance between p and q.
-func (p Point) L2(q Point) float64 {
-	return math.Hypot(p.X-q.X, p.Y-q.Y)
-}
-
 func (p Point) String() string { return fmt.Sprintf("(%g, %g)", p.X, p.Y) }
 
 // Rect is an axis-aligned rectangle spanning [XMin, XMax] × [YMin, YMax].
 // A rectangle with XMin > XMax or YMin > YMax is empty.
 type Rect struct {
 	XMin, YMin, XMax, YMax float64
-}
-
-// NewRect returns the rectangle with the given corners, normalizing the
-// coordinate order so the result is never inverted.
-func NewRect(x1, y1, x2, y2 float64) Rect {
-	if x1 > x2 {
-		x1, x2 = x2, x1
-	}
-	if y1 > y2 {
-		y1, y2 = y2, y1
-	}
-	return Rect{x1, y1, x2, y2}
 }
 
 // RectWH returns the rectangle with lower-left corner (x, y), width w and
@@ -135,11 +118,6 @@ func (r Rect) Translate(dx, dy float64) Rect {
 	return Rect{r.XMin + dx, r.YMin + dy, r.XMax + dx, r.YMax + dy}
 }
 
-// ClampPoint returns the point of r closest to p.
-func (r Rect) ClampPoint(p Point) Point {
-	return Point{Clamp(p.X, r.XMin, r.XMax), Clamp(p.Y, r.YMin, r.YMax)}
-}
-
 // ClampRect returns s translated by the smallest displacement that places it
 // inside r. When s is larger than r in a dimension, s is aligned to r's lower
 // edge in that dimension.
@@ -178,16 +156,6 @@ func (iv Interval) Contains(v float64) bool { return v >= iv.Lo && v <= iv.Hi }
 // Clamp returns v limited to the interval.
 func (iv Interval) Clamp(v float64) float64 { return Clamp(v, iv.Lo, iv.Hi) }
 
-// Overlap returns the length of the overlap between iv and other, or 0.
-func (iv Interval) Overlap(other Interval) float64 {
-	lo := math.Max(iv.Lo, other.Lo)
-	hi := math.Min(iv.Hi, other.Hi)
-	if hi <= lo {
-		return 0
-	}
-	return hi - lo
-}
-
 // Clamp returns v limited to [lo, hi]. It assumes lo <= hi.
 func Clamp(v, lo, hi float64) float64 {
 	if v < lo {
@@ -197,14 +165,4 @@ func Clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// OverlapLen returns the length of the overlap of [a1, a2] and [b1, b2].
-func OverlapLen(a1, a2, b1, b2 float64) float64 {
-	lo := math.Max(a1, b1)
-	hi := math.Min(a2, b2)
-	if hi <= lo {
-		return 0
-	}
-	return hi - lo
 }

@@ -21,17 +21,6 @@ func TestPointArithmetic(t *testing.T) {
 	if got := p.L1(q); got != 8 {
 		t.Errorf("L1 = %v, want 8", got)
 	}
-	if got := p.L2(q); math.Abs(got-math.Sqrt(40)) > 1e-12 {
-		t.Errorf("L2 = %v", got)
-	}
-}
-
-func TestNewRectNormalizes(t *testing.T) {
-	r := NewRect(5, 7, 1, 2)
-	want := Rect{1, 2, 5, 7}
-	if r != want {
-		t.Errorf("NewRect = %v, want %v", r, want)
-	}
 }
 
 func TestRectBasics(t *testing.T) {
@@ -131,20 +120,6 @@ func TestExpandTranslate(t *testing.T) {
 	}
 }
 
-func TestClampPoint(t *testing.T) {
-	r := Rect{0, 0, 10, 10}
-	cases := []struct{ in, want Point }{
-		{Point{5, 5}, Point{5, 5}},
-		{Point{-3, 5}, Point{0, 5}},
-		{Point{12, 20}, Point{10, 10}},
-	}
-	for _, c := range cases {
-		if got := r.ClampPoint(c.in); got != c.want {
-			t.Errorf("ClampPoint(%v) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
 func TestClampRect(t *testing.T) {
 	r := Rect{0, 0, 10, 10}
 	// Fully inside: unchanged.
@@ -197,23 +172,11 @@ func TestInterval(t *testing.T) {
 	if iv.Clamp(1) != 2 || iv.Clamp(6) != 5 || iv.Clamp(3) != 3 {
 		t.Error("Clamp wrong")
 	}
-	if got := iv.Overlap(Interval{4, 9}); got != 1 {
-		t.Errorf("Overlap = %v", got)
-	}
-	if got := iv.Overlap(Interval{6, 9}); got != 0 {
-		t.Errorf("disjoint Overlap = %v", got)
-	}
 }
 
-func TestClampAndOverlapLen(t *testing.T) {
+func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 10) != 5 || Clamp(-1, 0, 10) != 0 || Clamp(11, 0, 10) != 10 {
 		t.Error("Clamp wrong")
-	}
-	if OverlapLen(0, 5, 3, 8) != 2 {
-		t.Error("OverlapLen wrong")
-	}
-	if OverlapLen(0, 5, 5, 8) != 0 {
-		t.Error("touching OverlapLen should be 0")
 	}
 }
 

@@ -224,15 +224,6 @@ func (nl *Netlist) RowHeight() float64 {
 	return h / float64(cnt)
 }
 
-// AvgMovableArea returns the average area of movable cells (0 when none).
-func (nl *Netlist) AvgMovableArea() float64 {
-	m := nl.Movables()
-	if len(m) == 0 {
-		return 0
-	}
-	return nl.MovableArea() / float64(len(m))
-}
-
 // PinPosition returns the absolute location of pin p.
 func (nl *Netlist) PinPosition(p int) geom.Point {
 	pin := &nl.Pins[p]

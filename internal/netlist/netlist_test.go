@@ -158,9 +158,6 @@ func TestAreasAndUtilization(t *testing.T) {
 	if got := nl.Utilization(); math.Abs(got-wantU) > 1e-12 {
 		t.Errorf("Utilization = %v, want %v", got, wantU)
 	}
-	if got := nl.AvgMovableArea(); math.Abs(got-wantMov/3) > 1e-12 {
-		t.Errorf("AvgMovableArea = %v", got)
-	}
 }
 
 func TestStats(t *testing.T) {
@@ -287,9 +284,6 @@ func TestRowHeightFallbacks(t *testing.T) {
 	nl2, _ := b2.Build()
 	if nl2.RowHeight() != 1 {
 		t.Errorf("macro-only RowHeight = %v, want 1", nl2.RowHeight())
-	}
-	if nl2.AvgMovableArea() != 16 {
-		t.Errorf("AvgMovableArea = %v", nl2.AvgMovableArea())
 	}
 }
 

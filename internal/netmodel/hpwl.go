@@ -78,21 +78,3 @@ func NetHPWL(nl *netlist.Netlist, n int) float64 {
 	}
 	return (xmax - xmin) + (ymax - ymin)
 }
-
-// NetSpan returns the x and y extents of net n's pin bounding box.
-func NetSpan(nl *netlist.Netlist, n int) (dx, dy float64) {
-	net := &nl.Nets[n]
-	if len(net.Pins) < 2 {
-		return 0, 0
-	}
-	xmin, xmax := math.Inf(1), math.Inf(-1)
-	ymin, ymax := math.Inf(1), math.Inf(-1)
-	for _, p := range net.Pins {
-		pt := nl.PinPosition(p)
-		xmin = math.Min(xmin, pt.X)
-		xmax = math.Max(xmax, pt.X)
-		ymin = math.Min(ymin, pt.Y)
-		ymax = math.Max(ymax, pt.Y)
-	}
-	return xmax - xmin, ymax - ymin
-}

@@ -33,10 +33,6 @@ func TestNetHPWLWithOffsets(t *testing.T) {
 	if got := HPWL(nl); math.Abs(got-13.5) > 1e-12 {
 		t.Errorf("HPWL = %v", got)
 	}
-	dx, dy := NetSpan(nl, 0)
-	if math.Abs(dx-8) > 1e-12 || math.Abs(dy-5.5) > 1e-12 {
-		t.Errorf("NetSpan = %v, %v", dx, dy)
-	}
 }
 
 func TestWeightedHPWL(t *testing.T) {
@@ -254,11 +250,11 @@ func TestVarOfFixedIsMinusOne(t *testing.T) {
 	b.AddNet("n", 1, []netlist.PinSpec{{Cell: c}, {Cell: p}})
 	nl, _ := b.Build()
 	a := NewAssembler(nl, B2B, 0)
-	if a.VarOf(c) != 0 {
-		t.Errorf("VarOf(movable) = %d", a.VarOf(c))
+	if a.varOf[c] != 0 {
+		t.Errorf("varOf[movable] = %d", a.varOf[c])
 	}
-	if a.VarOf(p) != -1 {
-		t.Errorf("VarOf(fixed) = %d", a.VarOf(p))
+	if a.varOf[p] != -1 {
+		t.Errorf("varOf[fixed] = %d", a.varOf[p])
 	}
 	if a.Eps() != 1.5*nl.RowHeight() {
 		t.Errorf("default eps = %v", a.Eps())

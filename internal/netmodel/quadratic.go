@@ -174,9 +174,6 @@ func NewAssembler(nl *netlist.Netlist, model Model, eps float64) *Assembler {
 	return a
 }
 
-// VarOf returns the variable index of cell c, or -1 when fixed.
-func (a *Assembler) VarOf(c int) int { return a.varOf[c] }
-
 // NumVars returns the total variable count per dimension.
 func (a *Assembler) NumVars() int { return a.nMov + a.nAux }
 

@@ -65,9 +65,6 @@ const (
 	MetricLevelSeconds = "complx_level_seconds_total"
 	MetricLevelHPWL    = "complx_level_hpwl"
 
-	// Portfolio search catalog (DESIGN.md §14). Per-member series are
-	// labeled with the member index, e.g.
-	// complx_portfolio_member_hpwl{member="2"}.
 	// Daemon-hardening catalog (DESIGN.md §15). Emitted by cmd/complxd's
 	// daemon-level observer: unlabeled, process-wide series on /metrics
 	// next to the job-labeled per-run series.
@@ -81,14 +78,6 @@ const (
 	MetricJobsGCed          = "complx_jobs_gced_total"
 	MetricQueueDepth        = "complx_queue_depth"
 	MetricIntakePaused      = "complx_intake_paused"
-
-	MetricPortfolioMembers       = "complx_portfolio_members"
-	MetricPortfolioRound         = "complx_portfolio_round"
-	MetricPortfolioMemberHPWL    = "complx_portfolio_member_hpwl"
-	MetricPortfolioMemberSeconds = "complx_portfolio_member_seconds_total"
-	MetricPortfolioCulls         = "complx_portfolio_culls_total"
-	MetricPortfolioReseeds       = "complx_portfolio_reseeds_total"
-	MetricPortfolioWinner        = "complx_portfolio_winner"
 )
 
 // helpFor returns the exposition help string for a cataloged metric name
@@ -104,61 +93,54 @@ func helpFor(name string) string {
 }
 
 var metricHelp = map[string]string{
-	MetricIterations:             "Global placement iterations completed.",
-	MetricHPWL:                   "Half-perimeter wirelength of the current placement.",
-	MetricScaledHPWL:             "ISPD-2006 scaled HPWL of the final placement.",
-	MetricOverflow:               "Density overflow ratio of the current placement.",
-	MetricLambda:                 "Current Lagrange multiplier lambda.",
-	MetricPi:                     "Current L1 distance to the feasibility projection.",
-	MetricGridNX:                 "Projection grid resolution of the current iteration.",
-	MetricPhaseChanges:           "Pipeline phase transitions (global/legalize/detailed/done).",
-	MetricSpansDropped:           "Spans discarded past the tracer's retention cap (a non-zero value means the trace is truncated).",
-	MetricIterationSeconds:       "Wall-clock seconds per global placement iteration.",
-	MetricCGSolves:               "Preconditioned-CG solves completed (one per dimension).",
-	MetricCGIterations:           "Total CG inner iterations across all solves.",
-	MetricCGUnconverged:          "CG solves that hit MaxIter before reaching tolerance.",
-	MetricCGItersPerSolve:        "CG inner iterations per solve.",
-	MetricCGActiveIteration:      "Inner iteration of the CG solve currently running.",
-	MetricCGLastResidual:         "Relative residual last reported by a CG solve.",
-	MetricAssemblySeconds:        "Wall-clock seconds spent assembling linear systems.",
-	MetricCGSeconds:              "Wall-clock seconds spent inside CG solves.",
-	MetricPrecondSeconds:         "Wall-clock seconds spent building/refreshing CG preconditioners.",
-	MetricProjectionSeconds:      "Wall-clock seconds spent in feasibility projections.",
-	MetricLegalizeSeconds:        "Wall-clock seconds spent in legalization.",
-	MetricPseudoWeightMin:        "Minimum per-movable pseudonet multiplier this iteration.",
-	MetricPseudoWeightMax:        "Maximum per-movable pseudonet multiplier this iteration.",
-	MetricPseudoWeightMean:       "Mean per-movable pseudonet multiplier this iteration.",
-	MetricSpreadRegions:          "Overfilled cluster regions processed by the spreader.",
-	MetricSpreadSweeps:           "Cluster-and-spread sweeps executed by the spreader.",
-	MetricLegalizedCells:         "Cells placed by the legalizers.",
-	MetricRecoveryAttempts:       "Solver fallback ladder recovery attempts, by rung.",
-	MetricRecoverySuccesses:      "Recovery attempts after which the solve succeeded.",
-	MetricCheckpointSaves:        "Engine state checkpoints persisted.",
-	MetricCheckpointErrors:       "Checkpoint persistence failures (the run continues).",
-	MetricCheckpointBytes:        "Size of the last persisted checkpoint in bytes.",
-	MetricCheckpointIter:         "Iteration of the last persisted checkpoint.",
-	MetricResumes:                "Runs resumed from a checkpoint.",
-	MetricLevels:                 "Levels in the multilevel V-cycle (1 = flat).",
-	MetricLevelCells:             "Movable cells solved at a V-cycle level, by level.",
-	MetricLevelSeconds:           "Wall-clock seconds spent solving a V-cycle level, by level.",
-	MetricLevelHPWL:              "HPWL of the placement a V-cycle level handed down, by level.",
-	MetricPortfolioMembers:       "Members in the portfolio search (0 = flat run).",
-	MetricPortfolioRound:         "Last completed portfolio synchronization round.",
-	MetricPortfolioMemberHPWL:    "Scalarized overflow-weighted HPWL of a portfolio member at the last round, by member.",
-	MetricPortfolioMemberSeconds: "Wall-clock seconds spent solving a portfolio member's segments, by member.",
-	MetricPortfolioCulls:         "Portfolio members culled at synchronization rounds.",
-	MetricPortfolioReseeds:       "Portfolio members reseeded from the leader's forked checkpoint.",
-	MetricPortfolioWinner:        "Member index of the portfolio winner.",
-	MetricJobsQuarantined:        "Jobs quarantined by the crash-loop breaker after exhausting their attempt cap.",
-	MetricAdmissionRejected:      "Job submissions rejected by admission control (queue full, intake paused, rate limited, body too large).",
-	MetricJobsShed:               "Queued jobs shed under memory pressure (heap above the watermark).",
-	MetricJobPanics:              "Worker panics converted to job failures instead of killing the daemon.",
-	MetricWatchdogCancels:        "Jobs cancelled by the progress watchdog after making no progress for the stall window.",
-	MetricWatchdogActive:         "Jobs currently watched by the progress watchdog.",
-	MetricRecoverCorrupt:         "Corrupt job records skipped (with a logged warning) during queue recovery.",
-	MetricJobsGCed:               "Terminal job directories removed by the retention janitor.",
-	MetricQueueDepth:             "Jobs currently queued for a placement worker.",
-	MetricIntakePaused:           "1 while the memory watermark has paused job intake, else 0.",
+	MetricIterations:        "Global placement iterations completed.",
+	MetricHPWL:              "Half-perimeter wirelength of the current placement.",
+	MetricScaledHPWL:        "ISPD-2006 scaled HPWL of the final placement.",
+	MetricOverflow:          "Density overflow ratio of the current placement.",
+	MetricLambda:            "Current Lagrange multiplier lambda.",
+	MetricPi:                "Current L1 distance to the feasibility projection.",
+	MetricGridNX:            "Projection grid resolution of the current iteration.",
+	MetricPhaseChanges:      "Pipeline phase transitions (global/legalize/detailed/done).",
+	MetricSpansDropped:      "Spans discarded past the tracer's retention cap (a non-zero value means the trace is truncated).",
+	MetricIterationSeconds:  "Wall-clock seconds per global placement iteration.",
+	MetricCGSolves:          "Preconditioned-CG solves completed (one per dimension).",
+	MetricCGIterations:      "Total CG inner iterations across all solves.",
+	MetricCGUnconverged:     "CG solves that hit MaxIter before reaching tolerance.",
+	MetricCGItersPerSolve:   "CG inner iterations per solve.",
+	MetricCGActiveIteration: "Inner iteration of the CG solve currently running.",
+	MetricCGLastResidual:    "Relative residual last reported by a CG solve.",
+	MetricAssemblySeconds:   "Wall-clock seconds spent assembling linear systems.",
+	MetricCGSeconds:         "Wall-clock seconds spent inside CG solves.",
+	MetricPrecondSeconds:    "Wall-clock seconds spent building/refreshing CG preconditioners.",
+	MetricProjectionSeconds: "Wall-clock seconds spent in feasibility projections.",
+	MetricLegalizeSeconds:   "Wall-clock seconds spent in legalization.",
+	MetricPseudoWeightMin:   "Minimum per-movable pseudonet multiplier this iteration.",
+	MetricPseudoWeightMax:   "Maximum per-movable pseudonet multiplier this iteration.",
+	MetricPseudoWeightMean:  "Mean per-movable pseudonet multiplier this iteration.",
+	MetricSpreadRegions:     "Overfilled cluster regions processed by the spreader.",
+	MetricSpreadSweeps:      "Cluster-and-spread sweeps executed by the spreader.",
+	MetricLegalizedCells:    "Cells placed by the legalizers.",
+	MetricRecoveryAttempts:  "Solver fallback ladder recovery attempts, by rung.",
+	MetricRecoverySuccesses: "Recovery attempts after which the solve succeeded.",
+	MetricCheckpointSaves:   "Engine state checkpoints persisted.",
+	MetricCheckpointErrors:  "Checkpoint persistence failures (the run continues).",
+	MetricCheckpointBytes:   "Size of the last persisted checkpoint in bytes.",
+	MetricCheckpointIter:    "Iteration of the last persisted checkpoint.",
+	MetricResumes:           "Runs resumed from a checkpoint.",
+	MetricLevels:            "Levels in the multilevel V-cycle (1 = flat).",
+	MetricLevelCells:        "Movable cells solved at a V-cycle level, by level.",
+	MetricLevelSeconds:      "Wall-clock seconds spent solving a V-cycle level, by level.",
+	MetricLevelHPWL:         "HPWL of the placement a V-cycle level handed down, by level.",
+	MetricJobsQuarantined:   "Jobs quarantined by the crash-loop breaker after exhausting their attempt cap.",
+	MetricAdmissionRejected: "Job submissions rejected by admission control (queue full, intake paused, rate limited, body too large).",
+	MetricJobsShed:          "Queued jobs shed under memory pressure (heap above the watermark).",
+	MetricJobPanics:         "Worker panics converted to job failures instead of killing the daemon.",
+	MetricWatchdogCancels:   "Jobs cancelled by the progress watchdog after making no progress for the stall window.",
+	MetricWatchdogActive:    "Jobs currently watched by the progress watchdog.",
+	MetricRecoverCorrupt:    "Corrupt job records skipped (with a logged warning) during queue recovery.",
+	MetricJobsGCed:          "Terminal job directories removed by the retention janitor.",
+	MetricQueueDepth:        "Jobs currently queued for a placement worker.",
+	MetricIntakePaused:      "1 while the memory watermark has paused job intake, else 0.",
 }
 
 // bucketsFor returns histogram bucket bounds by metric name.

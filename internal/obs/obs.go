@@ -139,8 +139,8 @@ func (o *Observer) SetPhase(phase string) {
 
 // FinalStats is the end-of-run summary: FinishRun records it for the run
 // report, and complxd persists it as the job result. Iterations and
-// CGIters are run totals, counting every V-cycle level, portfolio member
-// round and clustered pass once.
+// CGIters are run totals, counting every V-cycle level and clustered pass
+// once.
 type FinalStats struct {
 	HPWL            float64 `json:"hpwl"`
 	WeightedHPWL    float64 `json:"weighted_hpwl"`
@@ -156,19 +156,12 @@ type FinalStats struct {
 	LegalViolations int     `json:"legal_violations"`
 	TotalSeconds    float64 `json:"total_seconds"`
 	// Precond is the resolved CG preconditioner of the run ("jacobi",
-	// "ssor", "ic0"; empty for flows without a quadratic solver) and
+	// "ic0"; empty for flows without a quadratic solver) and
 	// CGIters the total CG inner iterations spent, both dimensions.
 	Precond string `json:"precond,omitempty"`
 	CGIters int    `json:"cg_iters,omitempty"`
 	// Resumed reports that global placement was primed from a checkpoint.
 	Resumed bool `json:"resumed,omitempty"`
-	// Portfolio summary, present only when the run was a portfolio search
-	// (a pointer so that winner member 0 is distinguishable from "no
-	// portfolio").
-	PortfolioWinner  *int   `json:"portfolio_winner,omitempty"`
-	PortfolioVariant string `json:"portfolio_variant,omitempty"`
-	PortfolioCulls   int    `json:"portfolio_culls,omitempty"`
-	PortfolioReseeds int    `json:"portfolio_reseeds,omitempty"`
 }
 
 // FinishRun records the end-of-run summary, stamps the finish time and
@@ -212,9 +205,6 @@ type IterStats struct {
 	// Level is the multilevel V-cycle level the iteration ran at (0 for
 	// flat placement and the finest level, higher = coarser).
 	Level int `json:"level,omitempty"`
-	// Member is the portfolio member the iteration belongs to (0 for flat
-	// runs and for the portfolio's unperturbed base member).
-	Member int `json:"member,omitempty"`
 	// CGIters is the CG inner iterations (both dimensions) spent since the
 	// previous record, on the same delta schedule as AssemblyTime.
 	CGIters int `json:"cg_iterations,omitempty"`

@@ -82,7 +82,7 @@ var TraceCSVHeader = []string{
 	"iter", "lambda", "phi", "phi_upper", "pi", "lagrangian", "overflow",
 	"grid_nx", "cg_iters", "precond",
 	"project_seconds", "assembly_seconds", "solve_seconds", "precond_seconds",
-	"level", "member",
+	"level",
 }
 
 // WriteCSV writes the per-iteration convergence trace as CSV (see
@@ -99,7 +99,7 @@ func (r *Report) WriteCSV(w io.Writer) error {
 			f(s.Pi), f(s.L), f(s.Overflow),
 			strconv.Itoa(s.GridNX), strconv.Itoa(s.CGIters), r.Result.Precond,
 			f(s.ProjectTime.Seconds()), f(s.AssemblyTime.Seconds()), f(s.SolveTime.Seconds()), f(s.PrecondTime.Seconds()),
-			strconv.Itoa(s.Level), strconv.Itoa(s.Member),
+			strconv.Itoa(s.Level),
 		}
 		if err := cw.Write(rec); err != nil {
 			return err

@@ -24,7 +24,6 @@ const (
 	StageIO       = "io"       // file access
 	StageParse    = "parse"    // Bookshelf (or other format) parsing
 	StageValidate = "validate" // netlist validation
-	StageAssemble = "assemble" // linear-system assembly
 	StageSolve    = "solve"    // CG / nonlinear primal solves
 	StageProject  = "project"  // feasibility projection
 	StageLegalize = "legalize" // legalization
@@ -33,7 +32,6 @@ const (
 
 	StageCheckpoint = "checkpoint" // checkpoint persistence / resumption
 	StageRecover    = "recover"    // solver fallback ladder exhausted
-	StageOptions    = "options"    // caller-supplied option validation
 
 	// Service-hardening stages emitted by the complxd daemon (DESIGN.md
 	// §15): failures of the job, not of the placement numerics.

@@ -58,7 +58,7 @@ type Options struct {
 	// and live per-iteration CG progress. Instrumentation is read-only; a
 	// nil observer costs one branch per solve.
 	Obs *obs.Observer
-	// Precond selects the CG preconditioner: "jacobi", "ssor", "ic0", or
+	// Precond selects the CG preconditioner: "jacobi", "ic0", or
 	// ""/"auto" (pick by system size, see ResolvePrecond). Non-Jacobi kinds
 	// also enable the extrapolated warm start (see Solver).
 	Precond string
@@ -163,9 +163,9 @@ func NewSolver(nl *netlist.Netlist, opt Options) *Solver {
 // Eps returns the linearization floor of the underlying assembler.
 func (s *Solver) Eps() float64 { return s.asm.Eps() }
 
-// Precond returns the resolved preconditioner name ("jacobi", "ssor" or
-// "ic0"). Before the first solve, the auto heuristic is resolved
-// against the current system size.
+// Precond returns the resolved preconditioner name ("jacobi" or "ic0").
+// Before the first solve, the auto heuristic is resolved against the
+// current system size.
 func (s *Solver) Precond() string {
 	if s.kind != "" {
 		return s.kind

@@ -93,19 +93,6 @@ func DefaultPolicy() Policy {
 	}}
 }
 
-// MaxAttempts returns the total attempt budget across all rungs.
-func (p Policy) MaxAttempts() int {
-	n := 0
-	for _, s := range p.Steps {
-		b := s.Budget
-		if b <= 0 {
-			b = 1
-		}
-		n += b
-	}
-	return n
-}
-
 // Event records one recovery attempt (or checkpoint-save failure) for the
 // run's structured recovery log.
 type Event struct {

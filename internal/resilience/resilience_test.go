@@ -19,8 +19,12 @@ func TestDefaultPolicyShape(t *testing.T) {
 			t.Errorf("rung %d = %s, want %s", i, s.Rung, wantOrder[i])
 		}
 	}
-	if got := p.MaxAttempts(); got != 5 {
-		t.Errorf("MaxAttempts = %d, want 5", got)
+	budget := 0
+	for _, s := range p.Steps {
+		budget += s.Budget
+	}
+	if budget != 5 {
+		t.Errorf("total attempt budget = %d, want 5", budget)
 	}
 }
 

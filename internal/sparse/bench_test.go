@@ -59,7 +59,7 @@ func BenchmarkKernelsMulVec(b *testing.B) {
 			for i := range x {
 				x[i] = float64(i%17) - 8
 			}
-			b.SetBytes(int64(sys.A.NNZ()) * 12) // 8B val + 4B col per nnz
+			b.SetBytes(int64(len(sys.A.Val)) * 12) // 8B val + 4B col per nnz
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -8,10 +8,10 @@
 // CSR with a diagonal preconditioner is the standard choice; it is also what
 // SimPL and ComPLx use.
 //
-// The kernels on the primal hot path — MulVec, Dot, Axpy, Norm2Sq and CSR
-// construction — run on the shared worker pool of package par. All of them
-// honor the pool's determinism contract: work decomposition is a pure
-// function of the problem size, and reductions merge fixed-size block
+// The kernels on the primal hot path — MulVec, Dot, the CG vector updates
+// and CSR construction — run on the shared worker pool of package par. All
+// of them honor the pool's determinism contract: work decomposition is a
+// pure function of the problem size, and reductions merge fixed-size block
 // partials in index order, so results are bitwise identical at any
 // parallelism level.
 package sparse
@@ -26,7 +26,7 @@ import (
 // Tunable kernel decomposition constants. These are sizes, not thread
 // counts: changing the pool's parallelism never changes the decomposition.
 const (
-	// dotBlock is the fixed reduction block length for Dot/Norm2Sq. Partial
+	// dotBlock is the fixed reduction block length for Dot and norm2SqIn. Partial
 	// sums are computed per block and added in block order.
 	dotBlock = 8192
 	// axpyGrain is the chunk length for element-wise vector kernels.
@@ -389,9 +389,6 @@ type CSR struct {
 	splits []int32
 }
 
-// NNZ returns the number of stored nonzeros.
-func (m *CSR) NNZ() int { return len(m.Val) }
-
 // computeSplits appends to dst the row boundaries of an nnz-balanced chunk
 // partition: chunk c covers rows [dst[c], dst[c+1]) and holds roughly equal
 // numbers of nonzeros. The partition depends only on the matrix itself.
@@ -501,17 +498,6 @@ func (m *CSR) Diag(dst []float64) {
 	})
 }
 
-// At returns entry (i, j); zero when not stored.
-func (m *CSR) At(i, j int) float64 {
-	var v float64
-	for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-		if int(m.Col[k]) == j {
-			v += m.Val[k]
-		}
-	}
-	return v
-}
-
 func dotRange(a, b []float64, lo, hi int) float64 {
 	var s float64
 	for i := lo; i < hi; i++ {
@@ -550,24 +536,16 @@ func dotIn(lim *par.Limit, a, b []float64) float64 {
 	return s
 }
 
-// Axpy computes dst[i] += alpha * x[i].
-func Axpy(dst []float64, alpha float64, x []float64) {
-	par.For(len(dst), axpyGrain, func(lo, hi int) { axpyRange(dst, alpha, x, lo, hi) })
-}
-
-// axpyIn is Axpy under the caller's already-resolved Limit.
+// axpyIn computes dst[i] += alpha * x[i] under the caller's
+// already-resolved Limit.
 func axpyIn(lim *par.Limit, dst []float64, alpha float64, x []float64) {
-	par.ForIn(lim, len(dst), axpyGrain, func(lo, hi int) { axpyRange(dst, alpha, x, lo, hi) })
+	par.ForIn(lim, len(dst), axpyGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] += alpha * x[i]
+		}
+	})
 }
 
-func axpyRange(dst []float64, alpha float64, x []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		dst[i] += alpha * x[i]
-	}
-}
-
-// Norm2Sq returns the squared Euclidean norm of v.
-func Norm2Sq(v []float64) float64 { return Dot(v, v) }
-
-// norm2SqIn is Norm2Sq under the caller's already-resolved Limit.
+// norm2SqIn returns the squared Euclidean norm of v under the caller's
+// already-resolved Limit.
 func norm2SqIn(lim *par.Limit, v []float64) float64 { return dotIn(lim, v, v) }

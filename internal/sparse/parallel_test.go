@@ -68,10 +68,10 @@ func TestDotBitwiseAcrossThreads(t *testing.T) {
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("Dot n=%d threads=%d: got %x want %x", n, threads, math.Float64bits(got), math.Float64bits(want))
 			}
-			got2 := Norm2Sq(a)
+			got2 := norm2SqIn(nil, a)
 			want2 := serialDot(a, a)
 			if math.Float64bits(got2) != math.Float64bits(want2) {
-				t.Errorf("Norm2Sq n=%d threads=%d: got %x want %x", n, threads, math.Float64bits(got2), math.Float64bits(want2))
+				t.Errorf("norm2SqIn n=%d threads=%d: got %x want %x", n, threads, math.Float64bits(got2), math.Float64bits(want2))
 			}
 		})
 	}
@@ -90,10 +90,10 @@ func TestAxpyBitwiseAcrossThreads(t *testing.T) {
 		withThreads(t, func(threads int) {
 			dst := make([]float64, n)
 			copy(dst, base)
-			Axpy(dst, 0.37, x)
+			axpyIn(nil, dst, 0.37, x)
 			for i := range dst {
 				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("Axpy n=%d threads=%d: dst[%d]=%x want %x", n, threads, i, math.Float64bits(dst[i]), math.Float64bits(want[i]))
+					t.Fatalf("axpyIn n=%d threads=%d: dst[%d]=%x want %x", n, threads, i, math.Float64bits(dst[i]), math.Float64bits(want[i]))
 				}
 			}
 		})

@@ -17,7 +17,7 @@ import (
 //   - Determinism: Apply's floating-point result is a pure function of the
 //     matrix and r — never of the worker-pool size. Elementwise stages run
 //     on the internal/par pool with fixed grains; the triangular sweeps of
-//     SSOR/IC(0) are inherently sequential recurrences and run serially, so
+//     IC(0) are inherently sequential recurrences and run serially, so
 //     they are trivially 0-ULP thread-equivalent.
 //   - Zero-diagonal guard: rows with a non-positive diagonal (isolated
 //     variables) pass through unpreconditioned, exactly like the historical
@@ -33,32 +33,19 @@ type Preconditioner interface {
 
 // PrecondKinds lists the concrete preconditioner names accepted by
 // NewPreconditioner, in documentation order.
-var PrecondKinds = []string{"jacobi", "ssor", "ic0"}
+var PrecondKinds = []string{"jacobi", "ic0"}
 
 // NewPreconditioner constructs a preconditioner by name: "jacobi"
-// (diagonal scaling, the historical default), "ssor" (symmetric
-// Gauss-Seidel forward/backward sweeps) or "ic0" (zero-fill incomplete
-// Cholesky).
+// (diagonal scaling, the historical default) or "ic0" (zero-fill
+// incomplete Cholesky).
 func NewPreconditioner(kind string) (Preconditioner, error) {
 	switch kind {
 	case "jacobi":
 		return &Jacobi{}, nil
-	case "ssor":
-		return &SSOR{}, nil
 	case "ic0":
 		return &IC0{}, nil
 	}
 	return nil, fmt.Errorf("sparse: unknown preconditioner %q (have %v)", kind, PrecondKinds)
-}
-
-// guardDiag floors non-positive diagonals with 1 so isolated variables pass
-// through unpreconditioned. This is the single definition of the
-// zero-diagonal guard all preconditioners share.
-func guardDiag(d float64) float64 {
-	if d > 0 {
-		return d
-	}
-	return 1
 }
 
 // ---------------------------------------------------------------------------
@@ -102,64 +89,6 @@ func (j *Jacobi) Apply(z, r []float64) {
 
 // Name identifies the implementation.
 func (j *Jacobi) Name() string { return "jacobi" }
-
-// ---------------------------------------------------------------------------
-// SSOR
-
-// SSOR is the symmetric Gauss-Seidel preconditioner (SSOR with ω = 1):
-// M = (D + L) D⁻¹ (D + U) over the symmetric CSR, applied as one forward
-// and one backward triangular sweep per Apply (Eisenstat-style splitting of
-// the stored matrix — no separate factor is formed; the sweeps read the
-// live matrix rows). The sweeps are sequential recurrences, so Apply is
-// deterministic at any thread count by construction.
-type SSOR struct {
-	a    *CSR
-	diag []float64 // guarded diagonal
-	u    []float64 // forward-sweep intermediate
-}
-
-// Setup stores the matrix and extracts its guarded diagonal.
-func (s *SSOR) Setup(a *CSR) error {
-	n := a.N
-	s.a = a
-	s.diag = growF64(s.diag, n)
-	s.u = growF64(s.u, n)
-	a.Diag(s.diag)
-	d := s.diag
-	par.For(n, axpyGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d[i] = guardDiag(d[i])
-		}
-	})
-	return nil
-}
-
-// Apply solves (D+L) u = r, then (D+U) z = D u.
-func (s *SSOR) Apply(z, r []float64) {
-	a, d, u := s.a, s.diag, s.u
-	n := a.N
-	for i := 0; i < n; i++ {
-		sum := r[i]
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if j := int(a.Col[k]); j < i {
-				sum -= a.Val[k] * u[j]
-			}
-		}
-		u[i] = sum / d[i]
-	}
-	for i := n - 1; i >= 0; i-- {
-		sum := d[i] * u[i]
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if j := int(a.Col[k]); j > i {
-				sum -= a.Val[k] * z[j]
-			}
-		}
-		z[i] = sum / d[i]
-	}
-}
-
-// Name identifies the implementation.
-func (s *SSOR) Name() string { return "ssor" }
 
 // ---------------------------------------------------------------------------
 // IC(0)

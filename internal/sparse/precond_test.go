@@ -196,7 +196,7 @@ func TestPrecondZeroDiagonalGuard(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
-			dense[i][j] = a.At(i, j)
+			dense[i][j] = at(a, i, j)
 		}
 	}
 	want := denseSolve(dense, b[:4])

@@ -360,8 +360,6 @@ type binRegion struct {
 	x0, y0, x1, y1 int
 }
 
-func (r binRegion) bins() int { return (r.x1 - r.x0) * (r.y1 - r.y0) }
-
 // rect converts the bin region to core coordinates.
 func (p *Projector) rect(r binRegion) geom.Rect {
 	g := p.g

@@ -222,13 +222,6 @@ func TestL1Distance(t *testing.T) {
 	L1Distance(a, b[:1])
 }
 
-func TestBinsHelper(t *testing.T) {
-	r := binRegion{1, 2, 4, 5}
-	if r.bins() != 9 {
-		t.Errorf("bins = %d", r.bins())
-	}
-}
-
 func TestHeavyCornerCluster(t *testing.T) {
 	// Dense cluster in a corner must expand toward free space and end with
 	// low overflow.

@@ -95,98 +95,6 @@ func TestPlacementInvariants(t *testing.T) {
 	}
 }
 
-// TestPortfolioPlacementInvariants runs the portfolio placer through the
-// same structural contracts: the winner's placement must satisfy every
-// invariant the flat placers do, regardless of which perturbed member won.
-// The trace check differs from the flat one — members race concurrently,
-// so iteration indices only increase within a member, not globally.
-func TestPortfolioPlacementInvariants(t *testing.T) {
-	legalizers := []struct {
-		name   string
-		abacus bool
-	}{{"tetris", false}, {"abacus", true}}
-	for _, spec := range invariantDesigns() {
-		for _, lg := range legalizers {
-			spec, lg := spec, lg
-			t.Run(spec.Name+"/"+lg.name, func(t *testing.T) {
-				t.Parallel()
-				nl, err := Generate(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				before := nl.SnapshotPositions()
-				observer := NewObserver()
-				res, err := PlaceContext(context.Background(), nl, Options{
-					MaxIterations:   30,
-					AbacusLegalizer: lg.abacus,
-					Observer:        observer,
-					Portfolio:       PortfolioOptions{Enabled: true, Members: 3, Rounds: 2, Seed: 19},
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				checkInvariants(t, nl, before, res)
-				checkPortfolioTraceInvariants(t, observer)
-				pf := res.Portfolio
-				if pf == nil {
-					t.Fatal("portfolio run carries no portfolio stats")
-				}
-				if pf.Members != 3 || pf.Rounds != 2 {
-					t.Errorf("stats report %d members / %d rounds, want 3 / 2", pf.Members, pf.Rounds)
-				}
-				if pf.Winner < 0 || pf.Winner >= pf.Members {
-					t.Errorf("winner %d out of range [0,%d)", pf.Winner, pf.Members)
-				}
-				if len(pf.Scores) != pf.Members {
-					t.Fatalf("%d member scores, want %d", len(pf.Scores), pf.Members)
-				}
-				for m, s := range pf.Scores {
-					if math.IsNaN(s) || s < 0 {
-						t.Errorf("member %d score = %g, want finite non-negative", m, s)
-					}
-					if s < pf.Scores[pf.Winner] {
-						t.Errorf("member %d score %g beats the declared winner's %g", m, s, pf.Scores[pf.Winner])
-					}
-				}
-			})
-		}
-	}
-}
-
-// checkPortfolioTraceInvariants is the per-member variant of the trace
-// check: every member's iteration indices strictly increase and every
-// recorded value is finite and non-negative.
-func checkPortfolioTraceInvariants(t *testing.T, observer *Observer) {
-	t.Helper()
-	trace := observer.Report().Trace
-	if len(trace) == 0 {
-		t.Fatal("observer recorded no iterations")
-	}
-	prev := map[int]int{}
-	members := map[int]bool{}
-	for _, s := range trace {
-		members[s.Member] = true
-		if p, ok := prev[s.Member]; ok && s.Iter <= p {
-			t.Errorf("member %d: iteration indices not strictly increasing: %d after %d", s.Member, s.Iter, p)
-		}
-		prev[s.Member] = s.Iter
-		if math.IsNaN(s.Overflow) || math.IsInf(s.Overflow, 0) || s.Overflow < 0 {
-			t.Errorf("member %d iter %d: overflow = %g, want finite non-negative", s.Member, s.Iter, s.Overflow)
-		}
-		for name, v := range map[string]float64{
-			"lambda": s.Lambda, "phi": s.Phi, "phi_upper": s.PhiUpper,
-			"pi": s.Pi, "lagrangian": s.L,
-		} {
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				t.Errorf("member %d iter %d: %s = %g, want finite non-negative", s.Member, s.Iter, name, v)
-			}
-		}
-	}
-	if len(members) < 2 {
-		t.Errorf("trace covers %d member(s), want every racing member", len(members))
-	}
-}
-
 func checkInvariants(t *testing.T, nl *Netlist, before []Point, res *Result) {
 	t.Helper()
 	// 1. Fixed cells never move.

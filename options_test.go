@@ -16,7 +16,6 @@ var engineInternalCoreOptions = map[string]string{
 	"NoMacroLambdaScale": "paper §5 ablation knob, exercised via internal/core only",
 	"Checkpoint":         "constructed by the facade from Options.Checkpoint (a chkpt.Manager, wired in PlaceContext, not coreOptions)",
 	"Resume":             "loaded by the facade from the checkpoint directory when Options.Checkpoint.Resume is set",
-	"PortfolioResume":    "loaded by the facade from the checkpoint directory (portfolio.ckpt) when Options.Checkpoint.Resume is set",
 }
 
 // TestCoreOptionsForwarding is the contract test for the single

@@ -1,7 +1,6 @@
 package complx_test
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"complx"
@@ -12,8 +11,7 @@ import (
 // iteration and CG-iteration totals in its Result as the observer counted
 // while the run executed, and every iteration reaches OnIteration and the
 // observer's trace exactly once. The multi-segment drivers (V-cycle levels,
-// portfolio member rounds including reseeded forks, the two-level clustered
-// pass) must count every segment once.
+// the two-level clustered pass) must count every segment once.
 func TestResultTotalsMatchObserver(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -36,17 +34,6 @@ func TestResultTotalsMatchObserver(t *testing.T) {
 				}
 			},
 		},
-		{
-			name: "portfolio",
-			opt: complx.Options{Portfolio: complx.PortfolioOptions{
-				Enabled: true, Members: 4, Rounds: 3, CullFraction: 0.25, Seed: 5,
-			}},
-			check: func(t *testing.T, res *complx.Result) {
-				if res.Portfolio == nil || res.Portfolio.Reseeds == 0 {
-					t.Errorf("portfolio run reseeded no member: %+v", res.Portfolio)
-				}
-			},
-		},
 		{name: "clustered", opt: complx.Options{Clustered: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -55,8 +42,8 @@ func TestResultTotalsMatchObserver(t *testing.T) {
 			opt.MaxIterations = 20
 			opt.SkipLegalize, opt.SkipDetailed = true, true
 			opt.Observer = complx.NewObserver()
-			var calls atomic.Int64 // portfolio members report concurrently
-			opt.OnIteration = func(complx.IterStats) { calls.Add(1) }
+			calls := 0
+			opt.OnIteration = func(complx.IterStats) { calls++ }
 			res, err := complx.Place(nl, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -68,7 +55,7 @@ func TestResultTotalsMatchObserver(t *testing.T) {
 			if got, want := res.CGIterations, int(m["complx_cg_iterations_total"]); got != want {
 				t.Errorf("CGIterations = %d, observer counted %d", got, want)
 			}
-			if n, tr := int(calls.Load()), len(opt.Observer.Trace()); n != res.GlobalIterations || tr != res.GlobalIterations {
+			if n, tr := calls, len(opt.Observer.Trace()); n != res.GlobalIterations || tr != res.GlobalIterations {
 				t.Errorf("OnIteration calls = %d, observer trace = %d, GlobalIterations = %d", n, tr, res.GlobalIterations)
 			}
 			if tc.check != nil {
