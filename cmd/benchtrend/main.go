@@ -2,10 +2,9 @@
 // trajectory. In emit mode it places a fixed suite of synthetic ISPD-analog
 // designs with each placer three times, records the median wall-clock time,
 // final HPWL and total CG inner iterations, and writes the result as a
-// baseline JSON
-// (BENCH_trajectory.json at the repo root is the committed one). In compare
-// mode it re-runs exactly the entries recorded in a baseline and fails —
-// with a non-zero exit — when any entry regresses:
+// baseline JSON (BENCH_trajectory.json at the repo root is the committed
+// one). In compare mode it re-runs exactly the entries recorded in a
+// baseline and fails — with a non-zero exit — when any entry regresses:
 //
 //   - HPWL: placements are deterministic, so any increase over the baseline
 //     is a real quality regression and fails immediately.
