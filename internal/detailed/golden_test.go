@@ -1,6 +1,7 @@
 package detailed
 
 import (
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -68,6 +69,57 @@ func contractDesign(t testing.TB, seed int64, numCells, numNets int, withBlock, 
 	return nl
 }
 
+// longRowDesign builds a seeded, legalized design of 16 long rows (480
+// sites each) cut by several fixed macros whose edges fall mid-row, so a
+// gap search walks many cell gaps and obstacle pieces per row.
+func longRowDesign(t testing.TB, seed int64, numCells, numNets int) *netlist.Netlist {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	const w, h = 480.0, 16.0
+	b := netlist.NewBuilder("long-rows")
+	b.SetCore(geom.Rect{XMax: w, YMax: h})
+	ids := make([]int, 0, numCells+8)
+	for i := 0; i < numCells; i++ {
+		ids = append(ids, b.AddCell(nm(i), float64(1+rng.Intn(3)), 1))
+	}
+	ids = append(ids, b.AddFixed("p1", 0, 0, 1, 1), b.AddFixed("p2", w-1, h-1, 1, 1))
+	for k, m := range []geom.Rect{
+		{XMin: 40.5, YMin: 2.5, XMax: 58, YMax: 9.75},
+		{XMin: 130.25, YMin: 6.5, XMax: 141.5, YMax: 15.5},
+		{XMin: 222.5, YMin: 0, XMax: 250.75, YMax: 4.25},
+		{XMin: 300.5, YMin: 8.25, XMax: 309, YMax: 13.5},
+		{XMin: 399.75, YMin: 3.5, XMax: 431.25, YMax: 11.5},
+	} {
+		ids = append(ids, b.AddFixed(fmt.Sprintf("m%d", k), m.XMin, m.YMin, m.Width(), m.Height()))
+	}
+	for i := 0; i < numNets; i++ {
+		deg := 2 + rng.Intn(5)
+		seen := map[int]bool{}
+		var pins []netlist.PinSpec
+		for len(pins) < deg {
+			c := ids[rng.Intn(len(ids))]
+			if seen[c] {
+				continue
+			}
+			seen[c] = true
+			pins = append(pins, netlist.PinSpec{Cell: c, DX: 0.25 * float64(rng.Intn(3)-1), DY: 0.125 * float64(rng.Intn(3)-1)})
+		}
+		b.AddNet(nm2(i), 0.5+float64(rng.Intn(4))*0.5, pins)
+	}
+	b.AddUniformRows(int(h), 1, 1)
+	nl, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range nl.Movables() {
+		nl.Cells[i].SetCenter(geom.Point{X: 5 + (w-10)*rng.Float64(), Y: 1 + (h-2)*rng.Float64()})
+	}
+	if err := legalize.Legalize(nl, legalize.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	return nl
+}
+
 // positionHash is an FNV-1a hash over the exact bits of every cell position.
 func positionHash(nl *netlist.Netlist) uint64 {
 	h := fnv.New64a()
@@ -115,6 +167,13 @@ func TestRefineGoldenContract(t *testing.T) {
 			stats:  Stats{Passes: 3, Moves: 588, Swaps: 220, Reorders: 891},
 			hpwl:   0x40e9f1f000000000,
 			posSum: 0x4dd34a972c89aa4f,
+		},
+		{
+			name:   "long-rows",
+			build:  func(t *testing.T) *netlist.Netlist { return longRowDesign(t, 10, 2000, 2400) },
+			stats:  Stats{Passes: 3, Moves: 2063, Swaps: 924, Reorders: 4228},
+			hpwl:   0x411535ad00000000,
+			posSum: 0x8a1ce998906f9cce,
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
