@@ -9,8 +9,10 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"complx/internal/geom"
 	"complx/internal/netlist"
@@ -43,7 +45,13 @@ func Cluster(nl *netlist.Netlist, ratio float64) (*Clustering, error) {
 		key uint64 // a<<32 | b, a < b
 		w   float64
 	}
-	var contribs []pairw
+	npairs := 0
+	for ni := range nl.Nets {
+		if d := len(nl.Nets[ni].Pins); d >= 2 && d <= 8 {
+			npairs += d * (d - 1) / 2
+		}
+	}
+	contribs := make([]pairw, 0, npairs)
 	for ni := range nl.Nets {
 		net := &nl.Nets[ni]
 		d := len(net.Pins)
@@ -69,12 +77,22 @@ func Cluster(nl *netlist.Netlist, ratio float64) (*Clustering, error) {
 			}
 		}
 	}
-	sort.Slice(contribs, func(x, y int) bool { return contribs[x].key < contribs[y].key })
+	// The sort is not stable, so the order in which a pair's tied
+	// contributions are summed below is the order pdqsort leaves them in.
+	// slices.SortFunc and sort.Slice are instances of one pdqsort template
+	// and leave the same order.
+	slices.SortFunc(contribs, func(x, y pairw) int { return cmp.Compare(x.key, y.key) })
 	type scored struct {
 		a, b int
 		w    float64
 	}
-	var edges []scored
+	distinct := 0
+	for i := range contribs {
+		if i == 0 || contribs[i].key != contribs[i-1].key {
+			distinct++
+		}
+	}
+	edges := make([]scored, 0, distinct)
 	for i := 0; i < len(contribs); {
 		j, w := i, 0.0
 		for ; j < len(contribs) && contribs[j].key == contribs[i].key; j++ {
@@ -84,14 +102,15 @@ func Cluster(nl *netlist.Netlist, ratio float64) (*Clustering, error) {
 		edges = append(edges, scored{int(k >> 32), int(k & 0xffffffff), w})
 		i = j
 	}
-	sort.Slice(edges, func(x, y int) bool {
-		if edges[x].w != edges[y].w {
-			return edges[x].w > edges[y].w
+	// A total order: any sort gives the same matching.
+	slices.SortFunc(edges, func(x, y scored) int {
+		if x.w != y.w {
+			return cmp.Compare(y.w, x.w)
 		}
-		if edges[x].a != edges[y].a {
-			return edges[x].a < edges[y].a
+		if x.a != y.a {
+			return cmp.Compare(x.a, y.a)
 		}
-		return edges[x].b < edges[y].b
+		return cmp.Compare(x.b, y.b)
 	})
 
 	mate := make([]int, n)
@@ -112,7 +131,9 @@ func Cluster(nl *netlist.Netlist, ratio float64) (*Clustering, error) {
 	}
 
 	// Build the coarse netlist.
+	nc := n - matched
 	b := netlist.NewBuilder(nl.Name + "-coarse")
+	b.Reserve(nc, len(nl.Nets), len(nl.Pins))
 	b.SetCore(nl.Core)
 	for _, r := range nl.Rows {
 		b.AddRow(r)
@@ -120,11 +141,19 @@ func Cluster(nl *netlist.Netlist, ratio float64) (*Clustering, error) {
 	for _, r := range nl.Regions {
 		b.AddRegion(r.Name, r.Rect)
 	}
-	c := &Clustering{Fine: nl, coarseOf: make([]int, n)}
+	c := &Clustering{Fine: nl, coarseOf: make([]int, n), members: make([][]int, 0, nc)}
 	for i := range c.coarseOf {
 		c.coarseOf[i] = -1
 	}
+	// Every group is cut from one backing array, in coarse-cell order.
+	memberOf := make([]int, 0, n)
 	addCoarse := func(name string, w, h float64, kind netlist.Kind, x, y float64) int {
+		// A fine cell may already carry the name a pair would take (cells
+		// "a", "b" and "a+b"); the later coarse cell then gets the first
+		// free "#k" suffix. Names that do not collide stay as they are.
+		for k, base := 1, name; b.CellID(name) >= 0; k++ {
+			name = base + "#" + strconv.Itoa(k)
+		}
 		switch kind {
 		case netlist.Terminal:
 			return b.AddFixed(name, x, y, w, h)
@@ -142,10 +171,11 @@ func Cluster(nl *netlist.Netlist, ratio float64) (*Clustering, error) {
 		if mate[i] < 0 {
 			id := addCoarse(cell.Name, cell.W, cell.H, cell.Kind, cell.X, cell.Y)
 			if id < 0 {
-				break
+				return nil, fmt.Errorf("cluster: %w", b.Err())
 			}
 			c.coarseOf[i] = id
-			c.members = append(c.members, []int{i})
+			memberOf = append(memberOf, i)
+			c.members = append(c.members, memberOf[len(memberOf)-1:len(memberOf):len(memberOf)])
 			continue
 		}
 		j := mate[i]
@@ -161,11 +191,12 @@ func Cluster(nl *netlist.Netlist, ratio float64) (*Clustering, error) {
 		}
 		id := addCoarse(name, (cell.Area()+other.Area())/cell.H, cell.H, netlist.Std, 0, 0)
 		if id < 0 {
-			break
+			return nil, fmt.Errorf("cluster: %w", b.Err())
 		}
 		c.coarseOf[i] = id
 		c.coarseOf[j] = id
-		c.members = append(c.members, []int{i, j})
+		memberOf = append(memberOf, i, j)
+		c.members = append(c.members, memberOf[len(memberOf)-2:len(memberOf):len(memberOf)])
 	}
 	// Nets: remap pins to coarse cells, dropping nets collapsed inside one
 	// cluster and duplicate pins on the same coarse cell. Weights are
@@ -174,28 +205,33 @@ func Cluster(nl *netlist.Netlist, ratio float64) (*Clustering, error) {
 	// pairs absorbed into one cluster vanish, and the coarse d'-pin net
 	// carries w' = 2·crossMass/d' so that w'·d'/2 equals the cross mass.
 	// Nets that lose no pins keep their weight bitwise unchanged.
+	// mult[cc] counts the net's pins on coarse cell cc; it is zero outside
+	// the net being remapped, which clears it through its own pins.
+	mult := make([]int, nc)
+	var pins []netlist.PinSpec
 	for ni := range nl.Nets {
 		net := &nl.Nets[ni]
 		d := len(net.Pins)
-		seen := map[int]int{} // coarse cell -> collapsed pin multiplicity
-		var pins []netlist.PinSpec
+		pins = pins[:0]
 		for _, p := range net.Pins {
 			cc := c.coarseOf[nl.Pins[p].Cell]
-			if seen[cc] == 0 {
+			if mult[cc] == 0 {
 				pins = append(pins, netlist.PinSpec{Cell: cc, DX: nl.Pins[p].DX, DY: nl.Pins[p].DY})
 			}
-			seen[cc]++
+			mult[cc]++
 		}
 		dp := len(pins)
+		intraPairs := 0
+		for _, ps := range pins {
+			m := mult[ps.Cell]
+			intraPairs += m * (m - 1) / 2
+			mult[ps.Cell] = 0
+		}
 		if dp < 2 {
 			continue
 		}
 		w := net.Weight
 		if dp < d && d >= 2 {
-			intraPairs := 0
-			for _, m := range seen {
-				intraPairs += m * (m - 1) / 2
-			}
 			crossPairs := d*(d-1)/2 - intraPairs
 			w = 2 * net.Weight * float64(crossPairs) / (float64(d-1) * float64(dp))
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"complx/internal/gen"
@@ -315,6 +317,54 @@ func TestClusterConservation(t *testing.T) {
 	for k, cl := range stack {
 		if got := movableArea(cl.Coarse); got != want {
 			t.Errorf("level %d: movable area %v, want %v", k+1, got, want)
+		}
+	}
+}
+
+// TestClusterNameCollision coarsens netlists in which a fine cell already
+// carries the name a merged pair takes ("a+b", or "cl0+1" for long names).
+// The pair keeps its name and the later coarse cell gets the first free
+// "#k" suffix; names that do not collide are unchanged.
+func TestClusterNameCollision(t *testing.T) {
+	long := strings.Repeat("x", 30)
+	for _, tc := range []struct {
+		fine, want []string
+	}{
+		{[]string{"a", "b", "a+b"}, []string{"a+b", "a+b#1", "p"}},
+		{[]string{"a", "b", "a+b", "a+b#1"}, []string{"a+b", "a+b#1", "a+b#1#1", "p"}},
+		{[]string{long + "0", long + "1", "cl0+1"}, []string{"cl0+1", "cl0+1#1", "p"}},
+	} {
+		b := netlist.NewBuilder("collide")
+		b.SetCore(geom.Rect{XMax: 10, YMax: 10})
+		b.AddUniformRows(10, 1, 1)
+		ids := make([]int, len(tc.fine))
+		for i, name := range tc.fine {
+			ids[i] = b.AddCell(name, 1, 1)
+		}
+		p := b.AddFixed("p", 0, 0, 1, 1)
+		// Cells 0 and 1 share a heavy net; the rest hang off the pad.
+		b.AddNet("bond", 4, []netlist.PinSpec{{Cell: ids[0]}, {Cell: ids[1]}})
+		for i := 2; i < len(ids); i++ {
+			b.AddNet(fmt.Sprintf("io%d", i), 1, []netlist.PinSpec{{Cell: ids[i]}, {Cell: p}})
+		}
+		nl, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Cluster(nl, 1.0)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.fine, err)
+		}
+		var got []string
+		for i := range c.Coarse.Cells {
+			got = append(got, c.Coarse.Cells[i].Name)
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%v: coarse cells %v, want %v", tc.fine, got, tc.want)
+		}
+		// The V-cycle's coarsening accepts the design too.
+		if _, err := Coarsen(nl, 1, 1); err != nil {
+			t.Errorf("%v: Coarsen: %v", tc.fine, err)
 		}
 	}
 }

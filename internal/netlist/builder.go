@@ -96,7 +96,7 @@ func (b *Builder) AddNet(name string, weight float64, pins []PinSpec) int {
 		return b.fail("net %q: no pins", name)
 	}
 	netID := len(b.nl.Nets)
-	net := Net{Name: name, Weight: weight}
+	net := Net{Name: name, Weight: weight, Pins: make([]int, 0, len(pins))}
 	for _, ps := range pins {
 		if ps.Cell < 0 || ps.Cell >= len(b.nl.Cells) {
 			return b.fail("net %q: pin references unknown cell %d", name, ps.Cell)
@@ -107,7 +107,6 @@ func (b *Builder) AddNet(name string, weight float64, pins []PinSpec) int {
 		pinID := len(b.nl.Pins)
 		b.nl.Pins = append(b.nl.Pins, Pin{Cell: ps.Cell, Net: netID, DX: ps.DX, DY: ps.DY})
 		net.Pins = append(net.Pins, pinID)
-		b.nl.Cells[ps.Cell].Pins = append(b.nl.Cells[ps.Cell].Pins, pinID)
 	}
 	b.nl.Nets = append(b.nl.Nets, net)
 	b.netIndex[name] = netID
@@ -182,6 +181,10 @@ func (b *Builder) ConstrainCell(cell, region int) {
 	b.nl.Cells[cell].Region = region
 }
 
+// Err returns the first error an Add call recorded, or nil. Build returns
+// the same error.
+func (b *Builder) Err() error { return b.err }
+
 // CellID returns the index of a previously added cell, or -1.
 func (b *Builder) CellID(name string) int {
 	if id, ok := b.cellIndex[name]; ok {
@@ -200,6 +203,26 @@ func (b *Builder) Build() (*Netlist, error) {
 		return nil, b.err
 	}
 	nl := b.nl
+	// Each cell's pin list, in pin order, cut from one backing array.
+	count := make([]int, len(nl.Cells)+1)
+	for _, p := range nl.Pins {
+		count[p.Cell+1]++
+	}
+	for i := 1; i < len(count); i++ {
+		count[i] += count[i-1]
+	}
+	backing := make([]int, len(nl.Pins))
+	for p, pin := range nl.Pins {
+		backing[count[pin.Cell]] = p
+		count[pin.Cell]++
+	}
+	start := 0
+	for i := range nl.Cells {
+		if count[i] > start {
+			nl.Cells[i].Pins = backing[start:count[i]:count[i]]
+		}
+		start = count[i]
+	}
 	if err := nl.Validate(); err != nil {
 		return nil, err
 	}
