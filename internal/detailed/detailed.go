@@ -55,28 +55,47 @@ type engine struct {
 	// rows ri-1 and ri+1 are the neighbours of row ri. Every row index in
 	// the engine refers to this order.
 	rows  []netlist.Row
-	rowOf []int   // cell -> row index, -1 if not row-bound
-	inRow [][]int // row -> cells sorted by X
+	rowOf []int       // cell -> row index, -1 if not row-bound
+	inRow [][]rowCell // row -> cells sorted by X
 	// blocked holds per-row x-intervals covered by fixed cells and movable
-	// macros; no standard cell may be moved into them.
-	blocked [][]geom.Interval
-	perms   [][]int // permutations of one reordering window
+	// macros, sorted by Lo; no standard cell may be moved into them.
+	// blockedHi[ri][j] is the largest Hi of blocked[ri][:j+1].
+	blocked   [][]geom.Interval
+	blockedHi [][]float64
+	// gaps[ri] summarizes row ri's cell list in blocks of blockCells cells
+	// for gapFor; its first gapsOK[ri] blocks are current.
+	gaps   [][]gapBlock
+	gapsOK []int
+	perms  [][]int // permutations of one reordering window
 
-	// Trial evaluation state, reused by every prepare/eval pair. netMark
+	// The netlist's connectivity, laid out for the trial loops:
+	// cellPins[cellStart[c]:cellStart[c+1]] are cell c's pins in
+	// Cells[c].Pins order, netPins[netStart[n]:netStart[n+1]] the pins of
+	// net n in Nets[n].Pins order with their positions, and netW[n] its
+	// weight. The positions of a cell's pins are refreshed whenever an
+	// accepted trial moves it.
+	cellStart []int32
+	cellPins  []cellPin
+	netStart  []int32
+	netPins   []pinPos
+	netW      []float64
+
+	// Trial evaluation state, reused by every prepare/eval pair. netTag
 	// stamps a net with the epoch of the prepare that collected it, so a
-	// net shared by several moving cells is counted once.
-	netMark []uint32
-	epoch   uint32
-	moving  []int     // cells the current trial moves
-	nets    []int     // affected nets, in first-touch order
-	still   []box     // per affected net: bounding box of its other pins
-	work    []box     // per affected net: still plus the moving pins
-	mpins   []movePin // pins of the moving cells
+	// net shared by several moving cells is counted once, and holds its
+	// slot; cellMark stamps the cells the trial moves.
+	netTag   []netTag
+	cellMark []uint32
+	epoch    uint32
+	weight   []float64 // per affected net, in first-touch order: its weight
+	still    []box     // per affected net: bounding box of its other pins
+	work     []box     // per affected net: still plus the moving pins
+	mpins    []movePin // pins of the moving cells
 
 	// Scratch for optimalPoint, tryReorder and nearRows.
 	los, his, losY, hisY, sorted []float64
 	origX, candX, bestX          []float64
-	near                         []int
+	near, win                    []int
 
 	moves, swaps int
 }
@@ -91,12 +110,20 @@ var emptyBox = box{math.Inf(1), math.Inf(-1), math.Inf(1), math.Inf(-1)}
 // comparisons find the extremes math.Min/math.Max would (up to the sign of
 // a zero extreme, which never changes a span or a sum).
 func (b *box) add(x, y float64) {
+	b.addX(x)
+	b.addY(y)
+}
+
+func (b *box) addX(x float64) {
 	if x < b.xmin {
 		b.xmin = x
 	}
 	if x > b.xmax {
 		b.xmax = x
 	}
+}
+
+func (b *box) addY(y float64) {
 	if y < b.ymin {
 		b.ymin = y
 	}
@@ -104,6 +131,48 @@ func (b *box) add(x, y float64) {
 		b.ymax = y
 	}
 }
+
+// rowCell is a cell in its row's list, with the cell's committed X and
+// right end X+W. Trials move cells only in the netlist; the list changes
+// when a trial is accepted.
+type rowCell struct {
+	cell   int
+	x, end float64
+}
+
+// rowCellOf returns cell i's row-list entry at its current position.
+func (e *engine) rowCellOf(i int) rowCell {
+	c := &e.nl.Cells[i]
+	return rowCell{cell: i, x: c.X, end: c.X + c.W}
+}
+
+// pinPos is a pin's position, the cell it sits on and its index.
+type pinPos struct {
+	x, y      float64
+	cell, pin int32
+}
+
+// cellPin is a pin as a cell's trial sees it: its net and its offset from
+// the cell center.
+type cellPin struct {
+	net    int32
+	dx, dy float64
+}
+
+// netTag is a net's stamp in the current trial: the trial's epoch once the
+// net is collected, and its slot.
+type netTag struct {
+	epoch uint32
+	slot  int32
+}
+
+// blockCells is the number of consecutive row cells one gapBlock covers.
+const blockCells = 16
+
+// gapBlock summarizes blockCells consecutive cells of a row: the widest gap
+// in front of one of them (from the previous cell's right end, or the row
+// start, to its left edge) and the rightmost right end among them.
+type gapBlock struct{ gap, end float64 }
 
 // movePin is one pin of a moving cell: the affected-net slot it belongs to
 // and its offset from the cell center.
@@ -156,7 +225,7 @@ func (e *engine) index() error {
 	nl := e.nl
 	e.rows = slices.Clone(nl.Rows)
 	slices.SortStableFunc(e.rows, func(a, b netlist.Row) int { return cmp.Compare(a.Y, b.Y) })
-	e.netMark = make([]uint32, len(nl.Nets))
+	e.connect()
 	e.reserveScratch()
 	e.rowOf = make([]int, len(nl.Cells))
 	for i := range e.rowOf {
@@ -175,15 +244,16 @@ func (e *engine) index() error {
 		e.rowOf[i] = ri
 		count[ri]++
 	}
-	e.inRow = bucket[int](count)
+	e.inRow = bucket[rowCell](count)
 	for _, i := range nl.Movables() {
 		if ri := e.rowOf[i]; ri >= 0 {
-			e.inRow[ri] = append(e.inRow[ri], i)
+			e.inRow[ri] = append(e.inRow[ri], e.rowCellOf(i))
 		}
 	}
 	for _, cells := range e.inRow {
-		slices.SortFunc(cells, func(a, b int) int { return cmp.Compare(nl.Cells[a].X, nl.Cells[b].X) })
+		slices.SortFunc(cells, func(a, b rowCell) int { return cmp.Compare(a.x, b.x) })
 	}
+	e.gapsOK = make([]int, len(e.rows))
 	e.growRows()
 	// Obstacles: fixed cells and (already-legalized) movable macros.
 	clear(count)
@@ -192,10 +262,59 @@ func (e *engine) index() error {
 	e.forEachObstacle(func(ri int, r geom.Rect) {
 		e.blocked[ri] = append(e.blocked[ri], geom.Interval{Lo: r.XMin, Hi: r.XMax})
 	})
-	for _, iv := range e.blocked {
+	e.blockedHi = bucket[float64](count)
+	for ri, iv := range e.blocked {
 		slices.SortFunc(iv, func(a, b geom.Interval) int { return cmp.Compare(a.Lo, b.Lo) })
+		hi := math.Inf(-1)
+		for _, b := range iv {
+			hi = max(hi, b.Hi)
+			e.blockedHi[ri] = append(e.blockedHi[ri], hi)
+		}
 	}
 	return nil
+}
+
+// connect lays out the connectivity tables and every pin's position.
+func (e *engine) connect() {
+	nl := e.nl
+	e.netTag, e.cellMark = make([]netTag, len(nl.Nets)), make([]uint32, len(nl.Cells))
+	e.cellStart, e.netStart = make([]int32, 1, len(nl.Cells)+1), make([]int32, 1, len(nl.Nets)+1)
+	e.cellPins, e.netPins = make([]cellPin, 0, len(nl.Pins)), make([]pinPos, 0, len(nl.Pins))
+	e.netW = make([]float64, len(nl.Nets))
+	for i := range nl.Cells {
+		for _, p := range nl.Cells[i].Pins {
+			pin := &nl.Pins[p]
+			e.cellPins = append(e.cellPins, cellPin{net: int32(pin.Net), dx: pin.DX, dy: pin.DY})
+		}
+		e.cellStart = append(e.cellStart, int32(len(e.cellPins)))
+	}
+	for n := range nl.Nets {
+		for _, q := range nl.Nets[n].Pins {
+			e.netPins = append(e.netPins, pinPos{cell: int32(nl.Pins[q].Cell), pin: int32(q)})
+		}
+		e.netStart = append(e.netStart, int32(len(e.netPins)))
+		e.netW[n] = nl.Nets[n].Weight
+	}
+	for k := range e.netPins {
+		e.place(&e.netPins[k])
+	}
+}
+
+// place sets p's position from its cell's.
+func (e *engine) place(p *pinPos) {
+	c, pin := &e.nl.Cells[p.cell], &e.nl.Pins[p.pin]
+	p.x, p.y = c.X+c.W/2+pin.DX, c.Y+c.H/2+pin.DY
+}
+
+// placePins refreshes the positions of cell i's pins.
+func (e *engine) placePins(i int) {
+	for _, cp := range e.cellPins[e.cellStart[i]:e.cellStart[i+1]] {
+		for k := e.netStart[cp.net]; k < e.netStart[cp.net+1]; k++ {
+			if p := &e.netPins[k]; p.cell == int32(i) {
+				e.place(p)
+			}
+		}
+	}
 }
 
 // bucket returns empty per-row slices with capacities count[ri], cut from
@@ -223,32 +342,43 @@ func (e *engine) reserveScratch() {
 		maxPins = max(maxPins, len(e.nl.Cells[i].Pins))
 	}
 	n := 4 * maxPins
-	e.moving, e.nets = make([]int, 0, 4), make([]int, 0, n)
+	e.weight = make([]float64, 0, n)
 	e.still, e.work, e.mpins = make([]box, 0, n), make([]box, 0, n), make([]movePin, 0, n)
 	e.los, e.his = make([]float64, 0, maxPins), make([]float64, 0, maxPins)
 	e.losY, e.hisY = make([]float64, 0, maxPins), make([]float64, 0, maxPins)
 	e.sorted = make([]float64, 0, 2*maxPins)
 	e.origX, e.candX, e.bestX = make([]float64, 0, 4), make([]float64, 0, 4), make([]float64, 0, 4)
+	e.win = make([]int, 0, 4)
 	e.near = make([]int, 0, 5)
 }
 
 // growRows lays every row's cell list out anew in one shared backing array,
-// with room for half as many cells again (at least 4) in each row. Moves
-// insert into these lists; the first row to fill up triggers the next
-// layout, so reallocations stay few whatever the number of moves.
+// with room for half as many cells again (at least 4) in each row, and
+// sizes the rows' gap summaries to match. Moves insert into these lists;
+// the first row to fill up triggers the next layout, so reallocations stay
+// few whatever the number of moves.
 func (e *engine) growRows() {
 	room := func(n int) int { return n + n/2 + 4 }
-	total := 0
+	total, blocks := 0, 0
 	for _, cells := range e.inRow {
 		total += room(len(cells))
+		blocks += (room(len(cells)) + blockCells - 1) / blockCells
 	}
-	backing := make([]int, total)
-	total = 0
+	backing := make([]rowCell, total)
+	gaps := make([]gapBlock, blocks)
+	if e.gaps == nil {
+		e.gaps = make([][]gapBlock, len(e.inRow))
+	}
+	total, blocks = 0, 0
 	for ri, cells := range e.inRow {
 		n := copy(backing[total:], cells)
 		e.inRow[ri] = backing[total : total+n : total+room(n)]
 		total += room(n)
+		nb := (room(n) + blockCells - 1) / blockCells
+		e.gaps[ri] = gaps[blocks : blocks : blocks+nb]
+		blocks += nb
 	}
+	clear(e.gapsOK)
 }
 
 // rowAt returns the row a standard cell spanning [x0, x1] at y sits on:
@@ -297,41 +427,36 @@ func (e *engine) forEachObstacle(fn func(ri int, r geom.Rect)) {
 // the bounding box of the pins on cells that stay put. eval then only folds
 // in the moving cells' pins.
 func (e *engine) prepare(cells ...int) {
-	nl := e.nl
 	e.epoch++
 	if e.epoch == 0 { // wrapped: forget every stamp
-		clear(e.netMark)
+		clear(e.netTag)
+		clear(e.cellMark)
 		e.epoch = 1
 	}
-	e.moving = append(e.moving[:0], cells...)
-	e.nets, e.still, e.mpins = e.nets[:0], e.still[:0], e.mpins[:0]
 	for _, ci := range cells {
-		for _, p := range nl.Cells[ci].Pins {
-			pin := &nl.Pins[p]
-			slot := len(e.nets)
-			if e.netMark[pin.Net] == e.epoch {
-				slot = slices.Index(e.nets, pin.Net)
-			} else {
-				e.netMark[pin.Net] = e.epoch
-				e.nets = append(e.nets, pin.Net)
-				e.still = append(e.still, e.stillBox(pin.Net))
+		e.cellMark[ci] = e.epoch
+	}
+	e.weight, e.still, e.mpins = e.weight[:0], e.still[:0], e.mpins[:0]
+	for _, ci := range cells {
+		for _, cp := range e.cellPins[e.cellStart[ci]:e.cellStart[ci+1]] {
+			tag := &e.netTag[cp.net]
+			if tag.epoch != e.epoch {
+				*tag = netTag{epoch: e.epoch, slot: int32(len(e.weight))}
+				e.weight = append(e.weight, e.netW[cp.net])
+				e.still = append(e.still, e.stillBox(cp.net))
 			}
-			e.mpins = append(e.mpins, movePin{slot: slot, cell: ci, dx: pin.DX, dy: pin.DY})
+			e.mpins = append(e.mpins, movePin{slot: int(tag.slot), cell: ci, dx: cp.dx, dy: cp.dy})
 		}
 	}
 }
 
 // stillBox returns the bounding box of net n's pins on non-moving cells.
-func (e *engine) stillBox(n int) box {
-	nl := e.nl
+func (e *engine) stillBox(n int32) box {
 	b := emptyBox
-	for _, q := range nl.Nets[n].Pins {
-		pin := &nl.Pins[q]
-		if slices.Contains(e.moving, pin.Cell) {
-			continue
+	for k := e.netStart[n]; k < e.netStart[n+1]; k++ {
+		if p := &e.netPins[k]; e.cellMark[p.cell] != e.epoch {
+			b.add(p.x, p.y)
 		}
-		c := &nl.Cells[pin.Cell]
-		b.add(c.X+c.W/2+pin.DX, c.Y+c.H/2+pin.DY)
 	}
 	return b
 }
@@ -348,15 +473,45 @@ func (e *engine) eval() float64 {
 		c := &nl.Cells[mp.cell]
 		e.work[mp.slot].add(c.X+c.W/2+mp.dx, c.Y+c.H/2+mp.dy)
 	}
+	return e.sum()
+}
+
+// foldY starts the trial boxes from the still boxes and folds in the y of
+// the moving pins. Trials that move cells only in x follow it with evalX
+// per arrangement.
+func (e *engine) foldY() {
+	nl := e.nl
+	e.work = append(e.work[:0], e.still...)
+	for _, mp := range e.mpins {
+		c := &nl.Cells[mp.cell]
+		e.work[mp.slot].addY(c.Y + c.H/2 + mp.dy)
+	}
+}
+
+// evalX is eval for a trial whose moving cells keep the y that foldY saw:
+// it rebuilds only the x extremes.
+func (e *engine) evalX() float64 {
+	nl := e.nl
+	for k := range e.work {
+		e.work[k].xmin, e.work[k].xmax = e.still[k].xmin, e.still[k].xmax
+	}
+	for _, mp := range e.mpins {
+		c := &nl.Cells[mp.cell]
+		e.work[mp.slot].addX(c.X + c.W/2 + mp.dx)
+	}
+	return e.sum()
+}
+
+// sum returns the weighted HPWL of the trial boxes in e.work.
+//
+// NetHPWL counts a net with fewer than two pins as 0. Such a net is in the
+// trial only through a pin of a moving cell, so its box is that one point
+// and its span is +0 here too.
+func (e *engine) sum() float64 {
 	var s float64
-	for k, n := range e.nets {
-		net := &nl.Nets[n]
-		var h float64
-		if len(net.Pins) >= 2 {
-			b := &e.work[k]
-			h = (b.xmax - b.xmin) + (b.ymax - b.ymin)
-		}
-		s += net.Weight * h
+	for k, w := range e.weight {
+		b := &e.work[k]
+		s += w * ((b.xmax - b.xmin) + (b.ymax - b.ymin))
 	}
 	return s
 }
@@ -445,6 +600,7 @@ func (e *engine) tryMove(i int, goal geom.Point) bool {
 		return false
 	}
 	c.X, c.Y = bestX, e.rows[bestRow].Y
+	e.placePins(i)
 	e.moveCell(i, oldRow, bestRow)
 	e.moves++
 	return true
@@ -470,6 +626,8 @@ func (e *engine) trySwap(i int, goal geom.Point) bool {
 		ci.X, ci.Y, cj.X, cj.Y = xj, yj, xi, yi
 		after := e.eval()
 		if after < before-1e-9 {
+			e.placePins(i)
+			e.placePins(j)
 			e.swapCells(i, j, e.rowOf[i], e.rowOf[j])
 			e.swaps++
 			return true
@@ -486,22 +644,30 @@ func (e *engine) reorderPass(st *Stats) int {
 	for ri := range e.inRow {
 		cells := e.inRow[ri]
 		for s := 0; s+window <= len(cells); s++ {
-			win := cells[s : s+window]
-			if e.tryReorder(win) {
+			e.win = e.win[:0]
+			for _, rc := range cells[s : s+window] {
+				e.win = append(e.win, rc.cell)
+			}
+			if e.tryReorder(e.win) {
 				accepted++
 				st.Reorders++
-				e.sortByX(win) // keep row order
+				e.sortByX(cells[s : s+window]) // keep row order
+				e.invalidate(ri, s)
 			}
 		}
 	}
 	return accepted
 }
 
-// sortByX insertion-sorts a short run of row cells by X.
-func (e *engine) sortByX(cells []int) {
-	for a := 1; a < len(cells); a++ {
-		for b := a; b > 0 && e.nl.Cells[cells[b]].X < e.nl.Cells[cells[b-1]].X; b-- {
-			cells[b], cells[b-1] = cells[b-1], cells[b]
+// sortByX refreshes a short run of row entries from the netlist and
+// insertion-sorts it by X.
+func (e *engine) sortByX(run []rowCell) {
+	for a := range run {
+		run[a] = e.rowCellOf(run[a].cell)
+	}
+	for a := 1; a < len(run); a++ {
+		for b := a; b > 0 && run[b].x < run[b-1].x; b-- {
+			run[b], run[b-1] = run[b-1], run[b]
 		}
 	}
 }
@@ -519,11 +685,11 @@ func (e *engine) tryReorder(win []int) bool {
 	lo := nl.Cells[win[0]].X
 	hi := nl.Cells[win[n-1]].X + nl.Cells[win[n-1]].W
 	// Packing left would slide cells across any obstacle inside the span.
+	// The first obstacle ending after lo is the only candidate: the ones
+	// after it start no earlier.
 	ri := e.rowOf[win[0]]
-	for _, b := range e.blocked[ri] {
-		if b.Lo < hi && b.Hi > lo {
-			return false
-		}
+	if j := e.firstBlocked(ri, lo); j < len(e.blocked[ri]) && e.blocked[ri][j].Lo < hi {
+		return false
 	}
 	e.origX = e.origX[:0]
 	var width float64
@@ -535,7 +701,8 @@ func (e *engine) tryReorder(win []int) bool {
 		return false
 	}
 	e.prepare(win...)
-	before := e.eval()
+	e.foldY() // the window moves only in x
+	before := e.evalX()
 	bestGain := 1e-9
 	found := false
 	candX := append(e.candX[:0], e.origX...)
@@ -552,7 +719,7 @@ func (e *engine) tryReorder(win []int) bool {
 		for k, ci := range win {
 			nl.Cells[ci].X = candX[k]
 		}
-		after := e.eval()
+		after := e.evalX()
 		for k, ci := range win {
 			nl.Cells[ci].X = e.origX[k]
 		}
@@ -566,6 +733,7 @@ func (e *engine) tryReorder(win []int) bool {
 	}
 	for k, ci := range win {
 		nl.Cells[ci].X = e.bestX[k]
+		e.placePins(ci)
 	}
 	return true
 }
@@ -627,69 +795,145 @@ func (e *engine) nearestRow(y float64) int {
 // site-aligned position is nearest wantX, the leftmost on ties. The scan
 // starts at wantX and walks outward in both directions, stopping once a
 // gap's near edge is farther from wantX than the best cost so far plus a
-// margin of w + site: no piece beyond it can match that cost.
+// margin of w + site: no piece beyond it can match that cost. Gaps
+// narrower than w hold no piece that fits, and the walk passes a whole
+// block of them at once when the row's gap summary says its widest gap is
+// narrower than w.
 func (e *engine) gapFor(ri, skip int, wantX, w float64) (float64, bool) {
 	r := &e.rows[ri]
 	site := r.SiteWidth
 	if site <= 0 {
 		site = 1
 	}
-	nl := e.nl
 	cells := e.inRow[ri]
 	margin := w + site
+	need := w - 1e-9
+	gaps := e.summary(ri)
+	// The summary's gaps in front of skip and of the cell after it are
+	// not the gaps the walk sees, so their blocks are walked gap by gap.
+	si := -1
+	if e.rowOf[skip] == ri {
+		si = e.indexInRow(skip, ri)
+	}
+	passable := func(b int) bool {
+		return gaps[b].gap < need && (si < 0 || (si/blockCells != b && (si+1)/blockCells != b))
+	}
 	// prevEnd returns the right end of the nearest cell before index k
 	// other than skip, or the row start. Cells in a legal row do not
 	// overlap, so this is the running maximum a full left-to-right scan
 	// would hold there.
 	prevEnd := func(k int) float64 {
 		for j := k - 1; j >= 0; j-- {
-			if cells[j] != skip {
-				c := &nl.Cells[cells[j]]
-				return max(r.XMin, c.X+c.W)
+			if cells[j].cell != skip {
+				return max(r.XMin, cells[j].end)
 			}
 		}
 		return r.XMin
 	}
-	k := sort.Search(len(cells), func(a int) bool { return nl.Cells[cells[a]].X >= wantX })
+	k := sort.Search(len(cells), func(a int) bool { return cells[a].x >= wantX })
 	best := gapPick{cost: math.Inf(1)}
 	// Rightward: gaps before cells k, k+1, ... and the row tail.
 	lo := prevEnd(k)
 	for g := k; g <= len(cells); g++ {
-		if g < len(cells) && cells[g] == skip {
+		if g < len(cells) && cells[g].cell == skip {
 			continue
 		}
 		if best.ok && lo-wantX > best.cost+margin {
 			break
 		}
+		if g < len(cells) && g%blockCells == 0 && passable(g/blockCells) {
+			lo = max(lo, gaps[g/blockCells].end)
+			g = min(g+blockCells, len(cells)) - 1
+			continue
+		}
 		hi := r.XMax
 		if g < len(cells) {
-			hi = nl.Cells[cells[g]].X
+			hi = cells[g].x
 		}
 		// A gap too narrow for the cell has no free piece that fits.
-		if hi-lo >= w-1e-9 {
+		if hi-lo >= need {
 			if p := e.bestInGap(ri, lo, hi, wantX, w, site); p.ok && p.cost < best.cost {
 				best = p
 			}
 		}
 		if g < len(cells) {
-			c := &nl.Cells[cells[g]]
-			lo = max(lo, c.X+c.W)
+			lo = max(lo, cells[g].end)
 		}
 	}
 	// Leftward: gaps before cells k-1, k-2, ...; ties go to the left.
 	for g := k - 1; g >= 0; g-- {
-		if cells[g] == skip {
+		if cells[g].cell == skip {
 			continue
 		}
-		hi := nl.Cells[cells[g]].X
+		hi := cells[g].x
 		if best.ok && wantX-hi > best.cost+margin {
 			break
 		}
-		if p := e.bestInGap(ri, prevEnd(g), hi, wantX, w, site); p.ok && p.cost <= best.cost {
-			best = p
+		if b := g / blockCells; (g%blockCells == blockCells-1 || g == len(cells)-1) && passable(b) {
+			g = b * blockCells
+			continue
+		}
+		if lo := prevEnd(g); hi-lo >= need {
+			if p := e.bestInGap(ri, lo, hi, wantX, w, site); p.ok && p.cost <= best.cost {
+				best = p
+			}
 		}
 	}
 	return best.x, best.ok
+}
+
+// summary brings row ri's gap summary up to date and returns it. A gap's
+// width is computed as the walk computes it from the previous cell's end,
+// and the walk's left end is never left of that, so a block whose widest
+// summary gap is below w has no gap the walk would find wide enough.
+func (e *engine) summary(ri int) []gapBlock {
+	cells := e.inRow[ri]
+	nb := (len(cells) + blockCells - 1) / blockCells
+	gaps := e.gaps[ri][:nb]
+	e.gaps[ri] = gaps
+	for b := e.gapsOK[ri]; b < nb; b++ {
+		g0 := b * blockCells
+		prev := e.rows[ri].XMin
+		if g0 > 0 {
+			prev = cells[g0-1].end
+		}
+		s := gapBlock{gap: math.Inf(-1), end: math.Inf(-1)}
+		for _, rc := range cells[g0:min(g0+blockCells, len(cells))] {
+			s.gap = max(s.gap, rc.x-prev)
+			prev = rc.end
+			s.end = max(s.end, prev)
+		}
+		gaps[b] = s
+	}
+	e.gapsOK[ri] = nb
+	return gaps
+}
+
+// invalidate marks row ri's gap summary stale from the block of cell index
+// k on: the row's cells from index k on changed.
+func (e *engine) invalidate(ri, k int) {
+	e.gapsOK[ri] = min(e.gapsOK[ri], k/blockCells)
+}
+
+// indexInRow returns the index of cell i, at its committed position, in
+// row ri's list, or -1.
+func (e *engine) indexInRow(i, ri int) int {
+	cells := e.inRow[ri]
+	x := e.nl.Cells[i].X
+	k := sort.Search(len(cells), func(a int) bool { return cells[a].x >= x })
+	for ; k < len(cells) && cells[k].x == x; k++ {
+		if cells[k].cell == i {
+			return k
+		}
+	}
+	return e.position(i, ri)
+}
+
+// firstBlocked returns the index of the first blocked interval of row ri
+// that ends after x; every interval before it ends at or before x.
+func (e *engine) firstBlocked(ri int, x float64) int {
+	hi := e.blockedHi[ri]
+	return sort.Search(len(hi), func(j int) bool { return hi[j] > x })
 }
 
 // gapPick is a candidate position and its distance from the wanted x.
@@ -724,7 +968,7 @@ func (e *engine) bestInGap(ri int, lo, hi, wantX, w, site float64) gapPick {
 		}
 	}
 	cur := lo
-	for _, b := range e.blocked[ri] {
+	for _, b := range e.blocked[ri][e.firstBlocked(ri, lo):] {
 		if b.Hi <= cur {
 			continue
 		}
@@ -750,13 +994,13 @@ func (e *engine) cellNear(ri int, x float64) int {
 	if len(cells) == 0 {
 		return -1
 	}
-	k := sort.Search(len(cells), func(a int) bool { return e.nl.Cells[cells[a]].X >= x })
+	k := sort.Search(len(cells), func(a int) bool { return cells[a].x >= x })
 	best, bestD := -1, math.Inf(1)
 	for _, cand := range [2]int{k - 1, k} {
 		if cand < 0 || cand >= len(cells) {
 			continue
 		}
-		ci := cells[cand]
+		ci := cells[cand].cell
 		if d := math.Abs(e.nl.Cells[ci].Center().X - x); d < bestD {
 			bestD, best = d, ci
 		}
@@ -777,8 +1021,9 @@ func (e *engine) swapCells(i, j, ri, rj int) {
 	if ri == rj {
 		// Equal widths: exchanging the two entries keeps the row sorted.
 		cells := e.inRow[ri]
-		a, b := slices.Index(cells, i), slices.Index(cells, j)
-		cells[a], cells[b] = cells[b], cells[a]
+		a, b := e.position(i, ri), e.position(j, ri)
+		cells[a], cells[b] = e.rowCellOf(j), e.rowCellOf(i)
+		e.invalidate(ri, min(a, b))
 		return
 	}
 	e.removeFromRow(i, ri)
@@ -788,9 +1033,16 @@ func (e *engine) swapCells(i, j, ri, rj int) {
 	e.rowOf[i], e.rowOf[j] = rj, ri
 }
 
+// position returns the index of cell i in row ri's list by a linear scan,
+// or -1; it does not need the entry's X to be current.
+func (e *engine) position(i, ri int) int {
+	return slices.IndexFunc(e.inRow[ri], func(rc rowCell) bool { return rc.cell == i })
+}
+
 func (e *engine) removeFromRow(i, ri int) {
-	if k := slices.Index(e.inRow[ri], i); k >= 0 {
+	if k := e.position(i, ri); k >= 0 {
 		e.inRow[ri] = slices.Delete(e.inRow[ri], k, k+1)
+		e.invalidate(ri, k)
 	}
 }
 
@@ -799,7 +1051,8 @@ func (e *engine) insertIntoRow(i, ri int) {
 		e.growRows()
 	}
 	cells := e.inRow[ri]
-	x := e.nl.Cells[i].X
-	k := sort.Search(len(cells), func(a int) bool { return e.nl.Cells[cells[a]].X >= x })
-	e.inRow[ri] = slices.Insert(cells, k, i)
+	rc := e.rowCellOf(i)
+	k := sort.Search(len(cells), func(a int) bool { return cells[a].x >= rc.x })
+	e.inRow[ri] = slices.Insert(cells, k, rc)
+	e.invalidate(ri, k)
 }
