@@ -70,21 +70,16 @@ type engine struct {
 
 	// The netlist's connectivity, laid out for the trial loops:
 	// cellPins[cellStart[c]:cellStart[c+1]] are cell c's pins in
-	// Cells[c].Pins order, netPins[netStart[n]:netStart[n+1]] the pins of
-	// net n in Nets[n].Pins order with their positions, and netW[n] its
-	// weight. The positions of a cell's pins are refreshed whenever an
-	// accepted trial moves it.
+	// Cells[c].Pins order, and netPins[nets[n].start:nets[n].end] the pins
+	// of net n in Nets[n].Pins order with their positions. The positions of
+	// a cell's pins are refreshed whenever an accepted trial moves it.
 	cellStart []int32
 	cellPins  []cellPin
-	netStart  []int32
+	nets      []netInfo
 	netPins   []pinPos
-	netW      []float64
 
-	// Trial evaluation state, reused by every prepare/eval pair. netTag
-	// stamps a net with the epoch of the prepare that collected it, so a
-	// net shared by several moving cells is counted once, and holds its
-	// slot; cellMark stamps the cells the trial moves.
-	netTag   []netTag
+	// Trial evaluation state, reused by every prepare/eval pair. cellMark
+	// stamps the cells the trial moves with its epoch.
 	cellMark []uint32
 	epoch    uint32
 	weight   []float64 // per affected net, in first-touch order: its weight
@@ -159,11 +154,14 @@ type cellPin struct {
 	dx, dy float64
 }
 
-// netTag is a net's stamp in the current trial: the trial's epoch once the
-// net is collected, and its slot.
-type netTag struct {
-	epoch uint32
-	slot  int32
+// netInfo is a net's weight and pin range, and its stamp in the current
+// trial: the epoch of the prepare that collected it, so a net shared by
+// several moving cells is counted once, and its slot.
+type netInfo struct {
+	w          float64
+	start, end int32
+	epoch      uint32
+	slot       int32
 }
 
 // blockCells is the number of consecutive row cells one gapBlock covers.
@@ -277,10 +275,9 @@ func (e *engine) index() error {
 // connect lays out the connectivity tables and every pin's position.
 func (e *engine) connect() {
 	nl := e.nl
-	e.netTag, e.cellMark = make([]netTag, len(nl.Nets)), make([]uint32, len(nl.Cells))
-	e.cellStart, e.netStart = make([]int32, 1, len(nl.Cells)+1), make([]int32, 1, len(nl.Nets)+1)
+	e.nets, e.cellMark = make([]netInfo, len(nl.Nets)), make([]uint32, len(nl.Cells))
+	e.cellStart = make([]int32, 1, len(nl.Cells)+1)
 	e.cellPins, e.netPins = make([]cellPin, 0, len(nl.Pins)), make([]pinPos, 0, len(nl.Pins))
-	e.netW = make([]float64, len(nl.Nets))
 	for i := range nl.Cells {
 		for _, p := range nl.Cells[i].Pins {
 			pin := &nl.Pins[p]
@@ -289,11 +286,11 @@ func (e *engine) connect() {
 		e.cellStart = append(e.cellStart, int32(len(e.cellPins)))
 	}
 	for n := range nl.Nets {
+		start := int32(len(e.netPins))
 		for _, q := range nl.Nets[n].Pins {
 			e.netPins = append(e.netPins, pinPos{cell: int32(nl.Pins[q].Cell), pin: int32(q)})
 		}
-		e.netStart = append(e.netStart, int32(len(e.netPins)))
-		e.netW[n] = nl.Nets[n].Weight
+		e.nets[n] = netInfo{w: nl.Nets[n].Weight, start: start, end: int32(len(e.netPins))}
 	}
 	for k := range e.netPins {
 		e.place(&e.netPins[k])
@@ -309,7 +306,8 @@ func (e *engine) place(p *pinPos) {
 // placePins refreshes the positions of cell i's pins.
 func (e *engine) placePins(i int) {
 	for _, cp := range e.cellPins[e.cellStart[i]:e.cellStart[i+1]] {
-		for k := e.netStart[cp.net]; k < e.netStart[cp.net+1]; k++ {
+		net := &e.nets[cp.net]
+		for k := net.start; k < net.end; k++ {
 			if p := &e.netPins[k]; p.cell == int32(i) {
 				e.place(p)
 			}
@@ -429,7 +427,9 @@ func (e *engine) forEachObstacle(fn func(ri int, r geom.Rect)) {
 func (e *engine) prepare(cells ...int) {
 	e.epoch++
 	if e.epoch == 0 { // wrapped: forget every stamp
-		clear(e.netTag)
+		for n := range e.nets {
+			e.nets[n].epoch = 0
+		}
 		clear(e.cellMark)
 		e.epoch = 1
 	}
@@ -439,21 +439,21 @@ func (e *engine) prepare(cells ...int) {
 	e.weight, e.still, e.mpins = e.weight[:0], e.still[:0], e.mpins[:0]
 	for _, ci := range cells {
 		for _, cp := range e.cellPins[e.cellStart[ci]:e.cellStart[ci+1]] {
-			tag := &e.netTag[cp.net]
-			if tag.epoch != e.epoch {
-				*tag = netTag{epoch: e.epoch, slot: int32(len(e.weight))}
-				e.weight = append(e.weight, e.netW[cp.net])
-				e.still = append(e.still, e.stillBox(cp.net))
+			net := &e.nets[cp.net]
+			if net.epoch != e.epoch {
+				net.epoch, net.slot = e.epoch, int32(len(e.weight))
+				e.weight = append(e.weight, net.w)
+				e.still = append(e.still, e.stillBox(net))
 			}
-			e.mpins = append(e.mpins, movePin{slot: int(tag.slot), cell: ci, dx: cp.dx, dy: cp.dy})
+			e.mpins = append(e.mpins, movePin{slot: int(net.slot), cell: ci, dx: cp.dx, dy: cp.dy})
 		}
 	}
 }
 
-// stillBox returns the bounding box of net n's pins on non-moving cells.
-func (e *engine) stillBox(n int32) box {
+// stillBox returns the bounding box of the net's pins on non-moving cells.
+func (e *engine) stillBox(net *netInfo) box {
 	b := emptyBox
-	for k := e.netStart[n]; k < e.netStart[n+1]; k++ {
+	for k := net.start; k < net.end; k++ {
 		if p := &e.netPins[k]; e.cellMark[p.cell] != e.epoch {
 			b.add(p.x, p.y)
 		}
@@ -467,13 +467,8 @@ func (e *engine) stillBox(n int32) box {
 // operands as netmodel.NetHPWL, so the result is bitwise what a full
 // recomputation gives.
 func (e *engine) eval() float64 {
-	nl := e.nl
-	e.work = append(e.work[:0], e.still...)
-	for _, mp := range e.mpins {
-		c := &nl.Cells[mp.cell]
-		e.work[mp.slot].add(c.X+c.W/2+mp.dx, c.Y+c.H/2+mp.dy)
-	}
-	return e.sum()
+	e.foldY()
+	return e.evalX()
 }
 
 // foldY starts the trial boxes from the still boxes and folds in the y of
@@ -490,6 +485,10 @@ func (e *engine) foldY() {
 
 // evalX is eval for a trial whose moving cells keep the y that foldY saw:
 // it rebuilds only the x extremes.
+//
+// NetHPWL counts a net with fewer than two pins as 0. Such a net is in the
+// trial only through a pin of a moving cell, so its box is that one point
+// and its span is +0 here too.
 func (e *engine) evalX() float64 {
 	nl := e.nl
 	for k := range e.work {
@@ -499,15 +498,6 @@ func (e *engine) evalX() float64 {
 		c := &nl.Cells[mp.cell]
 		e.work[mp.slot].addX(c.X + c.W/2 + mp.dx)
 	}
-	return e.sum()
-}
-
-// sum returns the weighted HPWL of the trial boxes in e.work.
-//
-// NetHPWL counts a net with fewer than two pins as 0. Such a net is in the
-// trial only through a pin of a moving cell, so its box is that one point
-// and its span is +0 here too.
-func (e *engine) sum() float64 {
 	var s float64
 	for k, w := range e.weight {
 		b := &e.work[k]
