@@ -87,7 +87,7 @@ type engine struct {
 	work     []box     // per affected net: still plus the moving pins
 	mpins    []movePin // pins of the moving cells
 
-	// Scratch for optimalPoint, tryReorder and nearRows.
+	// Scratch for optimalPoint, tryReorder, reorderPass and nearRows.
 	los, his, losY, hisY, sorted []float64
 	origX, candX, bestX          []float64
 	near, win                    []int
