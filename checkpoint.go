@@ -67,7 +67,7 @@ func checkpointFingerprint(nl *Netlist, opt Options) [32]byte {
 		fmt.Sprintf("core=%g,%g,%g,%g", nl.Core.XMin, nl.Core.YMin, nl.Core.XMax, nl.Core.YMax),
 		fmt.Sprintf("geom=%x", h.Sum(nil)),
 		fmt.Sprintf("density=%g maxiter=%d", opt.TargetDensity, opt.MaxIterations),
-		fmt.Sprintf("finest=%t projdp=%t lse=%t pnorm=%t model=%d", opt.FinestGrid, opt.ProjectionDP, opt.UseLSE, opt.UsePNorm, int(opt.Model)),
+		fmt.Sprintf("finest=%t projdp=%t lse=%t model=%d", opt.FinestGrid, opt.ProjectionDP, opt.UseLSE, int(opt.Model)),
 		fmt.Sprintf("routability=%t alpha=%g", opt.Routability, opt.RoutabilityAlpha),
 		// The preconditioner changes the CG arithmetic, hence the placement
 		// trajectory: a checkpoint is only resumable under the same kind.

@@ -348,7 +348,8 @@ func TestPlaceMultilevelRejections(t *testing.T) {
 		}, perr.StageCheckpoint},
 		{"bogus-precond", func(o *Options) { o.Precond = "bogus" }, perr.StageValidate},
 		{"ssor-precond", func(o *Options) { o.Precond = "ssor" }, perr.StageValidate},
-		{"lse-pnorm", func(o *Options) { o.UseLSE, o.UsePNorm = true, true }, perr.StageValidate},
+		{"retired-net-model", func(o *Options) { o.Model = NetModel(2) }, perr.StageValidate},
+		{"unknown-net-model", func(o *Options) { o.Model = NetModel(7) }, perr.StageValidate},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			opt := base

@@ -165,8 +165,6 @@ const (
 	ModelB2B = netmodel.B2B
 	// ModelClique connects all pin pairs.
 	ModelClique = netmodel.Clique
-	// ModelStar uses auxiliary net-center variables.
-	ModelStar = netmodel.Star
 	// ModelHybrid uses cliques for small nets and B2B otherwise.
 	ModelHybrid = netmodel.Hybrid
 )
@@ -277,11 +275,10 @@ type Options struct {
 	// legalization + detailed placement (Table 1 "P_C += FastPlace-DP").
 	ProjectionDP bool
 	// UseLSE switches the primal step to the log-sum-exp interconnect
-	// model; UsePNorm to the p,β-regularization of §S1. At most one may be
-	// set.
-	UseLSE   bool
-	UsePNorm bool
-	// Model selects the quadratic net decomposition (default ModelB2B).
+	// model of §S1.
+	UseLSE bool
+	// Model selects the quadratic net decomposition: ModelB2B (default),
+	// ModelClique or ModelHybrid.
 	Model NetModel
 	// Precond selects the CG preconditioner for the quadratic primal step:
 	// "jacobi", "ic0", or ""/"auto" for the size heuristic (Jacobi on
@@ -369,7 +366,7 @@ type MultilevelOptions = multilevel.Options
 // one broken as a *PlaceError:
 //
 //   - Algorithm is AlgComPLx or AlgSimPL (stage "validate");
-//   - UseLSE excludes UsePNorm (stage "validate");
+//   - Model is ModelB2B, ModelClique or ModelHybrid (stage "validate");
 //   - Multilevel excludes Clustered (stage "validate");
 //   - Checkpoint.Resume needs Checkpoint.Dir, and Clustered runs cannot
 //     checkpoint (stage "checkpoint");
@@ -381,8 +378,8 @@ func (o Options) Validate() error {
 	if o.Algorithm != AlgComPLx && o.Algorithm != AlgSimPL {
 		return perr.New(perr.StageValidate, "complx: unknown algorithm %v", o.Algorithm)
 	}
-	if o.UseLSE && o.UsePNorm {
-		return perr.New(perr.StageValidate, "complx: UseLSE and UsePNorm are mutually exclusive")
+	if o.Model != ModelB2B && o.Model != ModelClique && o.Model != ModelHybrid {
+		return perr.New(perr.StageValidate, "complx: unknown net model %d", int(o.Model))
 	}
 	if o.Multilevel.Enabled && o.Clustered {
 		return perr.New(perr.StageValidate,
@@ -448,14 +445,14 @@ type Result struct {
 	DetailedTime, Total   time.Duration
 	// Kernel timing breakdown of the global placement stage, totalled like
 	// GlobalIterations: linear-system assembly, preconditioned-CG solves
-	// (zero for the nonlinear LSE and p-norm primal steps), and the
-	// feasibility projection.
+	// (zero for the nonlinear LSE primal step), and the feasibility
+	// projection.
 	AssemblyTime, SolveTime, ProjectionTime time.Duration
 	// Precond is the resolved CG preconditioner of the segment that
 	// produced the final placement, CGIterations the total CG inner
 	// iterations of the global placement stage, and PrecondTime the total
 	// wall-clock spent building the preconditioner (zero/empty for the
-	// nonlinear primal steps).
+	// nonlinear LSE primal step).
 	Precond        string
 	CGIterations   int
 	PrecondTime    time.Duration
@@ -518,7 +515,6 @@ func coreOptions(opt Options) core.Options {
 		MaxIterations:    opt.MaxIterations,
 		FinestGrid:       opt.FinestGrid,
 		UseLSE:           opt.UseLSE,
-		UsePNorm:         opt.UsePNorm,
 		Routability:      opt.Routability,
 		RoutabilityAlpha: opt.RoutabilityAlpha,
 		CellPenalty:      opt.CellPenalty,

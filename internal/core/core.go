@@ -18,8 +18,8 @@
 // the penalty term can be weighted by per-cell criticalities (Formula 13).
 //
 // The iteration skeleton itself lives in internal/engine; this package maps
-// placement Options onto the engine's pluggable pieces — quadratic / LSE /
-// p-norm primal solvers, the spreading projector (optionally decorated with
+// placement Options onto the engine's pluggable pieces — quadratic / LSE
+// primal solvers, the spreading projector (optionally decorated with
 // a refinement hook), and the ComPLx / SimPL multiplier schedules — and
 // keeps the public Place API stable. It also holds the drivers that run
 // several engine segments as one run: the multilevel V-cycle and the
@@ -48,7 +48,8 @@ import (
 type Schedule int
 
 const (
-	// ScheduleComPLx uses Formula 12: λ_{k+1} = min(2λ_k, λ_k + (Π_{k+1}/Π_k)·h).
+	// ScheduleComPLx uses Formula 12 with a 1.5× growth cap:
+	// λ_{k+1} = min(1.5λ_k, λ_k + (Π_{k+1}/Π_k)·h) (engine.ComPLxSchedule).
 	ScheduleComPLx Schedule = iota
 	// ScheduleSimPL grows λ by a fixed increment per iteration — the
 	// pseudonet-weight schedule of the SimPL special case.
@@ -67,10 +68,8 @@ type Options struct {
 	// Model selects the quadratic net decomposition (default B2B).
 	Model netmodel.Model
 	// UseLSE switches the primal step to the nonlinear log-sum-exp
-	// instantiation; UsePNorm to the p,β-regularization (paper §S1). UseLSE
-	// wins when both are set (complx.Options.Validate rejects the pair).
-	UseLSE   bool
-	UsePNorm bool
+	// instantiation (paper §S1); Model is then unused.
+	UseLSE bool
 
 	// TargetDensity is the utilization limit γ in (0, 1]; default 1.
 	TargetDensity float64
@@ -437,15 +436,12 @@ func placeSingle(ctx context.Context, nl *netlist.Netlist, opt Options, seg segm
 		return nil, perr.Wrap(perr.StageValidate, err)
 	}
 	// Primal step: the anchored quadratic solver with its incremental
-	// assembler and CG workspaces reused across iterations, or one of the
-	// nonlinear instantiations.
+	// assembler and CG workspaces reused across iterations, or the
+	// nonlinear LSE instantiation.
 	var primal engine.PrimalSolver
-	switch {
-	case opt.UseLSE:
+	if opt.UseLSE {
 		primal = &engine.LSEPrimal{NL: nl}
-	case opt.UsePNorm:
-		primal = &engine.PNormPrimal{NL: nl}
-	default:
+	} else {
 		primal = engine.NewQuadraticPrimal(nl, qp.Options{
 			Model: opt.Model, CG: sparse.CGOptions{Tol: seg.cgTol}, Obs: opt.Obs,
 			Precond: opt.Precond,

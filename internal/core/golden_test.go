@@ -60,11 +60,6 @@ func goldenCases() []goldenCase {
 			spec: gen.Spec{Name: "g4", NumCells: 250, Seed: 44},
 			opt:  Options{UseLSE: true, MaxIterations: 14},
 		},
-		{
-			name: "pnorm",
-			spec: gen.Spec{Name: "g5", NumCells: 180, Seed: 45},
-			opt:  Options{UsePNorm: true, MaxIterations: 10},
-		},
 	}
 }
 

@@ -6,8 +6,8 @@
 // minimization), multiplier update, convergence test and statistics
 // emission — and delegates every policy decision to a small interface:
 //
-//   - PrimalSolver minimizes the Lagrangian at fixed anchors (quadratic
-//     B2B, log-sum-exp, or p-norm instantiations live in primal.go);
+//   - PrimalSolver minimizes the Lagrangian at fixed anchors (the
+//     quadratic and log-sum-exp instantiations live in primal.go);
 //   - Projector produces the C-feasible anchor placement P_C (the
 //     spreading-based projector and the FastPlace-DP refinement decorator
 //     live in projector.go);
@@ -201,8 +201,9 @@ type Result struct {
 	History  []IterStats
 	SelfCons SelfConsistency
 	// Kernel timing breakdown: system assembly, CG solves, and feasibility
-	// projection (grid build + spreading + interpolation). Zero for the
-	// LSE/PNorm primal steps, which do not use the quadratic solver.
+	// projection (grid build + spreading + interpolation). Assembly and
+	// solve are zero for the LSE primal step, which does not use the
+	// quadratic solver.
 	AssemblyTime, SolveTime, ProjectionTime time.Duration
 	// CGIters is the total CG inner iterations, PrecondTime the total
 	// preconditioner setup wall-clock, and Precond the resolved

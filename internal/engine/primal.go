@@ -11,7 +11,7 @@ import (
 )
 
 // QuadraticPrimal is the anchored quadratic primal solver (paper §5): one
-// B2B (or clique/star) linearized system per dimension, solved by
+// B2B (or clique) linearized system per dimension, solved by
 // preconditioned CG with the L1 anchor penalty stamped as pseudonets. It
 // owns a reusable qp.Solver — incremental assembly and CG workspaces
 // persist across iterations — and implements primalProbe: Relax rebuilds
@@ -102,23 +102,5 @@ func (p *LSEPrimal) Solve(ctx context.Context, anchors []geom.Point, lambdas []f
 	return err
 }
 
-// nonlinearMaxIter bounds each nonlinear CG solve of the LSE and p-norm
-// primal steps.
+// nonlinearMaxIter bounds each nonlinear CG solve of the LSE primal step.
 const nonlinearMaxIter = 60
-
-// PNormPrimal minimizes the p,β-regularized instantiation of the
-// Lagrangian (paper §S1) at lse.NewPNorm's default exponent. A fresh
-// objective is built per solve, matching the historical core behavior.
-type PNormPrimal struct {
-	NL *netlist.Netlist
-}
-
-// Solve minimizes the p-norm Lagrangian at the given anchors, writing the
-// optimized centers back to the netlist.
-func (p *PNormPrimal) Solve(ctx context.Context, anchors []geom.Point, lambdas []float64) error {
-	o := lse.NewPNorm(p.NL, 0)
-	o.Anchors = anchors
-	o.Lambda = lambdas
-	_, err := lse.Solve(ctx, p.NL, o, lse.MinimizeOptions{MaxIter: nonlinearMaxIter})
-	return err
-}

@@ -32,9 +32,9 @@ type AblationResult struct {
 // Ablation quantifies the design choices DESIGN.md calls out, all on the
 // same ISPD-2005-analog benchmark:
 //
-//   - net model: B2B vs clique vs star vs hybrid (paper §2);
-//   - interconnect instantiation: linearized quadratic vs log-sum-exp vs
-//     p,β-regularization (paper §S1);
+//   - net model: B2B vs clique vs hybrid (paper §2);
+//   - interconnect instantiation: linearized quadratic vs log-sum-exp
+//     (paper §S1);
 //   - λ schedule: Formula 12 vs SimPL's linear ramp (paper §4);
 //   - per-macro λ scaling on/off (paper §5, on a mixed-size analog);
 //   - detailed placement passes: none/moves-only/full (flow substrate).
@@ -79,7 +79,7 @@ func Ablation(w io.Writer, cfg Config) (*AblationResult, error) {
 	}
 
 	// Net models.
-	for _, m := range []netmodel.Model{netmodel.B2B, netmodel.Clique, netmodel.Star, netmodel.Hybrid} {
+	for _, m := range []netmodel.Model{netmodel.B2B, netmodel.Clique, netmodel.Hybrid} {
 		if err := runCore("netmodel", m.String(), core.Options{Model: m}, nil); err != nil {
 			return nil, err
 		}
@@ -89,9 +89,6 @@ func Ablation(w io.Writer, cfg Config) (*AblationResult, error) {
 		return nil, err
 	}
 	if err := runCore("wirelength", "log-sum-exp", core.Options{UseLSE: true}, nil); err != nil {
-		return nil, err
-	}
-	if err := runCore("wirelength", "p-norm", core.Options{UsePNorm: true}, nil); err != nil {
 		return nil, err
 	}
 	// λ schedules.

@@ -252,7 +252,7 @@ func TestAblation(t *testing.T) {
 			t.Errorf("%s/%s: HPWL = %v", r.Group, r.Name, r.HPWL)
 		}
 	}
-	want := map[string]int{"netmodel": 4, "wirelength": 3, "schedule": 2, "detailed": 3, "macro-lambda": 2, "legalizer": 2}
+	want := map[string]int{"netmodel": 3, "wirelength": 2, "schedule": 2, "detailed": 3, "macro-lambda": 2, "legalizer": 2}
 	for g, n := range want {
 		if groups[g] != n {
 			t.Errorf("group %s has %d rows, want %d", g, groups[g], n)

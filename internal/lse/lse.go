@@ -210,20 +210,12 @@ type MinimizeResult struct {
 	GradNorm   float64
 }
 
-// Function is a twice-usable placement objective over the movable-cell
-// coordinate vectors: any smooth interconnect model (log-sum-exp, p,β-
-// regularization, ...) optionally augmented with penalty terms.
-type Function interface {
-	Value(xs, ys []float64) float64
-	Gradient(xs, ys, gx, gy []float64)
-}
-
 // minimize runs Polak–Ribière nonlinear CG with Armijo backtracking from
 // the given starting point, updating xs/ys in place. ctx is polled once per
 // outer iteration; on cancellation xs/ys hold the best iterate reached so
 // far (every accepted step is monotone non-increasing in the objective) and
 // the returned error wraps ctx.Err().
-func minimize(ctx context.Context, o Function, xs, ys []float64, opt MinimizeOptions) (MinimizeResult, error) {
+func minimize(ctx context.Context, o *Objective, xs, ys []float64, opt MinimizeOptions) (MinimizeResult, error) {
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = 100
 	}
@@ -324,7 +316,7 @@ func minimize(ctx context.Context, o Function, xs, ys []float64, opt MinimizeOpt
 // iteration. On cancellation the best iterate reached so far is still
 // written back (it is usable as a best-so-far placement) and the returned
 // error wraps ctx.Err().
-func Solve(ctx context.Context, nl *netlist.Netlist, f Function, opt MinimizeOptions) (MinimizeResult, error) {
+func Solve(ctx context.Context, nl *netlist.Netlist, f *Objective, opt MinimizeOptions) (MinimizeResult, error) {
 	mov := nl.Movables()
 	xs := make([]float64, len(mov))
 	ys := make([]float64, len(mov))

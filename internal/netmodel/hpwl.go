@@ -1,11 +1,12 @@
 // Package netmodel evaluates interconnect objectives and assembles the
 // linearized-quadratic systems used by analytical placement.
 //
-// It provides the exact (weighted) half-perimeter wirelength, and three
+// It provides the exact (weighted) half-perimeter wirelength, and the
 // decompositions of multi-pin nets into two-pin quadratic terms: the
 // Bound2Bound model of Spindler et al. (which reproduces HPWL exactly at the
-// linearization point), the clique model, and the star model with auxiliary
-// center variables. Any of them can instantiate Φ in the ComPLx Lagrangian.
+// linearization point), the clique model, and their hybrid (clique on small
+// nets, B2B on large ones). Any of them can instantiate Φ in the ComPLx
+// Lagrangian.
 package netmodel
 
 import (

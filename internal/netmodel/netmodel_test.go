@@ -208,7 +208,7 @@ func TestSolveReducesFrozenEnergy(t *testing.T) {
 		s.A.MulVec(ax, x)
 		return sparse.Dot(x, ax) - 2*sparse.Dot(s.B, x)
 	}
-	for _, model := range []Model{B2B, Clique, Hybrid, Star} {
+	for _, model := range []Model{B2B, Clique, Hybrid} {
 		rng := rand.New(rand.NewSource(11))
 		nl := randomDesign(rng, 15, 20)
 		a := NewAssembler(nl, model, 0)
@@ -217,28 +217,12 @@ func TestSolveReducesFrozenEnergy(t *testing.T) {
 		for k, i := range nl.Movables() {
 			x0[k] = nl.Cells[i].Center().X
 		}
-		// Aux star variables start at 0; the solver can only improve them.
 		start := quadForm(sx, x0)
 		xs := solveSystem(t, sx)
 		end := quadForm(sx, xs)
 		if end > start+1e-9 {
 			t.Errorf("model %v: solved energy %v > start %v", model, end, start)
 		}
-	}
-}
-
-func TestStarModelAuxCount(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	nl := randomDesign(rng, 10, 15)
-	a := NewAssembler(nl, Star, 0)
-	want := 0
-	for i := range nl.Nets {
-		if countDistinctCells(nl, i) >= 3 {
-			want++
-		}
-	}
-	if got := a.NumVars() - nl.NumMovable(); got != want {
-		t.Errorf("aux vars = %d, want %d", got, want)
 	}
 }
 
@@ -281,7 +265,7 @@ func TestSamePinCellEdgeSkipped(t *testing.T) {
 }
 
 func TestModelString(t *testing.T) {
-	if B2B.String() != "b2b" || Clique.String() != "clique" || Star.String() != "star" || Hybrid.String() != "hybrid" {
+	if B2B.String() != "b2b" || Clique.String() != "clique" || Hybrid.String() != "hybrid" {
 		t.Error("Model.String wrong")
 	}
 	if Model(99).String() != "unknown" {

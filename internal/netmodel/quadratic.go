@@ -36,9 +36,7 @@ const (
 	B2B Model = iota
 	// Clique connects all pin pairs.
 	Clique
-	// Star connects every pin to an auxiliary center variable (for nets
-	// with three or more pins; two-pin nets use a direct edge).
-	Star
+	_ // retired star model; the other values stay stable
 	// Hybrid uses Clique for nets of degree <= 3 and B2B otherwise.
 	Hybrid
 )
@@ -49,8 +47,6 @@ func (m Model) String() string {
 		return "b2b"
 	case Clique:
 		return "clique"
-	case Star:
-		return "star"
 	case Hybrid:
 		return "hybrid"
 	default:
@@ -59,14 +55,11 @@ func (m Model) String() string {
 }
 
 // System is one dimension of the quadratic placement problem: minimize
-// x^T A x - 2 b^T x, i.e. solve A x = b. Variables 0..NumMovable-1 are the
-// movable cell centers (in netlist.Movables order); any further variables
-// are star-model net centers.
+// x^T A x - 2 b^T x, i.e. solve A x = b. The variables are the movable cell
+// centers in netlist.Movables order.
 type System struct {
 	A *sparse.CSR
 	B []float64
-	// NumMovable is the count of leading variables that are cell centers.
-	NumMovable int
 }
 
 // rhsAcc accumulates right-hand-side contributions as (index, value) pairs.
@@ -110,11 +103,6 @@ type Assembler struct {
 	// varOf maps cell index to variable index; -1 for fixed cells.
 	varOf []int
 	nMov  int
-	nAux  int
-	// auxOf maps net index to its star-model center variable (-1 when the
-	// net has no aux variable). Precomputed so shards can stamp any net
-	// range independently.
-	auxOf []int32
 	// pinX, pinY hold every pin's absolute coordinate at the linearization
 	// point (cell center plus pin offset), filled once per assembly so the
 	// stamps read each pin's coordinate instead of recomputing its cell
@@ -136,7 +124,7 @@ type Assembler struct {
 // MinEps is the hard floor for the linearization denominator ε. Callers may
 // pass any positive ε — including denormals — and pins may coincide exactly,
 // in which case a weight 1/(|d|+ε) would overflow to +Inf and poison the
-// linear system. Clamping ε here bounds every B2B/clique/star weight. It
+// linear system. Clamping ε here bounds every B2B/clique/hybrid weight. It
 // also covers row-less designs, where the 1.5×row-height default would
 // otherwise evaluate to zero.
 const MinEps = 1e-12
@@ -160,34 +148,14 @@ func NewAssembler(nl *netlist.Netlist, model Model, eps float64) *Assembler {
 		a.varOf[i] = k
 	}
 	a.nMov = nl.NumMovable()
-	if model == Star {
-		a.auxOf = make([]int32, len(nl.Nets))
-		for i := range nl.Nets {
-			if countDistinctCells(nl, i) >= 3 {
-				a.auxOf[i] = int32(a.nMov + a.nAux)
-				a.nAux++
-			} else {
-				a.auxOf[i] = -1
-			}
-		}
-	}
 	return a
 }
 
-// NumVars returns the total variable count per dimension.
-func (a *Assembler) NumVars() int { return a.nMov + a.nAux }
+// NumVars returns the variable count per dimension: the movable cells.
+func (a *Assembler) NumVars() int { return a.nMov }
 
 // Eps returns the linearization floor in use.
 func (a *Assembler) Eps() float64 { return a.eps }
-
-func countDistinctCells(nl *netlist.Netlist, n int) int {
-	net := &nl.Nets[n]
-	seen := make(map[int]struct{}, len(net.Pins))
-	for _, p := range net.Pins {
-		seen[nl.Pins[p].Cell] = struct{}{}
-	}
-	return len(seen)
-}
 
 // dim identifies an axis.
 type dim int
@@ -263,20 +231,6 @@ func (a *Assembler) edge(b *sparse.Builder, rhs *rhsAcc, pi, pj int, d dim, w fl
 	}
 }
 
-// starEdge stamps w*(pos_i - s)^2 where s is the aux variable with index sv.
-func (a *Assembler) starEdge(b *sparse.Builder, rhs *rhsAcc, pi, sv int, d dim, w float64) {
-	absI, offI, ci := a.pinPos(pi, d)
-	vi := a.varOf[ci]
-	if vi >= 0 {
-		b.AddSym(vi, sv, w)
-		rhs.add(vi, -(w * offI))
-		rhs.add(sv, w*offI)
-	} else {
-		b.AddDiag(sv, w)
-		rhs.add(sv, w*absI)
-	}
-}
-
 // stampNet stamps net ni's decomposition into the given per-dimension
 // builders and rhs accumulators.
 func (a *Assembler) stampNet(ni int, bx, by *sparse.Builder, rx, ry *rhsAcc) {
@@ -284,29 +238,25 @@ func (a *Assembler) stampNet(ni int, bx, by *sparse.Builder, rx, ry *rhsAcc) {
 	if len(net.Pins) < 2 {
 		return
 	}
-	model := a.model
-	if model == Hybrid {
-		if len(net.Pins) <= 3 {
-			model = Clique
-		} else {
-			model = B2B
-		}
-	}
-	if model == Star && a.auxOf[ni] < 0 {
-		model = Clique
-	}
-	switch model {
-	case B2B:
-		a.stampB2B(bx, rx, ni, dimX)
-		a.stampB2B(by, ry, ni, dimY)
-	case Clique:
+	if a.netModel(ni) == Clique {
 		a.stampClique(bx, rx, ni, dimX)
 		a.stampClique(by, ry, ni, dimY)
-	case Star:
-		sv := int(a.auxOf[ni])
-		a.stampStar(bx, rx, ni, dimX, sv)
-		a.stampStar(by, ry, ni, dimY, sv)
+	} else {
+		a.stampB2B(bx, rx, ni, dimX)
+		a.stampB2B(by, ry, ni, dimY)
 	}
+}
+
+// netModel resolves the decomposition of net ni: Hybrid is Clique on nets
+// of degree <= 3 and B2B above.
+func (a *Assembler) netModel(ni int) Model {
+	if a.model != Hybrid {
+		return a.model
+	}
+	if len(a.nl.Nets[ni].Pins) <= 3 {
+		return Clique
+	}
+	return B2B
 }
 
 // Assemble builds the two per-dimension systems without extra terms. The
@@ -432,8 +382,7 @@ func (a *Assembler) AssembleInto(extra func(bx, by *sparse.Builder, fx, fy []flo
 	// The two dimensions build concurrently; each build is itself parallel
 	// over row chunks.
 	a.buildPair.Run(lim)
-	return System{A: a.mx, B: fx, NumMovable: a.nMov},
-		System{A: a.my, B: fy, NumMovable: a.nMov}
+	return System{A: a.mx, B: fx}, System{A: a.my, B: fy}
 }
 
 // buildDim builds dimension d's system (0: x, 1: y) from its shards.
@@ -492,48 +441,19 @@ func (a *Assembler) stampClique(b *sparse.Builder, rhs *rhsAcc, ni int, d dim) {
 	}
 }
 
-func (a *Assembler) stampStar(b *sparse.Builder, rhs *rhsAcc, ni int, d dim, sv int) {
-	net := &a.nl.Nets[ni]
-	p := len(net.Pins)
-	// Center estimate: mean pin coordinate at the linearization point.
-	var mean float64
-	for _, pin := range net.Pins {
-		v, _, _ := a.pinPos(pin, d)
-		mean += v
-	}
-	mean /= float64(p)
-	wBase := net.Weight * 2 / float64(p)
-	for _, pin := range net.Pins {
-		v, _, _ := a.pinPos(pin, d)
-		w := wBase / (math.Abs(v-mean) + a.eps)
-		a.starEdge(b, rhs, pin, sv, d, w)
-	}
-}
-
 // Energy evaluates the model objective at the current placement by direct
-// edge enumeration (used for testing and for reporting Φ under non-HPWL
-// models). For B2B with exact (eps=0-style) weights this approximates the
-// weighted HPWL.
+// edge enumeration; the tests check the assembled systems against it. For
+// B2B with exact (eps=0-style) weights this approximates the weighted HPWL.
 func (a *Assembler) Energy() float64 {
 	var total float64
 	for ni := range a.nl.Nets {
-		net := &a.nl.Nets[ni]
-		if len(net.Pins) < 2 {
+		if len(a.nl.Nets[ni].Pins) < 2 {
 			continue
 		}
-		model := a.model
-		if model == Hybrid {
-			if len(net.Pins) <= 3 {
-				model = Clique
-			} else {
-				model = B2B
-			}
-		}
-		switch model {
-		case B2B, Star: // star energy at center==mean equals pin spread; report B2B-style
-			total += a.b2bEnergy(ni, dimX) + a.b2bEnergy(ni, dimY)
-		case Clique:
+		if a.netModel(ni) == Clique {
 			total += a.cliqueEnergy(ni, dimX) + a.cliqueEnergy(ni, dimY)
+		} else {
+			total += a.b2bEnergy(ni, dimX) + a.b2bEnergy(ni, dimY)
 		}
 	}
 	return total
