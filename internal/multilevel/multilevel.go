@@ -163,7 +163,9 @@ func Run(ctx context.Context, nl *netlist.Netlist, cfg Config) (*engine.Result, 
 	if cfg.Solve == nil {
 		return nil, perr.New(perr.StageValidate, "multilevel: Config.Solve is required")
 	}
+	span := cfg.Obs.StartSpan("coarsen")
 	stack, err := cluster.Coarsen(nl, cfg.Options.TargetCells, cfg.Options.MaxLevels)
+	span.End()
 	if err != nil {
 		return nil, perr.Wrap(perr.StageValidate, err)
 	}
@@ -233,8 +235,11 @@ func Run(ctx context.Context, nl *netlist.Netlist, cfg Config) (*engine.Result, 
 		}
 		total.Merge(res, true)
 		if k > 0 {
-			// Interpolate: write this level's placement onto level k−1.
+			// Interpolate: write this level's placement onto level k−1,
+			// then drop the clustering so this level's netlist can be
+			// collected while the finer levels run.
 			stack[k-1].Expand()
+			stack[k-1] = nil
 		}
 		span.End()
 	}

@@ -3,7 +3,10 @@ package multilevel
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"complx/internal/chkpt"
 	"complx/internal/engine"
@@ -198,5 +201,38 @@ func TestLevelMetric(t *testing.T) {
 	got := levelMetric("complx_level_hpwl", 3)
 	if got != `complx_level_hpwl{level="3"}` {
 		t.Errorf("levelMetric = %q", got)
+	}
+}
+
+// TestRunFreesInterpolatedLevels: once a coarse level's placement has been
+// interpolated onto the next finer netlist, Run holds nothing that keeps
+// the coarse netlist alive, so the finest level runs without the coarse
+// ones in the heap.
+func TestRunFreesInterpolatedLevels(t *testing.T) {
+	nl := vcycleDesign(t)
+	var coarse, finalized atomic.Int32
+	_, err := Run(context.Background(), nl, Config{
+		Options: Options{TargetCells: 150, RefineIters: 4},
+		Solve: func(_ context.Context, lv Level) (*engine.Result, error) {
+			if lv.Level > 0 {
+				coarse.Add(1)
+				runtime.SetFinalizer(lv.Netlist, func(*netlist.Netlist) { finalized.Add(1) })
+				return &engine.Result{}, nil
+			}
+			for deadline := time.Now().Add(5 * time.Second); finalized.Load() < coarse.Load() && time.Now().Before(deadline); {
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+			return &engine.Result{}, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if coarse.Load() < 2 {
+		t.Fatalf("expected at least two coarse levels, got %d", coarse.Load())
+	}
+	if f, c := finalized.Load(), coarse.Load(); f != c {
+		t.Fatalf("%d of %d coarse netlists were collected before the finest level ran", f, c)
 	}
 }

@@ -2,6 +2,9 @@ package netmodel
 
 import (
 	"math"
+	"slices"
+	"sync"
+	"sync/atomic"
 
 	"complx/internal/netlist"
 	"complx/internal/par"
@@ -9,20 +12,21 @@ import (
 )
 
 // Assembly decomposition constants. Like every user of package par, the
-// shard partition is a pure function of the netlist (total pin count), never
-// of the worker count, so assembly is bitwise deterministic at any
-// parallelism level.
+// chunking is a pure function of the netlist, never of the worker count,
+// and every row is built by exactly one chunk, so assembly is bitwise
+// deterministic at any parallelism level.
 const (
-	// assemblyPinGrain is the target number of pins per assembly shard.
-	assemblyPinGrain = 4096
-	// maxAssemblyChunks caps the shard count.
-	maxAssemblyChunks = 32
-	// rhsMergeGrain is the element chunk length for zeroing/merging the
-	// dense right-hand sides.
-	rhsMergeGrain = 16384
-	// pinCoordGrain is the pin chunk length for filling the pin coordinate
-	// table.
-	pinCoordGrain = 8192
+	// netGrain is the net chunk length of the per-net pass, which fills the
+	// pin coordinate table and finds each B2B net's bound pins.
+	netGrain = 4096
+	// rowGrain is the variable chunk length of the per-row pass. It also
+	// bounds each worker's row scratch.
+	rowGrain = 64
+	// gatherPins is the pin count above which the row pass reads each
+	// chunk's net data ahead (see gather): beyond it the tables the rows
+	// read at random outgrow the caches, and the read-ahead pays for its
+	// extra loads.
+	gatherPins = 1 << 16
 )
 
 // Model selects how multi-pin nets are decomposed into two-pin quadratic
@@ -62,38 +66,39 @@ type System struct {
 	B []float64
 }
 
-// rhsAcc accumulates right-hand-side contributions as (index, value) pairs.
-// Shard-local pair lists let assembly run in parallel without write races on
-// a shared dense vector; merging the lists in shard order afterwards
-// reproduces the exact serial summation order.
-type rhsAcc struct {
-	terms []rhsTerm
+// Terms accumulates one variable's diagonal and right-hand side in one
+// axis: first the net model's springs, then the caller's terms (see
+// AssembleInto).
+type Terms struct {
+	diag, rhs float64
+	hasDiag   bool
 }
 
-type rhsTerm struct {
-	i int32
-	v float64
-}
-
-func (r *rhsAcc) add(i int, v float64) { r.terms = append(r.terms, rhsTerm{int32(i), v}) }
-
-func (r *rhsAcc) reset() { r.terms = r.terms[:0] }
-
-// addTo adds the pairs into the dense vector f in emission order.
-func (r *rhsAcc) addTo(f []float64) {
-	for _, t := range r.terms {
-		f[t.i] += t.v
+// Add folds w into the diagonal and b into the right-hand side. The
+// diagonal starts at its first nonzero term; a zero w adds no diagonal
+// entry, as a zero-weight spring stamps none.
+func (t *Terms) Add(w, b float64) {
+	if w != 0 {
+		if t.hasDiag {
+			t.diag += w
+		} else {
+			t.diag, t.hasDiag = w, true
+		}
 	}
+	t.rhs += b
 }
 
 // Assembler builds per-dimension linear systems from a netlist at its
 // current placement (the linearization point).
 //
-// An Assembler is also an incremental-assembly cache: AssembleInto reuses
-// the shard builders, right-hand-side buffers, CSR output arrays and build
-// scratch across calls, so the per-iteration system rebuild of the outer
-// placement loop stops allocating. One Assembler must not be used from
-// multiple goroutines at once.
+// Every AssembleInto rebuilds both systems in two parallel passes: a
+// per-net pass fills the pin coordinate table and records each B2B net's
+// bound pins, then a per-row pass builds each variable's row — its
+// off-diagonal entries, diagonal and right-hand side — straight from the
+// cell's pins and writes it into the CSR arrays. Those arrays, the tables
+// and the per-worker row scratch persist across calls, so the
+// per-iteration rebuild of the outer placement loop stops allocating. One
+// Assembler must not be used from multiple goroutines at once.
 type Assembler struct {
 	nl    *netlist.Netlist
 	model Model
@@ -101,24 +106,42 @@ type Assembler struct {
 	// 1.5x the row height.
 	eps float64
 	// varOf maps cell index to variable index; -1 for fixed cells.
-	varOf []int
+	varOf []int32
 	nMov  int
-	// pinX, pinY hold every pin's absolute coordinate at the linearization
-	// point (cell center plus pin offset), filled once per assembly so the
-	// stamps read each pin's coordinate instead of recomputing its cell
-	// center for every edge endpoint.
-	pinX, pinY []float64
 
-	// Reusable assembly state, created lazily on first AssembleInto.
-	chunk            []int32 // shard net-range boundaries, len = nchunks+1
-	shX, shY         []*sparse.Builder
-	rhX, rhY         []*rhsAcc
-	extraX, extraY   *sparse.Builder
-	fx, fy           []float64
-	mx, my           *sparse.CSR
-	bsX, bsY         sparse.BuildScratch
-	shardsX, shardsY []*sparse.Builder // scratch: shX/shY + extra
-	buildPair        *par.Pair         // runs buildDim for x and y
+	// Tables and reusable output, created lazily on first AssembleInto.
+	// pinPos holds every pin's absolute (x, y) coordinate at the
+	// linearization point (cell center plus pin offset), filled once per
+	// assembly so the rows read each pin's coordinate instead of
+	// recomputing its cell center for every edge endpoint. Variable k's
+	// pins, ordered by net and by position in the net, are
+	// rowPins[rowStart[k]:rowStart[k+1]].
+	pinPos   [][2]float64
+	nets     []netRec
+	rowStart []int32
+	rowPins  []int32
+	mx, my   *sparse.CSR
+	fx, fy   []float64
+
+	// Per-call state. The pass functions are bound once so a launch hands
+	// the pool no fresh closure.
+	netFn, rowFn func(int)
+	extra        func(k int, x, y *Terms)
+	claimed      atomic.Int32
+	mu           sync.Mutex
+	written      sync.Cond // signalled as chunks land in the CSR arrays
+	done         int       // chunks written, in chunk order
+	endX, endY   int       // CSR length after the written chunks
+	free         []*rowScratch
+}
+
+// netRec is what the rows read of a net: its base weight — Weight/(p−1)
+// for B2B, 2·Weight/p for a clique — and, for a B2B net of degree >= 2,
+// its bound pins (min x, max x, min y, max y). bound[0] is −1 on every
+// other net.
+type netRec struct {
+	bound [4]int32
+	wBase float64
 }
 
 // MinEps is the hard floor for the linearization denominator ε. Callers may
@@ -140,12 +163,12 @@ func NewAssembler(nl *netlist.Netlist, model Model, eps float64) *Assembler {
 		eps = MinEps
 	}
 	a := &Assembler{nl: nl, model: model, eps: eps}
-	a.varOf = make([]int, len(nl.Cells))
+	a.varOf = make([]int32, len(nl.Cells))
 	for i := range a.varOf {
 		a.varOf[i] = -1
 	}
 	for k, i := range nl.Movables() {
-		a.varOf[i] = k
+		a.varOf[i] = int32(k)
 	}
 	a.nMov = nl.NumMovable()
 	return a
@@ -165,26 +188,6 @@ const (
 	dimY
 )
 
-// fillPinCoords computes the pin coordinate table from the current cell
-// positions, in parallel over fixed pin chunks (each entry is written by
-// exactly one chunk, so the table is independent of the worker count).
-func (a *Assembler) fillPinCoords(lim *par.Limit) {
-	pins, cells := a.nl.Pins, a.nl.Cells
-	if cap(a.pinX) < len(pins) {
-		a.pinX = make([]float64, len(pins))
-		a.pinY = make([]float64, len(pins))
-	}
-	px, py := a.pinX[:len(pins)], a.pinY[:len(pins)]
-	par.ForIn(lim, len(pins), pinCoordGrain, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			pin := &pins[p]
-			c := cells[pin.Cell].Center()
-			px[p] = c.X + pin.DX
-			py[p] = c.Y + pin.DY
-		}
-	})
-}
-
 // pinCoord returns the absolute pin coordinate and offset from cell center
 // along d.
 func (a *Assembler) pinCoord(p int, d dim) (abs, off float64, cell int) {
@@ -194,57 +197,6 @@ func (a *Assembler) pinCoord(p int, d dim) (abs, off float64, cell int) {
 		return c.X + pin.DX, pin.DX, pin.Cell
 	}
 	return c.Y + pin.DY, pin.DY, pin.Cell
-}
-
-// pinPos is pinCoord read from the pin coordinate table, which the stamps
-// use; the table must be current (see fillPinCoords).
-func (a *Assembler) pinPos(p int, d dim) (abs, off float64, cell int) {
-	pin := &a.nl.Pins[p]
-	if d == dimX {
-		return a.pinX[p], pin.DX, pin.Cell
-	}
-	return a.pinY[p], pin.DY, pin.Cell
-}
-
-// edge stamps the quadratic term w*(pos_i - pos_j)^2 for pins i and j into
-// builder/rhs, where pos = variable + offset for movable cells and the
-// absolute pin coordinate for fixed ones.
-func (a *Assembler) edge(b *sparse.Builder, rhs *rhsAcc, pi, pj int, d dim, w float64) {
-	absI, offI, ci := a.pinPos(pi, d)
-	absJ, offJ, cj := a.pinPos(pj, d)
-	vi, vj := a.varOf[ci], a.varOf[cj]
-	switch {
-	case vi >= 0 && vj >= 0:
-		if ci == cj {
-			return // both pins on the same cell: no force
-		}
-		b.AddSym(vi, vj, w)
-		c := offI - offJ
-		rhs.add(vi, -(w * c))
-		rhs.add(vj, w*c)
-	case vi >= 0:
-		b.AddDiag(vi, w)
-		rhs.add(vi, w*(absJ-offI))
-	case vj >= 0:
-		b.AddDiag(vj, w)
-		rhs.add(vj, w*(absI-offJ))
-	}
-}
-
-// stampNet stamps net ni's decomposition into the given per-dimension
-// builders and rhs accumulators.
-func (a *Assembler) stampNet(ni int, bx, by *sparse.Builder, rx, ry *rhsAcc) {
-	net := &a.nl.Nets[ni]
-	if len(net.Pins) < 2 {
-		return
-	}
-	if a.netModel(ni) == Clique {
-		a.stampClique(bx, rx, ni, dimX)
-		a.stampClique(by, ry, ni, dimY)
-	} else {
-		a.stampB2B(bx, rx, ni, dimX)
-		a.stampB2B(by, ry, ni, dimY)
-	}
 }
 
 // netModel resolves the decomposition of net ni: Hybrid is Clique on nets
@@ -266,178 +218,460 @@ func (a *Assembler) Assemble() (sx, sy System) {
 	return a.AssembleInto(nil)
 }
 
-// ensureAssemblyState lazily builds the fixed shard partition (balanced by
-// pin count) and the reusable per-shard builders and rhs accumulators.
+// ensureAssemblyState lazily builds the tables and output buffers.
 func (a *Assembler) ensureAssemblyState() {
-	if a.chunk != nil {
+	if a.rowStart != nil {
 		return
 	}
-	nNets := len(a.nl.Nets)
-	totalPins := 0
-	for i := 0; i < nNets; i++ {
-		totalPins += len(a.nl.Nets[i].Pins)
-	}
-	nc := totalPins / assemblyPinGrain
-	if nc > maxAssemblyChunks {
-		nc = maxAssemblyChunks
-	}
-	if nc > nNets {
-		nc = nNets
-	}
-	if nc < 1 {
-		nc = 1
-	}
-	a.buildPair = par.NewPair(a.buildDim)
-	a.chunk = append(a.chunk, 0)
-	if nc > 1 {
-		acc, next := 0, 1
-		for ni := 0; ni < nNets; ni++ {
-			acc += len(a.nl.Nets[ni].Pins)
-			for next < nc && int64(acc)*int64(nc) >= int64(totalPins)*int64(next) {
-				if cut := int32(ni + 1); cut > a.chunk[len(a.chunk)-1] && int(cut) < nNets {
-					a.chunk = append(a.chunk, cut)
-				}
-				next++
+	nl, n := a.nl, a.nMov
+	// Counting sort of the movable pins by variable, taking nets in index
+	// order and each net's pins in order.
+	a.rowStart = make([]int32, n+1)
+	for ni := range nl.Nets {
+		for _, p := range nl.Nets[ni].Pins {
+			if v := a.varOf[nl.Pins[p].Cell]; v >= 0 {
+				a.rowStart[v+1]++
 			}
 		}
 	}
-	a.chunk = append(a.chunk, int32(nNets))
-
-	n := a.NumVars()
-	nShards := len(a.chunk) - 1
-	for c := 0; c < nShards; c++ {
-		a.shX = append(a.shX, sparse.NewBuilder(n))
-		a.shY = append(a.shY, sparse.NewBuilder(n))
-		a.rhX = append(a.rhX, &rhsAcc{})
-		a.rhY = append(a.rhY, &rhsAcc{})
+	for k := 0; k < n; k++ {
+		a.rowStart[k+1] += a.rowStart[k]
 	}
-	a.extraX, a.extraY = sparse.NewBuilder(n), sparse.NewBuilder(n)
-	a.fx = make([]float64, n)
-	a.fy = make([]float64, n)
+	a.rowPins = make([]int32, a.rowStart[n])
+	for ni := range nl.Nets {
+		for _, p := range nl.Nets[ni].Pins {
+			if v := a.varOf[nl.Pins[p].Cell]; v >= 0 {
+				a.rowPins[a.rowStart[v]] = int32(p)
+				a.rowStart[v]++
+			}
+		}
+	}
+	// The fill advanced every start to the next row's; shift them back.
+	copy(a.rowStart[1:], a.rowStart[:n])
+	a.rowStart[0] = 0
+
+	a.nets = make([]netRec, len(nl.Nets))
+	for ni := range nl.Nets {
+		net, rec := &nl.Nets[ni], &a.nets[ni]
+		p := len(net.Pins)
+		rec.bound[0] = -1
+		if a.netModel(ni) == B2B {
+			rec.wBase = net.Weight / float64(p-1)
+		} else {
+			rec.wBase = net.Weight * 2 / float64(p)
+		}
+	}
+	a.pinPos = make([][2]float64, len(nl.Pins))
+	a.mx = &sparse.CSR{N: n, RowPtr: make([]int32, n+1)}
+	a.my = &sparse.CSR{N: n, RowPtr: make([]int32, n+1)}
+	a.fx, a.fy = make([]float64, n), make([]float64, n)
+	a.netFn, a.rowFn = a.netChunk, a.rowChunk
+	a.written.L = &a.mu
 }
 
-// AssembleInto stamps the net model in parallel over the fixed net shards,
-// invokes extra (when non-nil) to stamp additional terms — anchor pseudonets,
-// regularization — into a dedicated trailing shard and the merged dense
-// right-hand sides, and builds both systems.
+// AssembleInto builds both systems at the current placement. extra, when
+// non-nil, is called once per variable k after the net model's terms have
+// been folded into k's rows, and adds the caller's terms — anchor
+// pseudonets, regularization — to k's x and y diagonal and right-hand side
+// through Terms.Add. It is called concurrently for different variables.
 //
-// All buffers (shard triplet arrays, rhs accumulators, dense rhs, CSR
-// arrays, build scratch) persist inside the Assembler and are reused across
-// calls: after the first iteration the primal system rebuild is
-// allocation-free. The returned systems alias assembler-owned memory and
-// are valid until the next call.
+// All buffers persist inside the Assembler and are reused across calls: at
+// a steady linearization the rebuild allocates nothing. The returned
+// systems alias assembler-owned memory and are valid until the next call.
 //
-// Determinism: shard boundaries depend only on the netlist; the triplet
-// stream seen by the CSR build is the concatenation of the shards in index
-// order — exactly the serial stamping order — and the rhs pair lists are
-// merged in the same order, so the result is bitwise identical at any
-// parallelism level.
-func (a *Assembler) AssembleInto(extra func(bx, by *sparse.Builder, fx, fy []float64)) (sx, sy System) {
+// Each row holds exactly what the reference path of stamping every spring
+// as matrix triplets and merging them produced: its terms are generated in
+// the serial emission order (nets in index order; within a B2B net the
+// bound-to-bound edge, then each other pin's edges to the min and max
+// bound; within a clique the pin pairs in lexicographic order; then the
+// caller's terms), the diagonal and right-hand side are left folds in that
+// order, and the off-diagonal entries are stably sorted by column and
+// merged in that order. Rows are independent, so the result is bitwise
+// identical at any parallelism level.
+func (a *Assembler) AssembleInto(extra func(k int, x, y *Terms)) (sx, sy System) {
 	a.ensureAssemblyState()
-	nShards := len(a.chunk) - 1
 	// One thread-budget lookup serves every launch of this assembly.
 	lim := par.Current()
-	a.fillPinCoords(lim)
+	par.RunIn(lim, par.Chunks(len(a.nets), netGrain), a.netFn)
 
-	// Parallel shard stamping: each shard owns its builders/accumulators.
-	par.RunIn(lim, nShards, func(c int) {
-		bx, by, rx, ry := a.shX[c], a.shY[c], a.rhX[c], a.rhY[c]
-		bx.Reset()
-		by.Reset()
-		rx.reset()
-		ry.reset()
-		for ni := int(a.chunk[c]); ni < int(a.chunk[c+1]); ni++ {
-			a.stampNet(ni, bx, by, rx, ry)
-		}
-	})
+	a.extra = extra
+	a.claimed.Store(0)
+	a.done, a.endX, a.endY = 0, 0, 0
+	par.RunIn(lim, par.Chunks(a.nMov, rowGrain), a.rowFn)
+	a.extra = nil
 
-	// Merge rhs pair lists in shard order (sequential: summation order must
-	// equal the serial emission order).
-	n := a.NumVars()
-	fx, fy := a.fx[:n], a.fy[:n]
-	par.ForIn(lim, n, rhsMergeGrain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fx[i] = 0
-			fy[i] = 0
-		}
-	})
-	for c := 0; c < nShards; c++ {
-		a.rhX[c].addTo(fx)
-		a.rhY[c].addTo(fy)
+	for _, m := range [2]*sparse.CSR{a.mx, a.my} {
+		end := int(m.RowPtr[a.nMov])
+		m.Col, m.Val = m.Col[:end], m.Val[:end]
+		m.Seal()
 	}
-
-	// Caller terms go into the trailing shard, so they follow the net model
-	// in emission order.
-	a.extraX.Reset()
-	a.extraY.Reset()
-	if extra != nil {
-		extra(a.extraX, a.extraY, fx, fy)
-	}
-
-	a.shardsX = append(a.shardsX[:0], a.shX...)
-	a.shardsX = append(a.shardsX, a.extraX)
-	a.shardsY = append(a.shardsY[:0], a.shY...)
-	a.shardsY = append(a.shardsY, a.extraY)
-
-	// The two dimensions build concurrently; each build is itself parallel
-	// over row chunks.
-	a.buildPair.Run(lim)
-	return System{A: a.mx, B: fx}, System{A: a.my, B: fy}
+	return System{A: a.mx, B: a.fx}, System{A: a.my, B: a.fy}
 }
 
-// buildDim builds dimension d's system (0: x, 1: y) from its shards.
-func (a *Assembler) buildDim(d int) {
-	if d == 0 {
-		a.mx = sparse.BuildMergedInto(a.mx, &a.bsX, a.NumVars(), a.shardsX...)
-	} else {
-		a.my = sparse.BuildMergedInto(a.my, &a.bsY, a.NumVars(), a.shardsY...)
+// netChunk is the per-net pass over net chunk c: it fills the coordinates
+// of the chunk's pins (each pin belongs to exactly one net) and records
+// the bound pins of its B2B nets.
+func (a *Assembler) netChunk(c int) {
+	nl := a.nl
+	for ni := c * netGrain; ni < min((c+1)*netGrain, len(a.nets)); ni++ {
+		pins := nl.Nets[ni].Pins
+		for _, p := range pins {
+			pin := &nl.Pins[p]
+			cc := nl.Cells[pin.Cell].Center()
+			a.pinPos[p] = [2]float64{cc.X + pin.DX, cc.Y + pin.DY}
+		}
+		if len(pins) < 2 || a.netModel(ni) != B2B {
+			continue
+		}
+		rec := &a.nets[ni]
+		minX, maxX := a.bounds(pins, dimX)
+		minY, maxY := a.bounds(pins, dimY)
+		rec.bound = [4]int32{minX, maxX, minY, maxY}
 	}
 }
 
-func (a *Assembler) stampB2B(b *sparse.Builder, rhs *rhsAcc, ni int, d dim) {
-	net := &a.nl.Nets[ni]
-	p := len(net.Pins)
-	// Locate boundary pins.
-	minP, maxP := net.Pins[0], net.Pins[0]
+// bounds returns a net's bound pins along d: the first pin at the minimum
+// coordinate and the last pin at the maximum.
+func (a *Assembler) bounds(pins []int, d dim) (minP, maxP int32) {
 	minV, maxV := math.Inf(1), math.Inf(-1)
-	for _, pin := range net.Pins {
-		v, _, _ := a.pinPos(pin, d)
+	minP, maxP = int32(pins[0]), int32(pins[0])
+	for _, p := range pins {
+		v := a.pinPos[p][d]
 		if v < minV {
-			minV, minP = v, pin
+			minV, minP = v, int32(p)
 		}
 		if v >= maxV {
-			maxV, maxP = v, pin
+			maxV, maxP = v, int32(p)
 		}
 	}
+	return minP, maxP
+}
+
+// rowScratch is one worker's buffer for a chunk of rows: x and y.
+type rowScratch struct {
+	x, y rowBuilder
+	sink float64 // gather's result
+}
+
+// rowBuilder generates rows in one axis: the current row's diagonal and
+// right-hand side in Terms, and the chunk's merged rows so far.
+type rowBuilder struct {
+	pins  []netlist.Pin
+	varOf []int32
+	pos   [][2]float64 // pin coordinates
+	d     dim
+	eps   float64
+	Terms
+	rows axisRows
+	// keys and tmp are sortRow's scratch.
+	keys []uint64
+	tmp  []float64
+}
+
+// axisRows holds a chunk's finished rows in one axis: row i of the chunk
+// is col/val[end[i]:end[i+1]], in CSR order; end starts at 0.
+type axisRows struct {
+	col []int32
+	val []float64
+	end []int32
+}
+
+// rowChunk builds one chunk of rows into a worker's scratch and then, once
+// every earlier chunk has been written, appends it to the CSR arrays. The
+// pool's chunk index is ignored: chunks are claimed here in increasing
+// order, so the earliest unwritten chunk is always being built by a running
+// goroutine and the wait below cannot deadlock.
+func (a *Assembler) rowChunk(int) {
+	c := int(a.claimed.Add(1) - 1)
+	lo, hi := c*rowGrain, min((c+1)*rowGrain, a.nMov)
+	s := a.scratch()
+	bx, by := &s.x, &s.y
+	bx.rows.reset()
+	by.rows.reset()
+	if len(a.pinPos) > gatherPins {
+		a.gather(s, lo, hi)
+	}
+	for k := lo; k < hi; k++ {
+		bx.Terms, by.Terms = Terms{}, Terms{}
+		a.buildRow(bx, by, k)
+		if a.extra != nil {
+			a.extra(k, &bx.Terms, &by.Terms)
+		}
+		bx.finish(k)
+		by.finish(k)
+		a.fx[k], a.fy[k] = bx.rhs, by.rhs
+	}
+
+	a.mu.Lock()
+	for a.done < c {
+		a.written.Wait()
+	}
+	a.mu.Unlock()
+	a.endX = bx.rows.writeTo(a.mx, a.endX, lo, a.nMov)
+	a.endY = by.rows.writeTo(a.my, a.endY, lo, a.nMov)
+	a.mu.Lock()
+	a.done++
+	a.free = append(a.free, s)
+	a.mu.Unlock()
+	a.written.Broadcast()
+}
+
+// gather reads ahead what rows lo..hi-1 will read of their nets — their
+// own pins, the nets' records, then the bound pins and their cells'
+// variables — a level or two per loop, so that the loads of different
+// iterations do not wait on each other and their cache misses overlap
+// instead of each stalling the row that needs it.
+func (a *Assembler) gather(s *rowScratch, lo, hi int) {
+	pins, own := a.nl.Pins, a.rowPins[a.rowStart[lo]:a.rowStart[hi]]
+	var sum float64
+	for _, q := range own {
+		sum += a.pinPos[q][0] + float64(pins[q].Net)
+	}
+	for _, q := range own {
+		sum += float64(a.nets[pins[q].Net].bound[0])
+	}
+	for _, q := range own {
+		if b := &a.nets[pins[q].Net].bound; b[0] >= 0 {
+			for _, p := range b {
+				sum += a.pinPos[p][0] + float64(a.varOf[pins[p].Cell])
+			}
+		}
+	}
+	s.sink += sum // keeps the loads live
+}
+
+// scratch takes a free worker scratch, or makes one.
+func (a *Assembler) scratch() *rowScratch {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if n := len(a.free); n > 0 {
+		s := a.free[n-1]
+		a.free = a.free[:n-1]
+		return s
+	}
+	s := &rowScratch{}
+	s.x = rowBuilder{pins: a.nl.Pins, varOf: a.varOf, pos: a.pinPos, d: dimX, eps: a.eps}
+	s.y = rowBuilder{pins: a.nl.Pins, varOf: a.varOf, pos: a.pinPos, d: dimY, eps: a.eps}
+	return s
+}
+
+// buildRow generates variable k's net-model terms in both axes.
+func (a *Assembler) buildRow(bx, by *rowBuilder, k int) {
+	pins := a.nl.Pins
+	own := a.rowPins[a.rowStart[k]:a.rowStart[k+1]]
+	for len(own) > 0 {
+		// own[:g] are k's pins on one net.
+		ni := pins[own[0]].Net
+		g := 1
+		for g < len(own) && pins[own[g]].Net == ni {
+			g++
+		}
+		group := own[:g]
+		own = own[g:]
+		kc := pins[group[0]].Cell
+		net, rec := &a.nl.Nets[ni], &a.nets[ni] // net is read by bound-pin owners only
+		if rec.bound[0] >= 0 {
+			bx.b2b(net, rec, group, kc, int(rec.bound[0]), int(rec.bound[1]))
+			by.b2b(net, rec, group, kc, int(rec.bound[2]), int(rec.bound[3]))
+		} else if len(net.Pins) >= 2 {
+			bx.clique(net.Pins, rec.wBase, group, kc)
+			by.clique(net.Pins, rec.wBase, group, kc)
+		}
+	}
+}
+
+// pinRef is what a row reads of one pin along its axis.
+type pinRef struct {
+	cell int
+	v    int32   // the cell's variable, or -1
+	off  float64 // offset from the cell center
+	pos  float64 // absolute coordinate
+}
+
+func (r *rowBuilder) ref(p int) pinRef {
+	pin := &r.pins[p]
+	off := pin.DX
+	if r.d == dimY {
+		off = pin.DY
+	}
+	return pinRef{cell: pin.Cell, v: r.varOf[pin.Cell], off: off, pos: r.pos[p][r.d]}
+}
+
+// weight is the linearized spring weight between coordinates vi and vj.
+func (r *rowBuilder) weight(wBase, vi, vj float64) float64 {
+	return wBase / (math.Abs(vi-vj) + r.eps)
+}
+
+// b2b adds the B2B edges of a net that touch cell kc, which owns the pins
+// group of the net, in emission order. A cell that owns neither bound pin
+// only has its own pins' two edges; a bound-pin owner scans the net.
+func (r *rowBuilder) b2b(net *netlist.Net, rec *netRec, group []int32, kc, minP, maxP int) {
 	if minP == maxP {
 		return
 	}
-	wBase := net.Weight / float64(p-1)
-	w := func(vi, vj float64) float64 {
-		return wBase / (math.Abs(vi-vj) + a.eps)
+	mn, mx := r.ref(minP), r.ref(maxP)
+	minOwn, maxOwn := mn.cell == kc, mx.cell == kc
+	if !minOwn && !maxOwn {
+		for _, q := range group {
+			o := r.ref(int(q))
+			r.stamp(o, mn, true, r.weight(rec.wBase, o.pos, mn.pos))
+			r.stamp(o, mx, true, r.weight(rec.wBase, o.pos, mx.pos))
+		}
+		return
 	}
-	a.edge(b, rhs, minP, maxP, d, w(minV, maxV))
-	for _, pin := range net.Pins {
-		if pin == minP || pin == maxP {
+	r.stamp(mn, mx, minOwn, r.weight(rec.wBase, mn.pos, mx.pos))
+	for _, q := range net.Pins {
+		if q == minP || q == maxP {
 			continue
 		}
-		v, _, _ := a.pinPos(pin, d)
-		a.edge(b, rhs, pin, minP, d, w(v, minV))
-		a.edge(b, rhs, pin, maxP, d, w(v, maxV))
+		o := r.ref(q)
+		qOwn := o.cell == kc
+		if qOwn || minOwn {
+			r.stamp(o, mn, qOwn, r.weight(rec.wBase, o.pos, mn.pos))
+		}
+		if qOwn || maxOwn {
+			r.stamp(o, mx, qOwn, r.weight(rec.wBase, o.pos, mx.pos))
+		}
 	}
 }
 
-func (a *Assembler) stampClique(b *sparse.Builder, rhs *rhsAcc, ni int, d dim) {
-	net := &a.nl.Nets[ni]
-	p := len(net.Pins)
-	wBase := net.Weight * 2 / float64(p)
-	for i := 0; i < p; i++ {
-		vi, _, _ := a.pinPos(net.Pins[i], d)
-		for j := i + 1; j < p; j++ {
-			vj, _, _ := a.pinPos(net.Pins[j], d)
-			w := wBase / (math.Abs(vi-vj) + a.eps)
-			a.edge(b, rhs, net.Pins[i], net.Pins[j], d, w)
+// clique adds the clique edges of a net that touch cell kc, which owns the
+// pins group of the net, in lexicographic pair order: a pair (i, j) with
+// i < j touches kc when either pin is kc's.
+func (r *rowBuilder) clique(pins []int, wBase float64, group []int32, kc int) {
+	next := 0 // group[next:] are kc's pins after the current position
+	for i, pi := range pins {
+		ri := r.ref(pi)
+		if next < len(group) && int(group[next]) == pi {
+			next++
+			for _, pj := range pins[i+1:] {
+				rj := r.ref(pj)
+				r.stamp(ri, rj, true, r.weight(wBase, ri.pos, rj.pos))
+			}
+			continue
 		}
+		for _, pj := range group[next:] {
+			rj := r.ref(int(pj))
+			r.stamp(ri, rj, false, r.weight(wBase, ri.pos, rj.pos))
+		}
+	}
+}
+
+// stamp adds the spring w·(pos_i − pos_j)² between pins i and j to the
+// row of i's cell when first is set, else to the row of j's cell, where
+// pos = variable + offset for movable cells and the absolute pin
+// coordinate for fixed ones. Two pins on one cell exert no force.
+func (r *rowBuilder) stamp(i, j pinRef, first bool, w float64) {
+	if i.cell == j.cell {
+		return
+	}
+	other := j
+	if !first {
+		other = i
+	}
+	if other.v >= 0 {
+		if w != 0 {
+			r.rows.col = append(r.rows.col, other.v)
+			r.rows.val = append(r.rows.val, -w)
+		}
+		c := i.off - j.off
+		if first {
+			r.Add(w, -(w * c))
+		} else {
+			r.Add(w, w*c)
+		}
+		return
+	}
+	if first {
+		r.Add(w, w*(j.pos-i.off))
+	} else {
+		r.Add(w, w*(i.pos-j.off))
+	}
+}
+
+// finish stably sorts the row's off-diagonal entries by column, merges
+// duplicates in emission order and records the row's diagonal.
+func (r *rowBuilder) finish(k int) {
+	o := &r.rows
+	s := int(o.end[len(o.end)-1])
+	cols, vals := o.col[s:], o.val[s:]
+	w := 0
+	if len(cols) > 0 {
+		r.sortRow(cols, vals)
+		for k := 1; k < len(cols); k++ {
+			if cols[k] == cols[w] {
+				vals[w] += vals[k]
+			} else {
+				w++
+				cols[w], vals[w] = cols[k], vals[k]
+			}
+		}
+		w++
+	}
+	o.col, o.val = o.col[:s+w], o.val[:s+w]
+	if r.hasDiag {
+		// Insert the diagonal between the columns below and above it.
+		o.col, o.val = append(o.col, 0), append(o.val, 0)
+		i := len(o.col) - 1
+		for ; i > s && int(o.col[i-1]) > k; i-- {
+			o.col[i], o.val[i] = o.col[i-1], o.val[i-1]
+		}
+		o.col[i], o.val[i] = int32(k), r.diag
+	}
+	o.end = append(o.end, int32(len(o.col)))
+}
+
+func (o *axisRows) reset() { o.col, o.val, o.end = o.col[:0], o.val[:0], append(o.end[:0], 0) }
+
+// writeTo writes the chunk's rows, the first being row lo, into m after
+// its first end entries and returns the new end. When m's arrays are too
+// short they grow to the length the rows so far extrapolate to over all n
+// rows.
+func (o *axisRows) writeTo(m *sparse.CSR, end, lo, n int) int {
+	rows := len(o.end) - 1
+	if need := end + len(o.col); cap(m.Col) < need {
+		est := int(int64(need)*int64(n)/int64(lo+rows)) * 65 / 64
+		col, val := make([]int32, est), make([]float64, est)
+		copy(col, m.Col[:end])
+		copy(val, m.Val[:end])
+		m.Col, m.Val = col, val
+	}
+	m.Col, m.Val = m.Col[:cap(m.Col)], m.Val[:cap(m.Val)]
+	copy(m.Col[end:], o.col)
+	copy(m.Val[end:], o.val)
+	for i, e := range o.end[1:] {
+		m.RowPtr[lo+i+1] = int32(end) + e
+	}
+	return end + len(o.col)
+}
+
+// sortRow stably sorts a row's (col, val) pairs by column. Stability keeps
+// duplicate entries in emission order so their summation order is
+// deterministic. Short rows (a handful of springs per variable) use
+// insertion sort; longer ones sort (col, emission index) keys, which are
+// unique, and then gather the values, using the worker's scratch.
+func (r *rowBuilder) sortRow(cols []int32, vals []float64) {
+	if len(cols) > 16 {
+		keys := r.keys[:0]
+		for i, c := range cols {
+			keys = append(keys, uint64(c)<<32|uint64(i))
+		}
+		slices.Sort(keys)
+		r.tmp = append(r.tmp[:0], vals...)
+		for i, k := range keys {
+			cols[i], vals[i] = int32(k>>32), r.tmp[uint32(k)]
+		}
+		r.keys = keys
+		return
+	}
+	for i := 1; i < len(cols); i++ {
+		c, v := cols[i], vals[i]
+		j := i - 1
+		for j >= 0 && cols[j] > c {
+			cols[j+1], vals[j+1] = cols[j], vals[j]
+			j--
+		}
+		cols[j+1], vals[j+1] = c, v
 	}
 }
 

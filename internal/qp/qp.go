@@ -363,15 +363,13 @@ func (s *Solver) SolveCtx(ctx context.Context, anchors *Anchors) (Result, error)
 
 	tAsm := time.Now()
 	asmSpan := opt.Obs.StartSpan("assemble")
-	sx, sy := s.asm.AssembleInto(func(bx, by *sparse.Builder, fx, fy []float64) {
+	cc := nl.Core.Center()
+	const tiny = 1e-12
+	eps := s.asm.Eps()
+	sx, sy := s.asm.AssembleInto(func(k int, tx, ty *netmodel.Terms) {
 		if anchors != nil {
-			eps := s.asm.Eps()
-			for k, i := range mov {
-				lam := anchors.Lambda[k]
-				if lam <= 0 {
-					continue
-				}
-				c := nl.Cells[i].Center()
+			if lam := anchors.Lambda[k]; lam > 0 {
+				c := nl.Cells[mov[k]].Center()
 				a := anchors.Pos[k]
 				// Linearized L1 pseudonets (paper §5):
 				// w = λ / (|coordinate distance| + ε), per dimension. The
@@ -388,23 +386,14 @@ func (s *Solver) SolveCtx(ctx context.Context, anchors *Anchors) (Result, error)
 				}
 				wx := lam / dx
 				wy := lam / dy
-				bx.AddDiag(k, wx)
-				fx[k] += wx * a.X
-				by.AddDiag(k, wy)
-				fy[k] += wy * a.Y
+				tx.Add(wx, wx*a.X)
+				ty.Add(wy, wy*a.Y)
 			}
 		}
 		// Guard against singular systems (e.g. cells with no nets): a tiny
 		// regularization pulls unconnected variables toward the core center.
-		cc := nl.Core.Center()
-		const tiny = 1e-12
-		n := s.asm.NumVars()
-		for k := 0; k < n; k++ {
-			bx.AddDiag(k, tiny)
-			fx[k] += tiny * cc.X
-			by.AddDiag(k, tiny)
-			fy[k] += tiny * cc.Y
-		}
+		tx.Add(tiny, tiny*cc.X)
+		ty.Add(tiny, tiny*cc.Y)
 	})
 	asmDur := time.Since(tAsm)
 	s.Metrics.Assembly += asmDur

@@ -83,15 +83,15 @@ func mergeShards(rng *rand.Rand, n, nShards int) ([]*Builder, []triplet) {
 			b.Add(r, c, v)
 			all = append(all, triplet{int32(r), int32(c), v})
 		}
-		// spring stamps one compact AddSym record and lists the four
-		// triplets it stands for, in AddSym's documented order.
+		// spring stamps an AddSym and lists the four triplets it stands
+		// for, in AddSym's documented order.
 		spring := func(r, c int, w float64) {
 			b.AddSym(r, c, w)
 			all = append(all, triplet{int32(r), int32(r), w}, triplet{int32(c), int32(c), w},
 				triplet{int32(r), int32(c), -w}, triplet{int32(c), int32(r), -w})
 		}
 		// edgeSpring stamps a spring between two off-diagonal rows, when the
-		// matrix has any, so that a compact record opens or closes the shard.
+		// matrix has any, so that a spring opens or closes the shard.
 		edgeSpring := func() {
 			for try := 0; try < 20; try++ {
 				r, c := rng.Intn(n), rng.Intn(n)
@@ -176,18 +176,20 @@ func mergeShards(rng *rand.Rand, n, nShards int) ([]*Builder, []triplet) {
 	return shards, all
 }
 
-// TestBuildMergedIntoMatchesNaive checks the counting build against the
-// naive stable-sort reference, bit for bit, on random shard sets at several
-// pool sizes, reusing the output and scratch buffers across calls.
-func TestBuildMergedIntoMatchesNaive(t *testing.T) {
+// TestBuildMatchesNaive checks Build against the naive stable-sort
+// reference, bit for bit, on the concatenated streams of random shard sets
+// at several pool sizes.
+func TestBuildMatchesNaive(t *testing.T) {
 	withThreads(t, func(threads int) {
 		rng := rand.New(rand.NewSource(int64(41 + threads)))
-		var m *CSR
-		var ws BuildScratch
 		for trial := 0; trial < 12; trial++ {
 			n := []int{1, 9, 70, 300, 5000}[trial%5]
 			shards, all := mergeShards(rng, n, 1+rng.Intn(4))
-			m = BuildMergedInto(m, &ws, n, shards...)
+			b := NewBuilder(n)
+			for _, s := range shards {
+				b.ents = append(b.ents, s.ents...)
+			}
+			m := b.Build()
 			want := naiveMerge(n, all)
 			if !slices.Equal(m.RowPtr, want.RowPtr) {
 				t.Fatalf("threads=%d n=%d: RowPtr differs", threads, n)

@@ -147,7 +147,7 @@ func TestMulVecBitwiseAcrossThreads(t *testing.T) {
 
 func TestBuildBitwiseAcrossThreads(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	for _, n := range []int{0, 1, buildRowGrain - 1, buildRowGrain + 1, 4*buildRowGrain + 3} {
+	for _, n := range []int{0, 1, diagRowGrain - 1, diagRowGrain + 1, 4*diagRowGrain + 3} {
 		// Emit a reproducible triplet stream with duplicates.
 		emit := func(b *Builder) {
 			r := rand.New(rand.NewSource(int64(n) + 99))

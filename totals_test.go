@@ -1,9 +1,11 @@
 package complx_test
 
 import (
+	"strings"
 	"testing"
 
 	"complx"
+	"complx/internal/obs"
 )
 
 // TestResultTotalsMatchObserver pins the result contract's totals: for every
@@ -62,5 +64,56 @@ func TestResultTotalsMatchObserver(t *testing.T) {
 				tc.check(t, res)
 			}
 		})
+	}
+}
+
+// TestVCycleSpanTree: a V-cycle run's trace attributes the coarsening to a
+// coarsen span under global, beside the level_k spans, and those children
+// fit inside global's own wall time.
+func TestVCycleSpanTree(t *testing.T) {
+	nl := genOrDie(t, "spans-vcycle", 700, 23)
+	opt := complx.Options{
+		MaxIterations: 10,
+		SkipLegalize:  true,
+		SkipDetailed:  true,
+		Multilevel:    complx.MultilevelOptions{Enabled: true, TargetCells: 150, RefineIters: 4},
+		Observer:      complx.NewObserver(),
+	}
+	if _, err := complx.Place(nl, opt); err != nil {
+		t.Fatal(err)
+	}
+	var global *obs.SpanNode
+	var find func([]*obs.SpanNode)
+	find = func(nodes []*obs.SpanNode) {
+		for _, n := range nodes {
+			if n.Name == "global" {
+				global = n
+				return
+			}
+			find(n.Children)
+		}
+	}
+	find(opt.Observer.Spans())
+	if global == nil {
+		t.Fatal("no global span in the trace")
+	}
+	var coarsen, levels int
+	var sum float64
+	for _, c := range global.Children {
+		switch {
+		case c.Name == "coarsen":
+			coarsen++
+		case strings.HasPrefix(c.Name, "level_"):
+			levels++
+		default:
+			continue
+		}
+		sum += c.Seconds
+	}
+	if coarsen != 1 || levels < 2 {
+		t.Fatalf("global has %d coarsen and %d level_k children, want 1 and >= 2", coarsen, levels)
+	}
+	if sum > global.Seconds {
+		t.Errorf("coarsen and level_k spans add up to %.6f s, more than global's %.6f s", sum, global.Seconds)
 	}
 }
