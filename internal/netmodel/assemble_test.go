@@ -128,7 +128,7 @@ func (r *refAssembler) stampClique(ni int, d dim) {
 	}
 }
 
-// tangledDesign is a random design with the cases the row pass must get
+// tangledDesign is a random design with the cases the assembly must get
 // right: fixed cells, degree-1 nets, nets whose pins share a cell, cells
 // owning several pins of one net (often a bound pin), coordinate ties, and
 // a hub net whose bound owners get rows longer than the insertion sort's
@@ -226,7 +226,7 @@ func sameSystem(t *testing.T, what string, got, want System) {
 	}
 }
 
-// TestAssemblerMatchesReference checks the row-parallel assembly against
+// TestAssemblerMatchesReference checks the assembly against
 // the reference triplet path, bit for bit, under every net model, with and
 // without caller terms, at several pool sizes.
 func TestAssemblerMatchesReference(t *testing.T) {
@@ -265,6 +265,30 @@ func TestAssemblerMatchesReference(t *testing.T) {
 	}
 }
 
+// TestAssembleFollowsNetlistChanges: an Assembler reused after the cells
+// move and net weights change (as timing-driven reweighting does) builds
+// what a fresh reference assembly of the changed netlist builds.
+func TestAssembleFollowsNetlistChanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	nl := tangledDesign(rng, 400, 500)
+	a := NewAssembler(nl, Hybrid, 0)
+	a.Assemble()
+	for round := 0; round < 3; round++ {
+		for ni := range nl.Nets {
+			if rng.Intn(3) == 0 {
+				nl.Nets[ni].Weight *= 0.5 + 2*rng.Float64()
+			}
+		}
+		for _, i := range nl.Movables() {
+			nl.Cells[i].SetCenter(geom.Point{X: 100 * rng.Float64(), Y: 100 * rng.Float64()})
+		}
+		wantX, wantY := newRefAssembler(nl, Hybrid).assemble(nil)
+		sx, sy := a.Assemble()
+		sameSystem(t, "x", sx, wantX)
+		sameSystem(t, "y", sy, wantY)
+	}
+}
+
 // TestAssembleSteadyStateAllocs: once warmed up, rebuilding the systems at
 // an unchanged linearization allocates nothing, with caller terms.
 func TestAssembleSteadyStateAllocs(t *testing.T) {
@@ -284,9 +308,9 @@ func TestAssembleSteadyStateAllocs(t *testing.T) {
 
 // TestAssemblerRetainedHeap bounds what an Assembler keeps live between
 // calls on a ~10K-cell design at two workers: the two systems (CSR arrays
-// and right-hand sides) with a quarter on top for the index tables and the
-// per-worker row scratch, plus 16 B per pin (the pin coordinate table) and
-// 16 B per net (the bound pins).
+// and right-hand sides) with a quarter on top for the rows' spare slots,
+// the per-row tables and the per-worker sort scratch, plus 16 B per pin
+// (the pin coordinate table) and 16 B per net (the bound pins).
 func TestAssemblerRetainedHeap(t *testing.T) {
 	defer par.SetThreads(0)
 	par.SetThreads(2)

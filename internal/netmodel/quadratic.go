@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"complx/internal/netlist"
 	"complx/internal/par"
@@ -16,17 +15,14 @@ import (
 // and every row is built by exactly one chunk, so assembly is bitwise
 // deterministic at any parallelism level.
 const (
-	// netGrain is the net chunk length of the per-net pass, which fills the
-	// pin coordinate table and finds each B2B net's bound pins.
+	// pinGrain is the pin chunk length of the pass that fills the pin
+	// coordinate table.
+	pinGrain = 16384
+	// netGrain is the net chunk length of the per-net pass, which finds
+	// each B2B net's bound pins.
 	netGrain = 4096
-	// rowGrain is the variable chunk length of the per-row pass. It also
-	// bounds each worker's row scratch.
-	rowGrain = 64
-	// gatherPins is the pin count above which the row pass reads each
-	// chunk's net data ahead (see gather): beyond it the tables the rows
-	// read at random outgrow the caches, and the read-ahead pays for its
-	// extra loads.
-	gatherPins = 1 << 16
+	// rowGrain is the variable chunk length of the per-row pass.
+	rowGrain = 256
 )
 
 // Model selects how multi-pin nets are decomposed into two-pin quadratic
@@ -91,12 +87,14 @@ func (t *Terms) Add(w, b float64) {
 // Assembler builds per-dimension linear systems from a netlist at its
 // current placement (the linearization point).
 //
-// Every AssembleInto rebuilds both systems in two parallel passes: a
-// per-net pass fills the pin coordinate table and records each B2B net's
-// bound pins, then a per-row pass builds each variable's row — its
-// off-diagonal entries, diagonal and right-hand side — straight from the
-// cell's pins and writes it into the CSR arrays. Those arrays, the tables
-// and the per-worker row scratch persist across calls, so the
+// Every AssembleInto rebuilds both systems in five passes. A per-pin pass
+// fills the pin coordinate table and a per-net pass records each B2B net's
+// bound pins. Then, for x and y concurrently, a fill pass sizes every variable's row
+// from the bound pins and stamps each net's springs once, in net order,
+// straight into the rows' slots of the CSR arrays. A per-row pass adds the
+// caller's terms and sorts, merges and closes each row in place, and a
+// compaction pass closes the gaps between rows. The CSR arrays, the tables
+// and the per-worker sort scratch persist across calls, so the
 // per-iteration rebuild of the outer placement loop stops allocating. One
 // Assembler must not be used from multiple goroutines at once.
 type Assembler struct {
@@ -112,36 +110,39 @@ type Assembler struct {
 	// Tables and reusable output, created lazily on first AssembleInto.
 	// pinPos holds every pin's absolute (x, y) coordinate at the
 	// linearization point (cell center plus pin offset), filled once per
-	// assembly so the rows read each pin's coordinate instead of
-	// recomputing its cell center for every edge endpoint. Variable k's
-	// pins, ordered by net and by position in the net, are
-	// rowPins[rowStart[k]:rowStart[k+1]].
-	pinPos   [][2]float64
-	nets     []netRec
-	rowStart []int32
-	rowPins  []int32
-	mx, my   *sparse.CSR
-	fx, fy   []float64
+	// assembly so the springs read each pin's coordinate instead of
+	// recomputing its cell center for every edge endpoint. bound holds each
+	// B2B net's bound pins (min x, max x, min y, max y); bound[ni][0] is −1
+	// on every other net. base[k] bounds variable k's off-diagonal entries
+	// in one axis independently of the placement: two per pin on a B2B net
+	// (its edges to the two bound pins) and p−1 per pin on a clique of p
+	// pins; baseSum is their sum.
+	pinPos  [][2]float64
+	bound   [][4]int32
+	base    []int32
+	baseSum int
+	sys     [2]axis
 
 	// Per-call state. The pass functions are bound once so a launch hands
 	// the pool no fresh closure.
-	netFn, rowFn func(int)
-	extra        func(k int, x, y *Terms)
-	claimed      atomic.Int32
-	mu           sync.Mutex
-	written      sync.Cond // signalled as chunks land in the CSR arrays
-	done         int       // chunks written, in chunk order
-	endX, endY   int       // CSR length after the written chunks
-	free         []*rowScratch
+	pinFn, netFn  func(int)
+	rowFn         func(int)
+	fill, compact *par.Pair
+	extra         func(k int, x, y *Terms)
+	mu            sync.Mutex
+	free          []*rowScratch
 }
 
-// netRec is what the rows read of a net: its base weight — Weight/(p−1)
-// for B2B, 2·Weight/p for a clique — and, for a B2B net of degree >= 2,
-// its bound pins (min x, max x, min y, max y). bound[0] is −1 on every
-// other net.
-type netRec struct {
-	bound [4]int32
-	wBase float64
+// axis is one axis's system under construction. Between the fill and the
+// compaction, variable k's row occupies m.Col/m.Val[span[k][0]:span[k][1]].
+// During the fill its first slot holds the diagonal, with column −1 until
+// the diagonal's first term; the per-row pass leaves the finished row at
+// the front of the slots.
+type axis struct {
+	d    dim
+	m    *sparse.CSR
+	b    []float64
+	span [][2]int32
 }
 
 // MinEps is the hard floor for the linearization denominator ε. Callers may
@@ -220,53 +221,40 @@ func (a *Assembler) Assemble() (sx, sy System) {
 
 // ensureAssemblyState lazily builds the tables and output buffers.
 func (a *Assembler) ensureAssemblyState() {
-	if a.rowStart != nil {
+	if a.bound != nil {
 		return
 	}
 	nl, n := a.nl, a.nMov
-	// Counting sort of the movable pins by variable, taking nets in index
-	// order and each net's pins in order.
-	a.rowStart = make([]int32, n+1)
+	a.bound = make([][4]int32, len(nl.Nets))
+	a.base = make([]int32, n)
 	for ni := range nl.Nets {
-		for _, p := range nl.Nets[ni].Pins {
-			if v := a.varOf[nl.Pins[p].Cell]; v >= 0 {
-				a.rowStart[v+1]++
-			}
+		pins := nl.Nets[ni].Pins
+		a.bound[ni][0] = -1
+		if len(pins) < 2 {
+			continue
 		}
-	}
-	for k := 0; k < n; k++ {
-		a.rowStart[k+1] += a.rowStart[k]
-	}
-	a.rowPins = make([]int32, a.rowStart[n])
-	for ni := range nl.Nets {
-		for _, p := range nl.Nets[ni].Pins {
-			if v := a.varOf[nl.Pins[p].Cell]; v >= 0 {
-				a.rowPins[a.rowStart[v]] = int32(p)
-				a.rowStart[v]++
-			}
+		per := int32(2)
+		if a.netModel(ni) == Clique {
+			per = int32(len(pins) - 1)
 		}
-	}
-	// The fill advanced every start to the next row's; shift them back.
-	copy(a.rowStart[1:], a.rowStart[:n])
-	a.rowStart[0] = 0
-
-	a.nets = make([]netRec, len(nl.Nets))
-	for ni := range nl.Nets {
-		net, rec := &nl.Nets[ni], &a.nets[ni]
-		p := len(net.Pins)
-		rec.bound[0] = -1
-		if a.netModel(ni) == B2B {
-			rec.wBase = net.Weight / float64(p-1)
-		} else {
-			rec.wBase = net.Weight * 2 / float64(p)
+		for _, p := range pins {
+			if v := a.varOf[nl.Pins[p].Cell]; v >= 0 {
+				a.base[v] += per
+				a.baseSum += int(per)
+			}
 		}
 	}
 	a.pinPos = make([][2]float64, len(nl.Pins))
-	a.mx = &sparse.CSR{N: n, RowPtr: make([]int32, n+1)}
-	a.my = &sparse.CSR{N: n, RowPtr: make([]int32, n+1)}
-	a.fx, a.fy = make([]float64, n), make([]float64, n)
-	a.netFn, a.rowFn = a.netChunk, a.rowChunk
-	a.written.L = &a.mu
+	for d := range a.sys {
+		a.sys[d] = axis{
+			d:    dim(d),
+			m:    &sparse.CSR{N: n, RowPtr: make([]int32, n+1)},
+			b:    make([]float64, n),
+			span: make([][2]int32, n),
+		}
+	}
+	a.pinFn, a.netFn, a.rowFn = a.pinChunk, a.netChunk, a.rowChunk
+	a.fill, a.compact = par.NewPair(a.fillAxis), par.NewPair(a.compactAxis)
 }
 
 // AssembleInto builds both systems at the current placement. extra, when
@@ -276,7 +264,8 @@ func (a *Assembler) ensureAssemblyState() {
 // through Terms.Add. It is called concurrently for different variables.
 //
 // All buffers persist inside the Assembler and are reused across calls: at
-// a steady linearization the rebuild allocates nothing. The returned
+// a steady linearization and one worker the rebuild allocates nothing (a
+// launch onto more workers allocates the pool's bookkeeping). The returned
 // systems alias assembler-owned memory and are valid until the next call.
 //
 // Each row holds exactly what the reference path of stamping every spring
@@ -286,47 +275,43 @@ func (a *Assembler) ensureAssemblyState() {
 // bound; within a clique the pin pairs in lexicographic order; then the
 // caller's terms), the diagonal and right-hand side are left folds in that
 // order, and the off-diagonal entries are stably sorted by column and
-// merged in that order. Rows are independent, so the result is bitwise
-// identical at any parallelism level.
+// merged in that order. Each axis is filled by one goroutine and each row
+// is finished by one, so the result is bitwise identical at any
+// parallelism level.
 func (a *Assembler) AssembleInto(extra func(k int, x, y *Terms)) (sx, sy System) {
 	a.ensureAssemblyState()
 	// One thread-budget lookup serves every launch of this assembly.
 	lim := par.Current()
-	par.RunIn(lim, par.Chunks(len(a.nets), netGrain), a.netFn)
-
+	par.RunIn(lim, par.Chunks(len(a.nl.Pins), pinGrain), a.pinFn)
+	par.RunIn(lim, par.Chunks(len(a.nl.Nets), netGrain), a.netFn)
+	a.fill.Run(lim)
 	a.extra = extra
-	a.claimed.Store(0)
-	a.done, a.endX, a.endY = 0, 0, 0
 	par.RunIn(lim, par.Chunks(a.nMov, rowGrain), a.rowFn)
 	a.extra = nil
-
-	for _, m := range [2]*sparse.CSR{a.mx, a.my} {
-		end := int(m.RowPtr[a.nMov])
-		m.Col, m.Val = m.Col[:end], m.Val[:end]
-		m.Seal()
-	}
-	return System{A: a.mx, B: a.fx}, System{A: a.my, B: a.fy}
+	a.compact.Run(lim)
+	x, y := &a.sys[dimX], &a.sys[dimY]
+	return System{A: x.m, B: x.b}, System{A: y.m, B: y.b}
 }
 
-// netChunk is the per-net pass over net chunk c: it fills the coordinates
-// of the chunk's pins (each pin belongs to exactly one net) and records
-// the bound pins of its B2B nets.
+// pinChunk fills the coordinates of pin chunk c.
+func (a *Assembler) pinChunk(c int) {
+	nl := a.nl
+	for p := c * pinGrain; p < min((c+1)*pinGrain, len(nl.Pins)); p++ {
+		pin := &nl.Pins[p]
+		cc := nl.Cells[pin.Cell].Center()
+		a.pinPos[p] = [2]float64{cc.X + pin.DX, cc.Y + pin.DY}
+	}
+}
+
+// netChunk records the bound pins of the B2B nets of net chunk c.
 func (a *Assembler) netChunk(c int) {
 	nl := a.nl
-	for ni := c * netGrain; ni < min((c+1)*netGrain, len(a.nets)); ni++ {
-		pins := nl.Nets[ni].Pins
-		for _, p := range pins {
-			pin := &nl.Pins[p]
-			cc := nl.Cells[pin.Cell].Center()
-			a.pinPos[p] = [2]float64{cc.X + pin.DX, cc.Y + pin.DY}
+	for ni := c * netGrain; ni < min((c+1)*netGrain, len(nl.Nets)); ni++ {
+		if pins := nl.Nets[ni].Pins; len(pins) >= 2 && a.netModel(ni) == B2B {
+			minX, maxX := a.bounds(pins, dimX)
+			minY, maxY := a.bounds(pins, dimY)
+			a.bound[ni] = [4]int32{minX, maxX, minY, maxY}
 		}
-		if len(pins) < 2 || a.netModel(ni) != B2B {
-			continue
-		}
-		rec := &a.nets[ni]
-		minX, maxX := a.bounds(pins, dimX)
-		minY, maxY := a.bounds(pins, dimY)
-		rec.bound = [4]int32{minX, maxX, minY, maxY}
 	}
 }
 
@@ -347,97 +332,138 @@ func (a *Assembler) bounds(pins []int, d dim) (minP, maxP int32) {
 	return minP, maxP
 }
 
-// rowScratch is one worker's buffer for a chunk of rows: x and y.
-type rowScratch struct {
-	x, y rowBuilder
-	sink float64 // gather's result
-}
-
-// rowBuilder generates rows in one axis: the current row's diagonal and
-// right-hand side in Terms, and the chunk's merged rows so far.
-type rowBuilder struct {
-	pins  []netlist.Pin
-	varOf []int32
-	pos   [][2]float64 // pin coordinates
-	d     dim
-	eps   float64
-	Terms
-	rows axisRows
-	// keys and tmp are sortRow's scratch.
-	keys []uint64
-	tmp  []float64
-}
-
-// axisRows holds a chunk's finished rows in one axis: row i of the chunk
-// is col/val[end[i]:end[i+1]], in CSR order; end starts at 0.
-type axisRows struct {
-	col []int32
-	val []float64
-	end []int32
-}
-
-// rowChunk builds one chunk of rows into a worker's scratch and then, once
-// every earlier chunk has been written, appends it to the CSR arrays. The
-// pool's chunk index is ignored: chunks are claimed here in increasing
-// order, so the earliest unwritten chunk is always being built by a running
-// goroutine and the wait below cannot deadlock.
-func (a *Assembler) rowChunk(int) {
-	c := int(a.claimed.Add(1) - 1)
-	lo, hi := c*rowGrain, min((c+1)*rowGrain, a.nMov)
-	s := a.scratch()
-	bx, by := &s.x, &s.y
-	bx.rows.reset()
-	by.rows.reset()
-	if len(a.pinPos) > gatherPins {
-		a.gather(s, lo, hi)
-	}
-	for k := lo; k < hi; k++ {
-		bx.Terms, by.Terms = Terms{}, Terms{}
-		a.buildRow(bx, by, k)
-		if a.extra != nil {
-			a.extra(k, &bx.Terms, &by.Terms)
+// fillAxis is the fill pass of axis d. It gives every row k a diagonal
+// slot and room for base[k] entries plus p−3 more for each bound pin of a
+// p-pin B2B net that k owns (a bound pin has up to p−1 edges where the base
+// counts two), then stamps every net's springs in the serial emission
+// order.
+func (a *Assembler) fillAxis(d int) {
+	nl, s := a.nl, &a.sys[d]
+	m, n := s.m, a.nMov
+	clear(s.span)
+	total := n + a.baseSum
+	for ni, b := range a.bound {
+		minP, maxP := b[2*d], b[2*d+1]
+		if minP < 0 || minP == maxP {
+			continue
 		}
-		bx.finish(k)
-		by.finish(k)
-		a.fx[k], a.fy[k] = bx.rhs, by.rhs
-	}
-
-	a.mu.Lock()
-	for a.done < c {
-		a.written.Wait()
-	}
-	a.mu.Unlock()
-	a.endX = bx.rows.writeTo(a.mx, a.endX, lo, a.nMov)
-	a.endY = by.rows.writeTo(a.my, a.endY, lo, a.nMov)
-	a.mu.Lock()
-	a.done++
-	a.free = append(a.free, s)
-	a.mu.Unlock()
-	a.written.Broadcast()
-}
-
-// gather reads ahead what rows lo..hi-1 will read of their nets — their
-// own pins, the nets' records, then the bound pins and their cells'
-// variables — a level or two per loop, so that the loads of different
-// iterations do not wait on each other and their cache misses overlap
-// instead of each stalling the row that needs it.
-func (a *Assembler) gather(s *rowScratch, lo, hi int) {
-	pins, own := a.nl.Pins, a.rowPins[a.rowStart[lo]:a.rowStart[hi]]
-	var sum float64
-	for _, q := range own {
-		sum += a.pinPos[q][0] + float64(pins[q].Net)
-	}
-	for _, q := range own {
-		sum += float64(a.nets[pins[q].Net].bound[0])
-	}
-	for _, q := range own {
-		if b := &a.nets[pins[q].Net].bound; b[0] >= 0 {
-			for _, p := range b {
-				sum += a.pinPos[p][0] + float64(a.varOf[pins[p].Cell])
+		more := int32(len(nl.Nets[ni].Pins) - 3)
+		for _, p := range [2]int32{minP, maxP} {
+			if v := a.varOf[nl.Pins[p].Cell]; v >= 0 {
+				s.span[v][1] += more
+				total += int(more)
 			}
 		}
 	}
-	s.sink += sum // keeps the loads live
+	if cap(m.Col) < total {
+		m.Col, m.Val = make([]int32, total*65/64), make([]float64, total*65/64)
+	}
+	m.Col, m.Val = m.Col[:cap(m.Col)], m.Val[:cap(m.Val)]
+	start := int32(0)
+	for k := 0; k < n; k++ {
+		more := s.span[k][1]
+		s.span[k] = [2]int32{start, start + 1}
+		m.Col[start], m.Val[start] = -1, 0
+		start += 1 + a.base[k] + more
+	}
+	clear(s.b)
+	for ni := range nl.Nets {
+		net := &nl.Nets[ni]
+		pins := net.Pins
+		if len(pins) < 2 {
+			continue
+		}
+		if b := a.bound[ni]; b[0] >= 0 {
+			minP, maxP := int(b[2*d]), int(b[2*d+1])
+			if minP == maxP {
+				continue
+			}
+			wBase := net.Weight / float64(len(pins)-1)
+			a.spring(s, minP, maxP, wBase)
+			for _, q := range pins {
+				if q != minP && q != maxP {
+					a.spring(s, q, minP, wBase)
+					a.spring(s, q, maxP, wBase)
+				}
+			}
+			continue
+		}
+		wBase := net.Weight * 2 / float64(len(pins))
+		for i, p := range pins {
+			for _, q := range pins[i+1:] {
+				a.spring(s, p, q, wBase)
+			}
+		}
+	}
+}
+
+// spring stamps the linearized spring w·(pos_i − pos_j)², with weight
+// w = wBase/(|pos_i − pos_j| + ε), between pins i and j into the rows of
+// their movable cells, where pos = variable + offset for movable cells and
+// the absolute pin coordinate for fixed ones. Two pins on one cell exert
+// no force.
+func (a *Assembler) spring(s *axis, i, j int, wBase float64) {
+	pi, pj := &a.nl.Pins[i], &a.nl.Pins[j]
+	vi, vj := a.varOf[pi.Cell], a.varOf[pj.Cell]
+	if pi.Cell == pj.Cell || vi < 0 && vj < 0 {
+		return
+	}
+	posI, posJ := a.pinPos[i][s.d], a.pinPos[j][s.d]
+	offI, offJ := pi.DX, pj.DX
+	if s.d == dimY {
+		offI, offJ = pi.DY, pj.DY
+	}
+	w := wBase / (math.Abs(posI-posJ) + a.eps)
+	switch {
+	case vi >= 0 && vj >= 0:
+		c := offI - offJ
+		s.add(vi, vj, w, -(w * c))
+		s.add(vj, vi, w, w*c)
+	case vi >= 0:
+		s.add(vi, -1, w, w*(posJ-offI))
+	default:
+		s.add(vj, -1, w, w*(posI-offJ))
+	}
+}
+
+// add folds one spring's terms into row v: the off-diagonal entry −w in
+// column col (none for a fixed other end, col < 0, or a zero w), w into
+// the diagonal, which starts at its first nonzero term, and rhs into the
+// right-hand side.
+func (s *axis) add(v, col int32, w, rhs float64) {
+	m, r := s.m, &s.span[v]
+	if w != 0 {
+		if col >= 0 {
+			e := r[1]
+			m.Col[e], m.Val[e] = col, -w
+			r[1] = e + 1
+		}
+		// The slot starts at +0, and 0 + w is w for any nonzero w, so the
+		// sum equals the fold from the first term; the column marks the
+		// diagonal present.
+		d := r[0]
+		m.Col[d] = v
+		m.Val[d] += w
+	}
+	s.b[v] += rhs
+}
+
+// rowChunk is the per-row pass over variable chunk c: it adds the caller's
+// terms to each row and finishes the row in both axes.
+func (a *Assembler) rowChunk(c int) {
+	sc := a.scratch()
+	x, y := &a.sys[dimX], &a.sys[dimY]
+	for k := c * rowGrain; k < min((c+1)*rowGrain, a.nMov); k++ {
+		sc.tx, sc.ty = x.terms(k), y.terms(k)
+		if a.extra != nil {
+			a.extra(k, &sc.tx, &sc.ty)
+		}
+		x.finish(k, sc.tx, sc)
+		y.finish(k, sc.ty, sc)
+	}
+	a.mu.Lock()
+	a.free = append(a.free, sc)
+	a.mu.Unlock()
 }
 
 // scratch takes a free worker scratch, or makes one.
@@ -445,223 +471,102 @@ func (a *Assembler) scratch() *rowScratch {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if n := len(a.free); n > 0 {
-		s := a.free[n-1]
+		sc := a.free[n-1]
 		a.free = a.free[:n-1]
-		return s
+		return sc
 	}
-	s := &rowScratch{}
-	s.x = rowBuilder{pins: a.nl.Pins, varOf: a.varOf, pos: a.pinPos, d: dimX, eps: a.eps}
-	s.y = rowBuilder{pins: a.nl.Pins, varOf: a.varOf, pos: a.pinPos, d: dimY, eps: a.eps}
-	return s
+	return &rowScratch{}
 }
 
-// buildRow generates variable k's net-model terms in both axes.
-func (a *Assembler) buildRow(bx, by *rowBuilder, k int) {
-	pins := a.nl.Pins
-	own := a.rowPins[a.rowStart[k]:a.rowStart[k+1]]
-	for len(own) > 0 {
-		// own[:g] are k's pins on one net.
-		ni := pins[own[0]].Net
-		g := 1
-		for g < len(own) && pins[own[g]].Net == ni {
-			g++
-		}
-		group := own[:g]
-		own = own[g:]
-		kc := pins[group[0]].Cell
-		net, rec := &a.nl.Nets[ni], &a.nets[ni] // net is read by bound-pin owners only
-		if rec.bound[0] >= 0 {
-			bx.b2b(net, rec, group, kc, int(rec.bound[0]), int(rec.bound[1]))
-			by.b2b(net, rec, group, kc, int(rec.bound[2]), int(rec.bound[3]))
-		} else if len(net.Pins) >= 2 {
-			bx.clique(net.Pins, rec.wBase, group, kc)
-			by.clique(net.Pins, rec.wBase, group, kc)
-		}
-	}
+// terms returns row k's net-model diagonal and right-hand side.
+func (s *axis) terms(k int) Terms {
+	d := s.span[k][0]
+	return Terms{diag: s.m.Val[d], rhs: s.b[k], hasDiag: s.m.Col[d] >= 0}
 }
 
-// pinRef is what a row reads of one pin along its axis.
-type pinRef struct {
-	cell int
-	v    int32   // the cell's variable, or -1
-	off  float64 // offset from the cell center
-	pos  float64 // absolute coordinate
-}
-
-func (r *rowBuilder) ref(p int) pinRef {
-	pin := &r.pins[p]
-	off := pin.DX
-	if r.d == dimY {
-		off = pin.DY
-	}
-	return pinRef{cell: pin.Cell, v: r.varOf[pin.Cell], off: off, pos: r.pos[p][r.d]}
-}
-
-// weight is the linearized spring weight between coordinates vi and vj.
-func (r *rowBuilder) weight(wBase, vi, vj float64) float64 {
-	return wBase / (math.Abs(vi-vj) + r.eps)
-}
-
-// b2b adds the B2B edges of a net that touch cell kc, which owns the pins
-// group of the net, in emission order. A cell that owns neither bound pin
-// only has its own pins' two edges; a bound-pin owner scans the net.
-func (r *rowBuilder) b2b(net *netlist.Net, rec *netRec, group []int32, kc, minP, maxP int) {
-	if minP == maxP {
-		return
-	}
-	mn, mx := r.ref(minP), r.ref(maxP)
-	minOwn, maxOwn := mn.cell == kc, mx.cell == kc
-	if !minOwn && !maxOwn {
-		for _, q := range group {
-			o := r.ref(int(q))
-			r.stamp(o, mn, true, r.weight(rec.wBase, o.pos, mn.pos))
-			r.stamp(o, mx, true, r.weight(rec.wBase, o.pos, mx.pos))
-		}
-		return
-	}
-	r.stamp(mn, mx, minOwn, r.weight(rec.wBase, mn.pos, mx.pos))
-	for _, q := range net.Pins {
-		if q == minP || q == maxP {
-			continue
-		}
-		o := r.ref(q)
-		qOwn := o.cell == kc
-		if qOwn || minOwn {
-			r.stamp(o, mn, qOwn, r.weight(rec.wBase, o.pos, mn.pos))
-		}
-		if qOwn || maxOwn {
-			r.stamp(o, mx, qOwn, r.weight(rec.wBase, o.pos, mx.pos))
-		}
-	}
-}
-
-// clique adds the clique edges of a net that touch cell kc, which owns the
-// pins group of the net, in lexicographic pair order: a pair (i, j) with
-// i < j touches kc when either pin is kc's.
-func (r *rowBuilder) clique(pins []int, wBase float64, group []int32, kc int) {
-	next := 0 // group[next:] are kc's pins after the current position
-	for i, pi := range pins {
-		ri := r.ref(pi)
-		if next < len(group) && int(group[next]) == pi {
-			next++
-			for _, pj := range pins[i+1:] {
-				rj := r.ref(pj)
-				r.stamp(ri, rj, true, r.weight(wBase, ri.pos, rj.pos))
-			}
-			continue
-		}
-		for _, pj := range group[next:] {
-			rj := r.ref(int(pj))
-			r.stamp(ri, rj, false, r.weight(wBase, ri.pos, rj.pos))
-		}
-	}
-}
-
-// stamp adds the spring w·(pos_i − pos_j)² between pins i and j to the
-// row of i's cell when first is set, else to the row of j's cell, where
-// pos = variable + offset for movable cells and the absolute pin
-// coordinate for fixed ones. Two pins on one cell exert no force.
-func (r *rowBuilder) stamp(i, j pinRef, first bool, w float64) {
-	if i.cell == j.cell {
-		return
-	}
-	other := j
-	if !first {
-		other = i
-	}
-	if other.v >= 0 {
-		if w != 0 {
-			r.rows.col = append(r.rows.col, other.v)
-			r.rows.val = append(r.rows.val, -w)
-		}
-		c := i.off - j.off
-		if first {
-			r.Add(w, -(w * c))
-		} else {
-			r.Add(w, w*c)
-		}
-		return
-	}
-	if first {
-		r.Add(w, w*(j.pos-i.off))
-	} else {
-		r.Add(w, w*(i.pos-j.off))
-	}
-}
-
-// finish stably sorts the row's off-diagonal entries by column, merges
-// duplicates in emission order and records the row's diagonal.
-func (r *rowBuilder) finish(k int) {
-	o := &r.rows
-	s := int(o.end[len(o.end)-1])
-	cols, vals := o.col[s:], o.val[s:]
+// finish stably sorts row k's off-diagonal entries by column, merges
+// duplicates in emission order, inserts t's diagonal, when it has one,
+// between the columns below and above it, and records t's right-hand side.
+// The finished row starts at the row's diagonal slot.
+func (s *axis) finish(k int, t Terms, sc *rowScratch) {
+	m := s.m
+	lo, hi := int(s.span[k][0]), int(s.span[k][1])
+	cols, vals := m.Col[lo+1:hi], m.Val[lo+1:hi]
 	w := 0
 	if len(cols) > 0 {
-		r.sortRow(cols, vals)
-		for k := 1; k < len(cols); k++ {
-			if cols[k] == cols[w] {
-				vals[w] += vals[k]
+		sc.sortRow(cols, vals)
+		for i := 1; i < len(cols); i++ {
+			if cols[i] == cols[w] {
+				vals[w] += vals[i]
 			} else {
 				w++
-				cols[w], vals[w] = cols[k], vals[k]
+				cols[w], vals[w] = cols[i], vals[i]
 			}
 		}
 		w++
 	}
-	o.col, o.val = o.col[:s+w], o.val[:s+w]
-	if r.hasDiag {
-		// Insert the diagonal between the columns below and above it.
-		o.col, o.val = append(o.col, 0), append(o.val, 0)
-		i := len(o.col) - 1
-		for ; i > s && int(o.col[i-1]) > k; i-- {
-			o.col[i], o.val[i] = o.col[i-1], o.val[i-1]
-		}
-		o.col[i], o.val[i] = int32(k), r.diag
+	// Move the columns below k down by one slot, into the diagonal slot.
+	i := lo
+	for ; i < lo+w && int(m.Col[i+1]) < k; i++ {
+		m.Col[i], m.Val[i] = m.Col[i+1], m.Val[i+1]
 	}
-	o.end = append(o.end, int32(len(o.col)))
+	if t.hasDiag {
+		m.Col[i], m.Val[i] = int32(k), t.diag
+		w++
+	} else {
+		copy(m.Col[i:lo+w], m.Col[i+1:])
+		copy(m.Val[i:lo+w], m.Val[i+1:])
+	}
+	s.span[k][1] = int32(lo + w)
+	s.b[k] = t.rhs
 }
 
-func (o *axisRows) reset() { o.col, o.val, o.end = o.col[:0], o.val[:0], append(o.end[:0], 0) }
+// compactAxis closes the gaps between axis d's finished rows, sets its row
+// pointers and seals the matrix.
+func (a *Assembler) compactAxis(d int) {
+	s := &a.sys[d]
+	m := s.m
+	w := int32(0)
+	for k := 0; k < a.nMov; k++ {
+		lo, hi := s.span[k][0], s.span[k][1]
+		if lo != w {
+			copy(m.Col[w:hi-lo+w], m.Col[lo:hi])
+			copy(m.Val[w:hi-lo+w], m.Val[lo:hi])
+		}
+		m.RowPtr[k] = w
+		w += hi - lo
+	}
+	m.RowPtr[a.nMov] = w
+	m.Col, m.Val = m.Col[:w], m.Val[:w]
+	m.Seal()
+}
 
-// writeTo writes the chunk's rows, the first being row lo, into m after
-// its first end entries and returns the new end. When m's arrays are too
-// short they grow to the length the rows so far extrapolate to over all n
-// rows.
-func (o *axisRows) writeTo(m *sparse.CSR, end, lo, n int) int {
-	rows := len(o.end) - 1
-	if need := end + len(o.col); cap(m.Col) < need {
-		est := int(int64(need)*int64(n)/int64(lo+rows)) * 65 / 64
-		col, val := make([]int32, est), make([]float64, est)
-		copy(col, m.Col[:end])
-		copy(val, m.Val[:end])
-		m.Col, m.Val = col, val
-	}
-	m.Col, m.Val = m.Col[:cap(m.Col)], m.Val[:cap(m.Val)]
-	copy(m.Col[end:], o.col)
-	copy(m.Val[end:], o.val)
-	for i, e := range o.end[1:] {
-		m.RowPtr[lo+i+1] = int32(end) + e
-	}
-	return end + len(o.col)
+// rowScratch is one worker's state in the per-row pass: the current
+// row's terms, which the caller's callback reaches by pointer, and the
+// buffers for sorting long rows.
+type rowScratch struct {
+	tx, ty Terms
+	keys   []uint64
+	tmp    []float64
 }
 
 // sortRow stably sorts a row's (col, val) pairs by column. Stability keeps
 // duplicate entries in emission order so their summation order is
 // deterministic. Short rows (a handful of springs per variable) use
 // insertion sort; longer ones sort (col, emission index) keys, which are
-// unique, and then gather the values, using the worker's scratch.
-func (r *rowBuilder) sortRow(cols []int32, vals []float64) {
+// unique, and then gather the values.
+func (sc *rowScratch) sortRow(cols []int32, vals []float64) {
 	if len(cols) > 16 {
-		keys := r.keys[:0]
+		keys := sc.keys[:0]
 		for i, c := range cols {
 			keys = append(keys, uint64(c)<<32|uint64(i))
 		}
 		slices.Sort(keys)
-		r.tmp = append(r.tmp[:0], vals...)
+		sc.tmp = append(sc.tmp[:0], vals...)
 		for i, k := range keys {
-			cols[i], vals[i] = int32(k>>32), r.tmp[uint32(k)]
+			cols[i], vals[i] = int32(k>>32), sc.tmp[uint32(k)]
 		}
-		r.keys = keys
+		sc.keys = keys
 		return
 	}
 	for i := 1; i < len(cols); i++ {
